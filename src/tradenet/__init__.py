@@ -43,7 +43,7 @@ from .fixedpoint import (
     terminal_lattice,
 )
 from .instances import Instance, bundled_instance, instance_from_json, load_instance
-from .network import Contract, ContractNetwork, Trail, TerminalPartition, validate_network
+from .network import Contract, ContractNetwork, TerminalPartition, validate_network
 from .stability import (
     StabilityVerdict,
     Witness,

@@ -11,13 +11,12 @@ check carries an explicit size guard instead of silently truncating.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .choices import ChoiceFunction, is_individually_rational, is_rational, is_rational_pair
 from .errors import GuardExceededError, PreconditionError
 from .instances import Instance
-from .network import sorted_ids
+from .network import sorted_ids, subsets
 
 SIZE_GUARD = 16
 
@@ -57,12 +56,6 @@ def _guard(cf: ChoiceFunction, axiom: str) -> None:
         )
 
 
-def _subsets(items):
-    items = sorted(items)
-    for r in range(len(items) + 1):
-        yield from (frozenset(c) for c in itertools.combinations(items, r))
-
-
 def check_irc(cf: ChoiceFunction) -> AxiomReport:
     """Removing rejected contracts from the offer must not change the choice.
 
@@ -71,7 +64,7 @@ def check_irc(cf: ChoiceFunction) -> AxiomReport:
     the remaining contracts rejected, so checking single removals on every
     menu is exactly equivalent to checking every intermediate menu."""
     _guard(cf, "irc")
-    for menu in _subsets(cf.domain):
+    for menu in subsets(cf.domain):
         chosen = cf.choose(menu)
         for dropped in sorted(menu - chosen):
             trimmed = menu - {dropped}
@@ -114,8 +107,8 @@ def check_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
             },
         )
 
-    for down in _subsets(cf.downstream):
-        for up in _subsets(cf.upstream):
+    for down in subsets(cf.downstream):
+        for up in subsets(cf.upstream):
             rej = cf.rejected_upstream(up, down)
             for extra_up in sorted(cf.upstream - up):
                 grown = up | {extra_up}
@@ -163,8 +156,8 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     along chains of single-contract insertions, so per-step checking is
     exactly equivalent to checking every nested pair."""
     _guard(cf, "lad_las")
-    for down in _subsets(cf.downstream):
-        for up in _subsets(cf.upstream):
+    for down in subsets(cf.downstream):
+        for up in subsets(cf.upstream):
             nb = len(cf.chosen_upstream(up, down))
             ns = len(cf.chosen_downstream(down, up))
             for extra_up in sorted(cf.upstream - up):
@@ -208,8 +201,8 @@ def check_separability(cf: ChoiceFunction) -> AxiomReport:
     """Joint upstream/downstream pairs can be signed independently of other
     kept contracts: a kept set plus a kept-only-together pair stays kept."""
     _guard(cf, "separability")
-    for given in _subsets(cf.domain):
-        for kept in _subsets(cf.domain):
+    for given in subsets(cf.domain):
+        for kept in subsets(cf.domain):
             if not is_rational(cf, kept, given):
                 continue
             for up in sorted(cf.upstream - kept):
@@ -253,7 +246,7 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
             False,
             witness={"missing_intensity": sorted_ids(missing)},
         )
-    for kept in _subsets(cf.domain):
+    for kept in subsets(cf.domain):
         if not is_individually_rational(cf, kept):
             continue
         ups = kept & cf.upstream
@@ -282,10 +275,6 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
     return AxiomReport("simplicity", cf.agent, True)
 
 
-def _pair_weight(cf, up_part, down_part) -> int:
-    return len(up_part) - len(down_part)
-
-
 def _pair_merge_weight(cf, big, small) -> int:
     """Weight of the directed difference of two (upstream, downstream) pairs:
     kept-upstream growth minus the complement of the downstream growth."""
@@ -298,12 +287,12 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     """The rejection map must not expand the signed weight of nested menu
     differences (+1 per upstream contract, -1 per downstream contract)."""
     _guard(cf, "w_contraction")
-    for up_small in _subsets(cf.upstream):
-        for up in _subsets(cf.upstream):
+    for up_small in subsets(cf.upstream):
+        for up in subsets(cf.upstream):
             if not up_small <= up:
                 continue
-            for down in _subsets(cf.downstream):
-                for down_big in _subsets(cf.downstream):
+            for down in subsets(cf.downstream):
+                for down_big in subsets(cf.downstream):
                     if not down <= down_big:
                         continue
                     rej = (
@@ -367,6 +356,3 @@ def check_instance(
         out.extend(check_agent(inst.choice[agent], axioms, intensity))
     return out
 
-
-def instance_satisfies(inst: Instance, axioms) -> bool:
-    return all(r.holds for r in check_instance(inst, axioms))

@@ -12,7 +12,7 @@ ones the agent buys, *downstream* the ones it sells.
 
 from __future__ import annotations
 
-from .errors import ChoiceFunctionError
+from .errors import ChoiceFunctionError, InstanceFormatError
 from .network import ContractNetwork
 
 
@@ -174,8 +174,11 @@ class SeparableIntensityChoice(ChoiceFunction):
     """Totally ordered sides, matched pairwise.
 
     Offered k upstream and l downstream contracts, the agent signs the
-    min(k, l) best of each side.  Decisions about one upstream/downstream
-    pair never depend on which other pairs are around.
+    min(k, l) best of each side.  Whether a pair is signed depends on the
+    rest of the offer, so the family passes `check_separability` only while
+    one side has a single contract or each side has at most two.  With
+    orders u0 > u1 > u2 and d0 > d1 > d2, alongside {d0, u1} the agent keeps
+    {u0}, and keeps the pair (u2, d1), but not all three at once.
     """
 
     family = "separable_intensity"
@@ -427,7 +430,17 @@ class NeedleChoiceF(ChoiceFunction):
 
 
 def build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
-    """One constructor for every concrete family, keyed by desc["type"]."""
+    """One constructor for every concrete family, keyed by desc["type"].
+    Parameters of the wrong type are an input error."""
+    try:
+        return _build_family(net, desc)
+    except (TypeError, ValueError) as exc:
+        raise InstanceFormatError(
+            f"choice function for {desc['agent']!r}: malformed parameters ({exc})"
+        ) from exc
+
+
+def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
     if not isinstance(desc, dict) or "agent" not in desc or "type" not in desc:
         raise ChoiceFunctionError("choice description needs 'agent' and 'type'")
     agent = desc["agent"]

@@ -14,9 +14,10 @@ import json
 import sys
 
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
-from .errors import InstanceFormatError, TradenetError
+from .choices import build_family
+from .errors import InstanceFormatError, NetworkValidationError, TradenetError
 from .instances import Instance, load_instance, write_examples
-from .network import sorted_ids
+from .network import Contract, sorted_ids, validate_network
 
 
 def _emit(payload, fmt: str) -> None:
@@ -47,10 +48,6 @@ def _render_human(payload, indent: int = 0) -> None:
         print(f"{pad}{payload}")
 
 
-def _load(path) -> Instance:
-    return load_instance(path)
-
-
 def _load_priced(path) -> equilibrium.PricedInstance:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -71,10 +68,8 @@ def _parse_outcome(text: str) -> frozenset[str]:
 
 
 def _cmd_validate(args) -> dict:
-    from .errors import NetworkValidationError
-
     try:
-        inst = _load(args.instance)
+        inst = load_instance(args.instance)
     except NetworkValidationError as exc:
         return {"valid": False, "issues": exc.issues}
     part = inst.network.terminal_partition()
@@ -89,7 +84,7 @@ def _cmd_validate(args) -> dict:
 
 
 def _cmd_check_axioms(args) -> list:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     names = [args.axiom] if args.axiom else None
     agents = [args.agent] if args.agent else None
     reports = axioms.check_instance(inst, names, agents)
@@ -97,13 +92,13 @@ def _cmd_check_axioms(args) -> list:
 
 
 def _cmd_solve(args) -> dict:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     run = fixedpoint.buyer_optimal(inst) if args.side == "buyer" else fixedpoint.seller_optimal(inst)
     return run.to_json(include_trace=args.trace)
 
 
 def _cmd_enumerate(args) -> dict:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     results = fixedpoint.enumerate_fixed_points(inst)
     return {
         "fixed_points": [r.to_json() for r in results],
@@ -112,7 +107,7 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_check(args) -> dict:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     outcome = _parse_outcome(args.outcome)
     unknown = outcome - inst.contract_ids
     if unknown:
@@ -156,13 +151,12 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
     required = {"agent", "side", "contracts", "choice_functions"}
     if not isinstance(raw, dict) or set(raw) != required:
         raise InstanceFormatError(f"entry file needs exactly fields {sorted(required)}")
+    if not all(isinstance(raw[k], list) for k in ("contracts", "choice_functions")):
+        raise InstanceFormatError("entry file 'contracts' and 'choice_functions' must be lists")
     trial = {
         "agents": list(inst.network.agents) + [raw["agent"]],
         "contracts": [c.to_json() for c in inst.network.contracts] + raw["contracts"],
     }
-    from .network import validate_network
-    from .choices import build_family
-
     new_net = validate_network(trial)
     descs = raw["choice_functions"]
     entrant_cf = None
@@ -175,8 +169,6 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
             updated[cf.agent] = cf
     if entrant_cf is None:
         raise InstanceFormatError("entry file lacks a choice function for the entrant")
-    from .network import Contract
-
     contracts = tuple(
         Contract(c["id"], c["seller"], c["buyer"], c.get("label"))
         for c in raw["contracts"]
@@ -185,7 +177,7 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
 
 
 def _cmd_dynamics(args) -> dict:
-    inst = _load(args.instance)
+    inst = load_instance(args.instance)
     event = _load_entry(inst, args.entry)
     report = dynamics.entry_comparative_statics(inst, event)
     out = {"entry_statics": report.to_json()}
@@ -199,13 +191,16 @@ def _cmd_dynamics(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "brute":
-        inst = _load(args.instance)
+        inst = load_instance(args.instance)
         notion = args.notion.replace("-", "_")
         outcomes = oracle.brute_force_stable(inst, notion, jobs=args.jobs)
         return {"notion": notion, "stable_outcomes": [sorted_ids(o) for o in outcomes]}
     if args.oracle_cmd == "partition":
-        weights = tuple(sorted(int(w) for w in args.weights.split(",")))
-        gadget = oracle.partition_to_gs(weights)
+        try:
+            weights = tuple(sorted(int(w) for w in args.weights.split(",")))
+            gadget = oracle.partition_to_gs(weights)
+        except ValueError as exc:
+            raise InstanceFormatError(f"--weights: {exc}") from exc
         return {
             "weights": list(weights),
             "half_integral_threshold": gadget.half_integral,
@@ -214,9 +209,12 @@ def _cmd_oracle(args) -> dict:
         }
     if args.oracle_cmd == "needle":
         hidden = None
-        if args.hidden:
-            hidden = [int(i) for i in args.hidden.split(",")]
-        inst = oracle.needle_family(args.n, hidden)
+        try:
+            if args.hidden:
+                hidden = [int(i) for i in args.hidden.split(",")]
+            inst = oracle.needle_family(args.n, hidden)
+        except ValueError as exc:
+            raise InstanceFormatError(f"needle: {exc}") from exc
         verdict = stability.find_blocking_set(inst, frozenset())
         return {
             "n": args.n,

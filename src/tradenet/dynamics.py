@@ -8,7 +8,6 @@ event is pure surgery and never a preference change in disguise.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import axioms
@@ -20,11 +19,12 @@ from .fixedpoint import (
     buyer_optimal,
     fixed_point_outcomes,
     iterate_from,
+    prefers,
     respond,
     seller_optimal,
 )
 from .instances import Instance
-from .network import Contract, sorted_ids, validate_network
+from .network import Contract, sorted_ids, subsets, validate_network
 
 CONSISTENCY_GUARD = 12
 
@@ -49,13 +49,11 @@ def _check_consistent(old: ChoiceFunction, new: ChoiceFunction) -> None:
         )
     if not old.domain <= new.domain:
         raise PreconditionError(f"{new.agent}: replacement lost old contracts")
-    pool = sorted(old.domain)
-    for r in range(len(pool) + 1):
-        for combo in itertools.combinations(pool, r):
-            if old.choose(combo) != new.choose(combo):
-                raise PreconditionError(
-                    f"{new.agent}: replacement choice disagrees on old menu {list(combo)}"
-                )
+    for menu in subsets(old.domain):
+        if old.choose(menu) != new.choose(menu):
+            raise PreconditionError(
+                f"{new.agent}: replacement choice disagrees on old menu {sorted_ids(menu)}"
+            )
 
 
 def apply_entry(inst: Instance, event: EntryEvent) -> Instance:
@@ -137,15 +135,6 @@ def apply_exit(inst: Instance, agent: str) -> Instance:
 # ---------------------------------------------------------------------------
 # statics reports
 # ---------------------------------------------------------------------------
-
-
-def prefers(inst: Instance, agent: str, preferred, other) -> bool:
-    """The agent keeps exactly its `preferred` contracts from the union of
-    both outcomes.  Identical restrictions count as preferring either way."""
-    cf = inst.choice[agent]
-    mine = frozenset(preferred) & cf.domain
-    theirs = frozenset(other) & cf.domain
-    return cf.choose(mine | theirs) == mine
 
 
 @dataclass(frozen=True)

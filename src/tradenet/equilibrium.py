@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
 from .instances import Instance
-from .network import sorted_ids, validate_network
+from .network import sorted_ids, subsets, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
@@ -65,21 +65,12 @@ class PricedInstance:
     def trade_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.trades)
 
-    def trade(self, trade_id: str) -> Trade:
-        for t in self.trades:
-            if t.id == trade_id:
-                return t
-        raise KeyError(trade_id)
-
     def split(self, cid: str) -> tuple[str, int]:
         trade_id, _, price = cid.rpartition("@")
         return trade_id, int(price)
 
     def trade_of(self, cid: str) -> str:
         return self.split(cid)[0]
-
-    def price_of(self, cid: str) -> int:
-        return self.split(cid)[1]
 
     def to_json(self) -> dict:
         return {
@@ -173,6 +164,15 @@ class ReservationChoice(ChoiceFunction):
 
 
 def build_priced(raw: dict) -> PricedInstance:
+    """Priced economy from its JSON description; values of the wrong type
+    are an input error."""
+    try:
+        return _build_priced(raw)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise InstanceFormatError(f"malformed priced instance: {exc}") from exc
+
+
+def _build_priced(raw: dict) -> PricedInstance:
     if not isinstance(raw, dict):
         raise InstanceFormatError("priced description must be an object")
     unknown = set(raw) - PRICED_FIELDS
@@ -246,12 +246,6 @@ def _menu_guard(cf: ChoiceFunction, what: str) -> None:
         )
 
 
-def _menus(cf: ChoiceFunction):
-    pool = sorted(cf.domain)
-    for r in range(len(pool) + 1):
-        yield from (frozenset(m) for m in itertools.combinations(pool, r))
-
-
 def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
     """No chosen set may carry two prices for one trade."""
     out = []
@@ -259,7 +253,7 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
         cf = priced.instance.choice[agent]
         _menu_guard(cf, "feasibility")
         witness = None
-        for menu in _menus(cf):
+        for menu in subsets(cf.domain):
             chosen = cf.choose(menu)
             seen: dict[str, str] = {}
             for cid in sorted(chosen):
@@ -303,7 +297,7 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
         always_bought = [
             p
             for p in t.prices()
-            if all(not _rejects(buyer_cf, contract_id(t.id, p), m) for m in _menus(buyer_cf))
+            if all(not _rejects(buyer_cf, contract_id(t.id, p), m) for m in subsets(buyer_cf.domain))
         ]
         if not always_bought:
             witness = {"condition": "buyer_floor_missing", "trade": t.id}
@@ -311,7 +305,7 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
             always_sold = [
                 p
                 for p in t.prices()
-                if all(not _rejects(seller_cf, contract_id(t.id, p), m) for m in _menus(seller_cf))
+                if all(not _rejects(seller_cf, contract_id(t.id, p), m) for m in subsets(seller_cf.domain))
             ]
             if not always_sold:
                 witness = {"condition": "seller_ceiling_missing", "trade": t.id}
@@ -326,7 +320,7 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
     contracts, minus the trade's own price grid (the condition is applied to
     price an unrealized trade, so no second copy of it can be on the table)."""
     grid = {contract_id(t.id, p) for p in t.prices()}
-    pool = sorted((buyer_cf.domain | seller_cf.domain) - grid)
+    pool = (buyer_cf.domain | seller_cf.domain) - grid
     if len(pool) > MENU_GUARD:
         raise GuardExceededError(
             f"complete_prices: joint menu guard is {MENU_GUARD}, trade {t.id} has {len(pool)}"
@@ -334,21 +328,19 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
     for p in range(t.price_min, t.price_max):
         low = contract_id(t.id, p)
         high = contract_id(t.id, p + 1)
-        for r in range(len(pool) + 1):
-            for combo in itertools.combinations(pool, r):
-                menu = frozenset(combo)
-                if (
-                    _rejects(seller_cf, low, menu)
-                    and _rejects(buyer_cf, high, menu)
-                    and not _rejects(buyer_cf, low, menu)
-                    and not _rejects(seller_cf, high, menu)
-                ):
-                    return {
-                        "condition": "no_common_rejection",
-                        "trade": t.id,
-                        "price": p,
-                        "menu": sorted_ids(menu),
-                    }
+        for menu in subsets(pool):
+            if (
+                _rejects(seller_cf, low, menu)
+                and _rejects(buyer_cf, high, menu)
+                and not _rejects(buyer_cf, low, menu)
+                and not _rejects(seller_cf, high, menu)
+            ):
+                return {
+                    "condition": "no_common_rejection",
+                    "trade": t.id,
+                    "price": p,
+                    "menu": sorted_ids(menu),
+                }
     return None
 
 
@@ -357,37 +349,32 @@ def check_pm(priced: PricedInstance) -> list[axioms.AxiomReport]:
     buyer never keeps the dearer of two same-trade contracts and the seller
     never keeps the cheaper."""
     out = []
-    inst = priced.instance
     for t in priced.trades:
-        witness = None
-        for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
-            cf = inst.choice[agent]
-            _menu_guard(cf, "price_monotonicity")
-            pair_prices = itertools.combinations(t.prices(), 2)
-            for low, high in pair_prices:
-                cheap = contract_id(t.id, low)
-                dear = contract_id(t.id, high)
-                bad = dear if role == "buyer" else cheap
-                rest = sorted(cf.domain - {cheap, dear})
-                for r in range(len(rest) + 1):
-                    for combo in itertools.combinations(rest, r):
-                        outcome = frozenset(combo)
-                        if bad in cf.choose(outcome | {cheap, dear}):
-                            witness = {
-                                "trade": t.id,
-                                "role": role,
-                                "prices": [low, high],
-                                "outcome": sorted_ids(outcome),
-                            }
-                            break
-                    if witness:
-                        break
-                if witness:
-                    break
-            if witness:
-                break
+        witness = _pm_witness(priced.instance, t)
         out.append(axioms.AxiomReport("price_monotonicity", t.id, witness is None, witness))
     return out
+
+
+def _pm_witness(inst: Instance, t: Trade):
+    """First outcome beside which a firm keeps the wrong one of two prices:
+    the buyer role first, then price pairs in order, then outcomes in the
+    subset order."""
+    for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
+        cf = inst.choice[agent]
+        _menu_guard(cf, "price_monotonicity")
+        for low, high in itertools.combinations(t.prices(), 2):
+            cheap = contract_id(t.id, low)
+            dear = contract_id(t.id, high)
+            bad = dear if role == "buyer" else cheap
+            for outcome in subsets(cf.domain - {cheap, dear}):
+                if bad in cf.choose(outcome | {cheap, dear}):
+                    return {
+                        "trade": t.id,
+                        "role": role,
+                        "prices": [low, high],
+                        "outcome": sorted_ids(outcome),
+                    }
+    return None
 
 
 def check_priced_axioms(priced: PricedInstance) -> list[axioms.AxiomReport]:

@@ -234,11 +234,13 @@ class SuperiorityVerdict:
         return {"relation": self.relation}
 
 
-def _prefers(inst: Instance, agent: str, mine, theirs) -> bool:
+def prefers(inst: Instance, agent: str, preferred, other) -> bool:
+    """The agent keeps exactly its `preferred` contracts from the union of
+    both outcomes.  Identical restrictions count as preferring either way."""
     cf = inst.choice[agent]
-    mine_own = frozenset(mine) & cf.domain
-    theirs_own = frozenset(theirs) & cf.domain
-    return cf.choose(mine_own | theirs_own) == mine_own
+    mine = frozenset(preferred) & cf.domain
+    theirs = frozenset(other) & cf.domain
+    return cf.choose(mine | theirs) == mine
 
 
 def compare_terminal_superiority(inst: Instance, first, second) -> SuperiorityVerdict:
@@ -265,11 +267,11 @@ def compare_terminal_superiority(inst: Instance, first, second) -> SuperiorityVe
     ):
         return SuperiorityVerdict("equal")
     seller_sup = all(
-        _prefers(inst, a, first, second) for a in part.terminal_sellers
-    ) and all(_prefers(inst, a, second, first) for a in part.terminal_buyers)
+        prefers(inst, a, first, second) for a in part.terminal_sellers
+    ) and all(prefers(inst, a, second, first) for a in part.terminal_buyers)
     buyer_sup = all(
-        _prefers(inst, a, second, first) for a in part.terminal_sellers
-    ) and all(_prefers(inst, a, first, second) for a in part.terminal_buyers)
+        prefers(inst, a, second, first) for a in part.terminal_sellers
+    ) and all(prefers(inst, a, first, second) for a in part.terminal_buyers)
     if seller_sup:
         return SuperiorityVerdict("seller_superior")
     if buyer_sup:

@@ -3,12 +3,14 @@
 A network is a directed multigraph: vertices are agents, edges are bilateral
 contracts pointing from seller to buyer.  Everything downstream of this module
 treats contracts by their string id; the network object owns the id ->
-endpoint lookup and the graph utilities (trails, chains, circuits, terminal
-agents, acyclicity).
+endpoint lookup and the graph utilities (terminal agents, acyclicity), and
+this module holds the canonical forms of contract sets (sorted id lists, the
+subset enumeration order).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -31,45 +33,6 @@ class Contract:
         if self.label is not None:
             out["label"] = self.label
         return out
-
-
-@dataclass(frozen=True)
-class Trail:
-    """A sequence of distinct contracts where each buyer sells the next one."""
-
-    contracts: tuple[str, ...]
-
-    def __len__(self) -> int:
-        return len(self.contracts)
-
-    def agents(self, net: "ContractNetwork") -> tuple[str, ...]:
-        """Agent walk visited by the trail: seller of the first contract,
-        then the buyer of each contract in turn (length + 1 entries)."""
-        first = net.contract(self.contracts[0])
-        return (first.seller,) + tuple(net.contract(c).buyer for c in self.contracts)
-
-    def is_chain(self, net: "ContractNetwork") -> bool:
-        walk = self.agents(net)
-        return len(set(walk)) == len(walk)
-
-    def is_circuit(self, net: "ContractNetwork") -> bool:
-        first = net.contract(self.contracts[0])
-        last = net.contract(self.contracts[-1])
-        return last.buyer == first.seller
-
-    def validate(self, net: "ContractNetwork") -> None:
-        if not self.contracts:
-            raise NetworkValidationError(["trail is empty"])
-        if len(set(self.contracts)) != len(self.contracts):
-            raise NetworkValidationError(["trail repeats a contract"])
-        for cid in self.contracts:
-            if cid not in net.contracts_by_id:
-                raise NetworkValidationError([f"trail uses unknown contract {cid!r}"])
-        for a, b in zip(self.contracts, self.contracts[1:]):
-            if net.contract(a).buyer != net.contract(b).seller:
-                raise NetworkValidationError(
-                    [f"consecutive contracts {a!r}, {b!r} do not share an agent"]
-                )
 
 
 @dataclass(frozen=True)
@@ -120,9 +83,6 @@ class ContractNetwork:
 
     def contract(self, cid: str) -> Contract:
         return self.contracts_by_id[cid]
-
-    def contracts_of(self, agent: str) -> frozenset[str]:
-        return self.upstream[agent] | self.downstream[agent]
 
     def agents_of(self, contract_set) -> frozenset[str]:
         """All agents involved in a set of contract ids."""
@@ -178,48 +138,6 @@ class ContractNetwork:
                     color[node] = BLACK
                     stack.pop()
         return True
-
-    def trails(self, max_len: int | None = None) -> list[Trail]:
-        """Every trail of length <= max_len, lexicographic by id sequence.
-
-        max_len defaults to the number of contracts, which is an upper bound
-        on any trail since contracts cannot repeat.
-        """
-        if max_len is None:
-            max_len = len(self.contracts)
-        if max_len < 1:
-            raise ValueError("max_len must be at least 1")
-        by_seller: dict[str, list[str]] = {a: [] for a in self.agents}
-        for c in self.contracts:
-            by_seller[c.seller].append(c.id)
-        for lst in by_seller.values():
-            lst.sort()
-
-        out: list[Trail] = []
-        path: list[str] = []
-        used: set[str] = set()
-
-        def grow(agent: str) -> None:
-            for cid in by_seller[agent]:
-                if cid in used:
-                    continue
-                path.append(cid)
-                used.add(cid)
-                out.append(Trail(tuple(path)))
-                if len(path) < max_len:
-                    grow(self.contract(cid).buyer)
-                used.remove(cid)
-                path.pop()
-
-        for cid in sorted(self.contracts_by_id):
-            path.append(cid)
-            used.add(cid)
-            out.append(Trail((cid,)))
-            if max_len > 1:
-                grow(self.contract(cid).buyer)
-            used.remove(cid)
-            path.pop()
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -288,3 +206,11 @@ def validate_network(raw: dict) -> ContractNetwork:
 def sorted_ids(contract_set) -> list[str]:
     """Canonical list form used whenever a contract set leaves the library."""
     return sorted(contract_set)
+
+
+def subsets(items):
+    """Every subset of `items` as a frozenset, by size and then
+    lexicographically by sorted members; the empty set comes first."""
+    items = sorted(items)
+    for size in range(len(items) + 1):
+        yield from map(frozenset, itertools.combinations(items, size))

@@ -5,7 +5,7 @@ family, and seeded generation of axiom-certified random instances.
 
 from __future__ import annotations
 
-import itertools
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +22,7 @@ from .choices import (
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .instances import Instance, instance_from_json
-from .network import Contract, sorted_ids, validate_network
+from .network import Contract, sorted_ids, subsets, validate_network
 
 BRUTE_GUARD = 12
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
@@ -63,7 +63,8 @@ def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[froze
         raw = inst.to_json()
         chunk = (total + jobs - 1) // jobs
         spans = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        workers = min(jobs, os.cpu_count() or 1, len(spans))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_range, *zip(*[(raw, notion, a, b) for a, b in spans]))
         hits = sorted(i for part in parts for i in part)
     return sorted((_outcome_by_index(ids, i) for i in hits), key=sorted_ids)
@@ -230,10 +231,7 @@ def _draw_network(rng: random.Random, profile: str, max_agents: int, max_contrac
 
 
 def _random_ranking(rng: random.Random, domain: frozenset[str]):
-    pool = sorted(domain)
-    candidates = []
-    for r in range(1, len(pool) + 1):
-        candidates.extend(itertools.combinations(pool, r))
+    candidates = list(subsets(domain))[1:]
     rng.shuffle(candidates)
     keep = rng.randint(1, min(6, len(candidates)))
     return candidates[:keep]

@@ -9,13 +9,12 @@ replayed through the definitions to validate the verdict.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .choices import is_rational
 from .errors import GuardExceededError, StabilityContradictionError
 from .instances import Instance
-from .network import sorted_ids
+from .network import sorted_ids, subsets
 
 TRAIL_GUARD = 10**6
 SET_GUARD = 20
@@ -28,7 +27,7 @@ class Witness:
     kind: str  # not_acceptable | trail | chain | set
     contracts: tuple[str, ...]
     agent: str | None = None
-    option: str | None = None  # prefix | suffix (blocking trails only)
+    option: str | None = None  # trail reading, prefix | suffix (trail notion only)
 
     def to_json(self) -> dict:
         return {
@@ -53,10 +52,6 @@ class StabilityVerdict:
         }
 
 
-def _keeps_all(inst: Instance, agent: str, subset, alongside) -> bool:
-    return is_rational(inst.choice[agent], subset, alongside)
-
-
 def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     """Every agent keeps all of its outcome contracts when offered just them."""
     outcome = frozenset(outcome)
@@ -72,11 +67,14 @@ def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     return StabilityVerdict("acceptable", True)
 
 
-def _unacceptable_short_circuit(inst, outcome, notion):
+def _fresh(inst, outcome, notion):
+    """The outcome as a frozenset, its fresh contracts in id order, and, when
+    the outcome is not even acceptable, the verdict every notion returns."""
+    outcome = frozenset(outcome)
     base = is_acceptable(inst, outcome)
     if not base.stable:
-        return StabilityVerdict(notion, False, base.witness)
-    return None
+        return outcome, None, StabilityVerdict(notion, False, base.witness)
+    return outcome, sorted(inst.contract_ids - outcome), None
 
 
 class _Budget:
@@ -93,180 +91,95 @@ class _Budget:
             )
 
 
-def _seller(inst, cid):
-    return inst.network.contract(cid).seller
+def _shortest_trail(inst, avail, budget, done, seed=None, step=None, forward=True):
+    """First trail of `avail` contracts, shortest first and lexicographic by
+    id sequence within a length, that `done(trail)` accepts.
 
-
-def _buyer(inst, cid):
-    return inst.network.contract(cid).buyer
-
-
-def _start_ok(inst, outcome, cid) -> bool:
-    return _keeps_all(inst, _seller(inst, cid), {cid}, outcome)
-
-
-def _end_ok(inst, outcome, cid) -> bool:
-    return _keeps_all(inst, _buyer(inst, cid), {cid}, outcome)
-
-
-def _grow_forward(inst, outcome, avail, trail, condition, budget):
-    """Extensions of a left-to-right partial trail that keep `condition`
-    satisfied at the new linking agent."""
-    out = []
-    last = trail[-1]
-    link = _buyer(inst, last)
-    for ext in avail:
-        if ext in trail or _seller(inst, ext) != link:
-            continue
-        budget.spend()
-        if condition(trail + (ext,), link):
-            out.append(trail + (ext,))
-    return out
-
-
-def _search_prefix(inst, outcome, avail, budget, require_distinct_agents=False,
-                   pair_condition=False):
-    """Shortest-lex blocking trail whose intermediate agents keep either all
-    their contracts seen so far (prefix reading) or, with pair_condition,
-    just the consecutive pair.  Distinct agents restrict the walk to chains.
+    Breadth-first over trails of distinct contracts: `seed` admits the
+    one-contract trails, and `step(trail, link)` admits each extension at
+    `link`, the agent joining the old end to the new contract.  Trails grow
+    rightwards when `forward`, leftwards otherwise.  Every seed candidate
+    and every extension that passes the link test costs one budget unit.
     """
     net = inst.network
-
-    def condition(trail, link):
-        new = trail[-1]
-        cf = inst.choice[link]
-        if pair_condition:
-            kept = {trail[-2], new}
-        else:
-            kept = {c for c in trail if c in cf.domain}
-        return is_rational(cf, kept, outcome)
-
-    def agents_ok(trail):
-        walk = (net.contract(trail[0]).seller,) + tuple(
-            net.contract(c).buyer for c in trail
-        )
-        return len(set(walk)) == len(walk)
-
     frontier = []
     for cid in avail:
         budget.spend()
-        if _start_ok(inst, outcome, cid):
+        if seed is None or seed((cid,)):
             frontier.append((cid,))
     while frontier:
         for trail in frontier:
-            if require_distinct_agents and not agents_ok(trail):
-                continue
-            if _end_ok(inst, outcome, trail[-1]):
+            if done(trail):
                 return trail
         nxt = []
         for trail in frontier:
-            if require_distinct_agents and not agents_ok(trail):
-                continue
-            nxt.extend(_grow_forward(inst, outcome, avail, trail, condition, budget))
-        frontier = sorted(nxt)
-    return None
-
-
-def _search_suffix(inst, outcome, avail, budget):
-    """Shortest-lex blocking trail under the suffix reading: grown right to
-    left, each intermediate agent keeping all its contracts seen so far."""
-
-    frontier = []
-    for cid in avail:
-        budget.spend()
-        if _end_ok(inst, outcome, cid):
-            frontier.append((cid,))
-    while frontier:
-        for trail in frontier:
-            if _start_ok(inst, outcome, trail[0]):
-                return trail
-        nxt = []
-        for trail in frontier:
-            first = trail[0]
-            link = _seller(inst, first)
-            cf = inst.choice[link]
+            if forward:
+                link = net.contract(trail[-1]).buyer
+            else:
+                link = net.contract(trail[0]).seller
             for ext in avail:
-                if ext in trail or _buyer(inst, ext) != link:
+                c = net.contract(ext)
+                if ext in trail or (c.seller if forward else c.buyer) != link:
                     continue
                 budget.spend()
-                extended = (ext,) + trail
-                kept = {c for c in extended if c in cf.domain}
-                if is_rational(cf, kept, outcome):
+                extended = trail + (ext,) if forward else (ext,) + trail
+                if step is None or step(extended, link):
                     nxt.append(extended)
         frontier = sorted(nxt)
     return None
 
 
-def _search_mixed(inst, outcome, avail, budget):
-    """Experimental per-agent mixed reading: each intermediate agent may
-    independently satisfy the prefix or the suffix requirement.  Enumerates
-    whole trails, so it prunes nothing."""
-    frontier = []
-    for cid in avail:
-        budget.spend()
-        if _start_ok(inst, outcome, cid):
-            frontier.append((cid,))
-    while frontier:
-        for trail in frontier:
-            if not _end_ok(inst, outcome, trail[-1]):
-                continue
-            ok = True
-            for m in range(1, len(trail)):
-                link = _buyer(inst, trail[m - 1])
-                cf = inst.choice[link]
-                prefix = {c for c in trail[: m + 1] if c in cf.domain}
-                suffix = {c for c in trail[m - 1 :] if c in cf.domain}
-                if not (
-                    is_rational(cf, prefix, outcome)
-                    or is_rational(cf, suffix, outcome)
-                ):
-                    ok = False
-                    break
-            if ok:
-                return trail
-        nxt = []
-        for trail in frontier:
-            link = _buyer(inst, trail[-1])
-            for ext in avail:
-                if ext in trail or _seller(inst, ext) != link:
-                    continue
-                budget.spend()
-                nxt.append(trail + (ext,))
-        frontier = sorted(nxt)
-    return None
+def _trail_ends(inst, outcome):
+    """Predicates on a trail: its seller keeps the first contract, and its
+    buyer keeps the last one, each offered alone alongside the outcome."""
+    net = inst.network
+
+    def first_kept(trail):
+        return is_rational(inst.choice[net.contract(trail[0]).seller], trail[:1], outcome)
+
+    def last_kept(trail):
+        return is_rational(inst.choice[net.contract(trail[-1]).buyer], trail[-1:], outcome)
+
+    return first_kept, last_kept
 
 
-def find_blocking_trail(inst: Instance, outcome, *, mixed_options: bool = False) -> StabilityVerdict:
+def _keeps_pair(inst, outcome):
+    """Step predicate: the linking agent keeps the consecutive pair it joins
+    (the search grows forward, so that is the trail's last two contracts)."""
+    return lambda trail, link: is_rational(inst.choice[link], trail[-2:], outcome)
+
+
+def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Trail stability: no trail of fresh contracts may start with a contract
     its seller keeps, end with one its buyer keeps, and have every
     intermediate agent keep either all its prefix contracts (one global
     reading) or all its suffix contracts (the other).
 
     The two readings are searched independently and the overall witness is
-    the shortest-lex one; `mixed_options` switches to the per-agent mixed
-    disjunction, which is not the default reading.
+    the shortest-lex one.
     """
-    outcome = frozenset(outcome)
-    short = _unacceptable_short_circuit(inst, outcome, "trail")
+    outcome, avail, short = _fresh(inst, outcome, "trail")
     if short:
         return short
-    avail = sorted(inst.contract_ids - outcome)
     budget = _Budget()
-    if mixed_options:
-        found = _search_mixed(inst, outcome, avail, budget)
-        if found:
-            return StabilityVerdict("trail", False, Witness("trail", found, option="mixed"))
+    first_kept, last_kept = _trail_ends(inst, outcome)
+
+    def keeps_seen(trail, link):
+        # the grown trail is the prefix (or suffix) read so far; the agent
+        # must keep all of its own contracts on it
+        return is_rational(inst.choice[link], trail, outcome)
+
+    found = []
+    for option, seed, done, forward in (
+        ("prefix", first_kept, last_kept, True),
+        ("suffix", last_kept, first_kept, False),
+    ):
+        trail = _shortest_trail(inst, avail, budget, done, seed, keeps_seen, forward)
+        if trail:
+            found.append((len(trail), trail, option))
+    if not found:
         return StabilityVerdict("trail", True)
-    by_prefix = _search_prefix(inst, outcome, avail, budget)
-    by_suffix = _search_suffix(inst, outcome, avail, budget)
-    candidates = []
-    if by_prefix:
-        candidates.append(((len(by_prefix), by_prefix), "prefix"))
-    if by_suffix:
-        candidates.append(((len(by_suffix), by_suffix), "suffix"))
-    if not candidates:
-        return StabilityVerdict("trail", True)
-    (_, trail), option = min(candidates)
+    _, trail, option = min(found)
     return StabilityVerdict("trail", False, Witness("trail", trail, option=option))
 
 
@@ -274,13 +187,13 @@ def find_locally_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Full trail stability: like trail blocking, but each intermediate agent
     only needs to keep the consecutive pair it links.  Search is incremental;
     partial trails failing a pair condition are never extended."""
-    outcome = frozenset(outcome)
-    short = _unacceptable_short_circuit(inst, outcome, "full_trail")
+    outcome, avail, short = _fresh(inst, outcome, "full_trail")
     if short:
         return short
-    avail = sorted(inst.contract_ids - outcome)
-    budget = _Budget()
-    found = _search_prefix(inst, outcome, avail, budget, pair_condition=True)
+    first_kept, last_kept = _trail_ends(inst, outcome)
+    found = _shortest_trail(
+        inst, avail, _Budget(), last_kept, first_kept, _keeps_pair(inst, outcome)
+    )
     if found:
         return StabilityVerdict("full_trail", False, Witness("trail", found))
     return StabilityVerdict("full_trail", True)
@@ -288,15 +201,18 @@ def find_locally_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
 
 def find_blocking_chain(inst: Instance, outcome) -> StabilityVerdict:
     """Chain stability: locally blocking trails whose agents are all distinct."""
-    outcome = frozenset(outcome)
-    short = _unacceptable_short_circuit(inst, outcome, "chain")
+    outcome, avail, short = _fresh(inst, outcome, "chain")
     if short:
         return short
-    avail = sorted(inst.contract_ids - outcome)
-    budget = _Budget()
-    found = _search_prefix(
-        inst, outcome, avail, budget, require_distinct_agents=True, pair_condition=True
-    )
+    net = inst.network
+    first_kept, last_kept = _trail_ends(inst, outcome)
+    keeps_pair = _keeps_pair(inst, outcome)
+
+    def chain_step(trail, link):
+        walk = [net.contract(trail[0]).seller] + [net.contract(c).buyer for c in trail]
+        return len(set(walk)) == len(walk) and keeps_pair(trail, link)
+
+    found = _shortest_trail(inst, avail, _Budget(), last_kept, first_kept, chain_step)
     if found:
         return StabilityVerdict("chain", False, Witness("chain", found))
     return StabilityVerdict("chain", True)
@@ -305,61 +221,38 @@ def find_blocking_chain(inst: Instance, outcome) -> StabilityVerdict:
 def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     """Set stability: no nonempty fresh contract set that every involved
     agent keeps in full alongside the outcome."""
-    outcome = frozenset(outcome)
-    short = _unacceptable_short_circuit(inst, outcome, "set")
+    outcome, avail, short = _fresh(inst, outcome, "set")
     if short:
         return short
-    avail = sorted(inst.contract_ids - outcome)
     if len(avail) > SET_GUARD:
         raise GuardExceededError(
             f"set search guard is {SET_GUARD} candidate contracts, have {len(avail)}"
         )
-    net = inst.network
-    for size in range(1, len(avail) + 1):
-        for combo in itertools.combinations(avail, size):
-            block = frozenset(combo)
-            if all(
-                _keeps_all(inst, agent, block, outcome)
-                for agent in sorted(net.agents_of(block))
-            ):
-                return StabilityVerdict("set", False, Witness("set", combo))
+    for block in subsets(avail):
+        if block and _kept_in_full(inst, block, outcome):
+            return StabilityVerdict("set", False, Witness("set", tuple(sorted_ids(block))))
     return StabilityVerdict("set", True)
+
+
+def _kept_in_full(inst, block, outcome) -> bool:
+    return all(
+        is_rational(inst.choice[agent], block, outcome)
+        for agent in sorted(inst.network.agents_of(block))
+    )
 
 
 def find_blocking_strong_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Strong trail stability: no trail of fresh contracts kept in full by
     every involved agent.  Whole-trail conditions admit no prefix pruning,
     so this enumerates trails within the guard."""
-    outcome = frozenset(outcome)
-    short = _unacceptable_short_circuit(inst, outcome, "strong_trail")
+    outcome, avail, short = _fresh(inst, outcome, "strong_trail")
     if short:
         return short
-    avail = sorted(inst.contract_ids - outcome)
-    budget = _Budget()
-    net = inst.network
-
-    def blocks(trail) -> bool:
-        block = frozenset(trail)
-        return all(
-            _keeps_all(inst, agent, block, outcome)
-            for agent in sorted(net.agents_of(block))
-        )
-
-    frontier = [(cid,) for cid in avail]
-    budget.spend(len(frontier))
-    while frontier:
-        for trail in frontier:
-            if blocks(trail):
-                return StabilityVerdict("strong_trail", False, Witness("trail", trail))
-        nxt = []
-        for trail in frontier:
-            link = _buyer(inst, trail[-1])
-            for ext in avail:
-                if ext in trail or _seller(inst, ext) != link:
-                    continue
-                budget.spend()
-                nxt.append(trail + (ext,))
-        frontier = sorted(nxt)
+    found = _shortest_trail(
+        inst, avail, _Budget(), lambda trail: _kept_in_full(inst, frozenset(trail), outcome)
+    )
+    if found:
+        return StabilityVerdict("strong_trail", False, Witness("trail", found))
     return StabilityVerdict("strong_trail", True)
 
 

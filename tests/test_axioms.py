@@ -147,6 +147,21 @@ def test_separability_fails_for_entangled_preferences(example2):
     assert not is_rational(j, kept | {up, down}, given)
 
 
+def test_matched_orders_not_separable_with_three_per_side():
+    cf = SeparableIntensityChoice("f", ["u0", "u1", "u2"], ["d0", "d1", "d2"])
+    report = check_separability(cf)
+    assert not report.holds
+    assert (report.witness["given"], report.witness["kept"], report.witness["pair"]) == (
+        ["d0", "u1"],
+        ["u0"],
+        ["u2", "d1"],
+    )
+    given = {"d0", "u1"}
+    assert is_rational(cf, {"u0"}, given)
+    assert is_rational_pair(cf, "u2", "d1", given)
+    assert not is_rational(cf, {"u0", "u2", "d1"}, given)
+
+
 def test_separability_vacuous_with_one_contract():
     cf = QuotaChoice("b", {"u1"}, set(), ["u1"], quota=1)
     assert check_separability(cf).holds

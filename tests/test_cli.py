@@ -289,3 +289,53 @@ def test_domain_error_exit_code(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "enumerate", str(path))
     assert code == 1
     assert json.loads(out)["error"]["kind"] == "GuardExceededError"
+
+
+def _malformed_files(tmp_path):
+    ranking, quota = bundled_json("example1"), bundled_json("example1")
+    ranking["choice_functions"][0] = {"agent": "i", "type": "preference_list", "ranking": 5}
+    quota["choice_functions"][0] = {"agent": "i", "type": "quota", "order": ["x"], "quota": "z"}
+    priced = {
+        "trades": [
+            {"id": "t1", "seller": "a", "buyer": "b", "price_min": "x", "price_max": 6}
+        ],
+        "choice_functions": [
+            {"agent": "a", "type": "reservation", "values": {}, "costs": {"t1": 2}},
+            {"agent": "b", "type": "reservation", "values": {"t1": 5}, "costs": {}},
+        ],
+    }
+    entry = {"agent": "f2", "side": "terminal_seller", "contracts": None, "choice_functions": []}
+    paths = {}
+    for name, raw in (
+        ("ranking", ranking),
+        ("quota", quota),
+        ("price_min", priced),
+        ("entry", entry),
+        ("example2", bundled_json("example2")),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(raw))
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "partition", "--weights", "a,b"],
+        ["oracle", "partition", "--weights", "0"],
+        ["oracle", "needle", "--n", "0"],
+        ["oracle", "needle", "--n", "2", "--hidden", "1,b"],
+        ["validate", "{ranking}"],
+        ["validate", "{quota}"],
+        ["equilibrium", "{price_min}"],
+        ["dynamics", "{example2}", "--entry", "{entry}"],
+    ],
+)
+def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
+    paths = _malformed_files(tmp_path)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("input error: ") and err.count("\n") == 1

@@ -3,8 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tradenet.errors import NetworkValidationError
-from tradenet.network import Trail, validate_network
-from tradenet.oracle import generate_instance
+from tradenet.network import subsets, validate_network
 
 
 def test_ring4_validates(ring4):
@@ -58,65 +57,11 @@ def test_unknown_contract_field_rejected():
         )
 
 
-def _trails_reference(net, max_len):
-    """Independent recursive enumeration used as the oracle for trails()."""
-    found = set()
-
-    def extend(seq):
-        found.add(seq)
-        if len(seq) == max_len:
-            return
-        tail_buyer = net.contract(seq[-1]).buyer
-        for c in net.contracts:
-            if c.id not in seq and c.seller == tail_buyer:
-                extend(seq + (c.id,))
-
-    for c in net.contracts:
-        extend((c.id,))
-    return found
-
-
-def test_ring4_trails_match_reference_and_count(ring4):
-    got = ring4.trails(4)
-    reference = _trails_reference(ring4, 4)
-    assert {t.contracts for t in got} == reference
-    assert len(got) == len(reference) == 12  # frozen from the reference enumeration
-    assert ("w", "z", "y", "x") in {t.contracts for t in got}
-
-
-def test_trails_are_valid_sorted_and_unique(ring4):
-    got = ring4.trails()
-    seqs = [t.contracts for t in got]
-    assert len(set(seqs)) == len(seqs)
-    assert seqs == sorted(seqs)
-    for t in got:
-        t.validate(ring4)
-
-
-def test_single_contract_network_has_one_trail():
-    net = validate_network(
-        {"agents": ["a", "b"], "contracts": [{"id": "c", "seller": "a", "buyer": "b"}]}
-    )
-    assert [t.contracts for t in net.trails()] == [("c",)]
-
-
-def test_max_len_truncates(ring4):
-    assert all(len(t) <= 2 for t in ring4.trails(2))
-    with pytest.raises(ValueError):
-        ring4.trails(0)
-
-
-def test_is_chain(ring4):
-    assert Trail(("w", "z")).is_chain(ring4)  # agents m, j, k
-    assert not Trail(("w", "z", "y", "x")).is_chain(ring4)  # j repeats
-    for cid in "wxyz":
-        assert Trail((cid,)).is_chain(ring4)
-
-
-def test_is_circuit(ring4):
-    assert Trail(("z", "y")).is_circuit(ring4)
-    assert not Trail(("w",)).is_circuit(ring4)
-    assert not Trail(("w", "z", "y", "x")).is_circuit(ring4)
+def test_subsets_by_size_then_lexicographic():
+    assert list(subsets({"b", "a", "c"})) == [
+        frozenset(s) for s in ((), "a", "b", "c", "ab", "ac", "bc", "abc")
+    ]
+    assert list(subsets([])) == [frozenset()]
 
 
 def test_terminal_partition(ring4):
@@ -172,15 +117,6 @@ def test_acyclicity():
 
 def test_ring4_is_cyclic(ring4):
     assert not ring4.is_acyclic()
-
-
-def test_acyclic_trails_are_chains():
-    for seed in range(10):
-        inst = generate_instance(seed, "acyclic").instance
-        net = inst.network
-        assert net.is_acyclic()
-        for trail in net.trails():
-            assert trail.is_chain(net)
 
 
 def test_json_round_trip(ring4):

@@ -164,3 +164,33 @@ def test_parallel_scan_matches_sequential(example1):
         assert brute_force_stable(example1, notion, jobs=2) == brute_force_stable(
             example1, notion
         )
+
+
+@pytest.mark.parametrize("jobs, cpus, workers", [(10**6, 2, 2), (10**6, None, 1), (300, 10**4, 256)])
+def test_parallel_scan_clamps_workers(monkeypatch, jobs, cpus, workers):
+    # at most one worker per core and per span; an inline pool stands in for
+    # processes so no large pool is ever started
+    import tradenet.oracle as oracle
+
+    started = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    inst = generate_instance(2).instance
+    assert len(inst.contract_ids) == 8  # 256 outcomes: one span each at jobs >= 256
+    sequential = brute_force_stable(inst, "chain")
+    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
+    assert brute_force_stable(inst, "chain", jobs=jobs) == sequential
+    assert started == [workers]

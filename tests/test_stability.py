@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tradenet.choices import is_rational
 from tradenet.errors import GuardExceededError, StabilityContradictionError
-from tradenet.instances import instance_from_json
-from tradenet.oracle import brute_force_stable, generate_instance
+from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
+from tradenet.network import subsets
+from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
 from tradenet.stability import (
     classify,
     find_blocking_chain,
@@ -17,25 +20,51 @@ from tradenet.stability import (
 )
 
 
+def trail_blocks(inst, outcome, trail, reading) -> bool:
+    """Literal definition of a trail of fresh contracts blocking `outcome`.
+
+    `reading` says what each agent on the trail must keep alongside the
+    outcome: "prefix" or "suffix" (trail stability: every intermediate agent
+    keeps all its contracts up to or from its link), "pair" (full trail
+    stability: the consecutive pair it links), "chain" (pairs, and no agent
+    visited twice) or "strong" (every involved agent keeps all its trail
+    contracts).  Outside "strong", the first seller and the last buyer each
+    keep their single contract.
+    """
+    net = inst.network
+    if set(trail) & outcome or len(set(trail)) != len(trail):
+        return False
+    if any(net.contract(a).buyer != net.contract(b).seller for a, b in zip(trail, trail[1:])):
+        return False
+    if reading == "strong":
+        block = frozenset(trail)
+        return all(is_rational(inst.choice[a], block, outcome) for a in net.agents_of(block))
+    first, last = trail[0], trail[-1]
+    if not (
+        is_rational(inst.choice[net.contract(first).seller], {first}, outcome)
+        and is_rational(inst.choice[net.contract(last).buyer], {last}, outcome)
+    ):
+        return False
+    walk = [net.contract(first).seller] + [net.contract(c).buyer for c in trail]
+    if reading == "chain" and len(set(walk)) != len(walk):
+        return False
+    for m in range(1, len(trail)):
+        cf = inst.choice[walk[m]]
+        if reading == "prefix":
+            kept = trail[: m + 1]
+        elif reading == "suffix":
+            kept = trail[m - 1 :]
+        else:
+            kept = trail[m - 1 : m + 1]
+        if not is_rational(cf, {c for c in kept if c in cf.domain}, outcome):
+            return False
+    return True
+
+
 def replay_trail_witness(inst, outcome, witness, local: bool):
     """Re-derive a blocking verdict from the raw definitions."""
-    net = inst.network
-    trail = witness.contracts
-    assert not set(trail) & outcome
-    first, last = trail[0], trail[-1]
-    assert is_rational(inst.choice[net.contract(first).seller], {first}, outcome)
-    assert is_rational(inst.choice[net.contract(last).buyer], {last}, outcome)
-    for m in range(1, len(trail)):
-        link = net.contract(trail[m - 1]).buyer
-        assert link == net.contract(trail[m]).seller
-        cf = inst.choice[link]
-        if local:
-            kept = {trail[m - 1], trail[m]}
-        elif witness.option == "prefix":
-            kept = {c for c in trail[: m + 1] if c in cf.domain}
-        else:
-            kept = {c for c in trail[m - 1 :] if c in cf.domain}
-        assert is_rational(cf, kept, outcome)
+    reading = "pair" if local else witness.option
+    assert trail_blocks(inst, frozenset(outcome), witness.contracts, reading)
 
 
 # --- acceptability ---------------------------------------------------------
@@ -102,15 +131,6 @@ def test_example2_stable_sets(example2):
     assert find_locally_blocking_trail(example2, {"z", "y"}).stable
     assert brute_force_stable(example2, "trail") == [frozenset(), frozenset({"y", "z"})]
     assert brute_force_stable(example2, "full_trail") == [frozenset({"y", "z"})]
-
-
-def test_mixed_option_reading_differs(example2):
-    # under the per-agent mixed reading the long circuit trail blocks the
-    # empty outcome; under the global reading it does not
-    assert find_blocking_trail(example2, frozenset()).stable
-    mixed = find_blocking_trail(example2, frozenset(), mixed_options=True)
-    assert not mixed.stable
-    assert mixed.witness.option == "mixed"
 
 
 def test_single_contract_degenerate_block():
@@ -281,3 +301,85 @@ def test_set_guard():
     )
     with pytest.raises(GuardExceededError):
         find_blocking_set(inst, frozenset())
+
+
+# --- minimality against a reference enumeration ----------------------------
+
+
+def _all_trails(net, avail):
+    """Every trail of `avail` contracts, by length and then by id sequence."""
+    level = [(cid,) for cid in sorted(avail)]
+    while level:
+        yield from level
+        level = sorted(
+            trail + (cid,)
+            for trail in level
+            for cid in avail
+            if cid not in trail and net.contract(cid).seller == net.contract(trail[-1]).buyer
+        )
+
+
+def _every_outcome(inst):
+    ids = sorted(inst.contract_ids)
+    for mask in range(1 << len(ids)):
+        yield frozenset(c for pos, c in enumerate(ids) if mask >> pos & 1)
+
+
+def _unrestricted_instance(seed):
+    """Three agents trading up to seven contracts with random preference
+    lists; without substitutability the trail readings part ways."""
+    rng = random.Random(seed)
+    agents = ["a", "b", "c"]
+    contracts = []
+    for i in range(rng.randint(4, 7)):
+        seller, buyer = rng.sample(agents, 2)
+        contracts.append({"id": f"c{i}", "seller": seller, "buyer": buyer})
+    choices = []
+    for agent in agents:
+        own = {c["id"] for c in contracts if agent in (c["seller"], c["buyer"])}
+        menus = [sorted(m) for m in subsets(own) if len(m) > 1 or rng.random() < 0.3]
+        rng.shuffle(menus)
+        choices.append({"agent": agent, "type": "preference_list", "ranking": menus[:12]})
+    return instance_from_json(
+        {"agents": agents, "contracts": contracts, "choice_functions": choices}
+    )
+
+
+def test_witnesses_are_first_blocking_trails_of_reference_enumeration():
+    corpus = (
+        [bundled_instance(name) for name in BUNDLED]
+        + [
+            generate_instance(seed, profile, max_contracts=7).instance
+            for profile in PROFILES
+            for seed in range(8)
+        ]
+        + [_unrestricted_instance(seed) for seed in range(300)]
+    )
+    checkers = {
+        "full_trail": (find_locally_blocking_trail, "pair"),
+        "chain": (find_blocking_chain, "chain"),
+        "strong_trail": (find_blocking_strong_trail, "strong"),
+    }
+    checked = 0
+    for inst in corpus:
+        for outcome in _every_outcome(inst):
+            if not is_acceptable(inst, outcome).stable:
+                continue
+            trails = list(_all_trails(inst.network, inst.contract_ids - outcome))
+
+            def first(reading):
+                return next((t for t in trails if trail_blocks(inst, outcome, t, reading)), None)
+
+            readings = [(len(t), t, r) for r in ("prefix", "suffix") if (t := first(r))]
+            verdict = find_blocking_trail(inst, outcome)
+            assert verdict.stable == (not readings)
+            if readings:
+                _, trail, option = min(readings)
+                assert (verdict.witness.contracts, verdict.witness.option) == (trail, option)
+            for checker, reading in checkers.values():
+                verdict = checker(inst, outcome)
+                expected = first(reading)
+                assert verdict.stable == (expected is None)
+                assert verdict.stable or verdict.witness.contracts == expected
+            checked += 1
+    assert checked > 1000
