@@ -15,7 +15,7 @@ import sys
 
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
 from .choices import build_family
-from .errors import InstanceFormatError, NetworkValidationError, TradenetError
+from .errors import ChoiceFunctionError, InstanceFormatError, NetworkValidationError, TradenetError
 from .instances import Instance, load_instance, write_examples
 from .network import Contract, sorted_ids, validate_network
 
@@ -162,7 +162,10 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
     entrant_cf = None
     updated = {}
     for desc in descs:
-        cf = build_family(new_net, desc)
+        try:
+            cf = build_family(new_net, desc)
+        except ChoiceFunctionError as exc:
+            raise InstanceFormatError(f"entry file choice function: {exc}") from exc
         if cf.agent == raw["agent"]:
             entrant_cf = cf
         else:
@@ -213,7 +216,7 @@ def _cmd_oracle(args) -> dict:
             if args.hidden:
                 hidden = [int(i) for i in args.hidden.split(",")]
             inst = oracle.needle_family(args.n, hidden)
-        except ValueError as exc:
+        except (ChoiceFunctionError, ValueError) as exc:
             raise InstanceFormatError(f"needle: {exc}") from exc
         verdict = stability.find_blocking_set(inst, frozenset())
         return {

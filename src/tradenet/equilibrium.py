@@ -164,11 +164,11 @@ class ReservationChoice(ChoiceFunction):
 
 
 def build_priced(raw: dict) -> PricedInstance:
-    """Priced economy from its JSON description; values of the wrong type
-    are an input error."""
+    """Priced economy from its JSON description; values of the wrong type and
+    inconsistent choice parameters are input errors."""
     try:
         return _build_priced(raw)
-    except (AttributeError, TypeError, ValueError) as exc:
+    except (AttributeError, ChoiceFunctionError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed priced instance: {exc}") from exc
 
 

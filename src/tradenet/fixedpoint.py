@@ -9,17 +9,18 @@ substitutable, consistent choice functions the operator is isotone in the
 order (buyer side grows, seller side shrinks), so iterating from either
 lattice extreme converges; the outcomes read off the fixed points are exactly
 the outcomes no locally blocking trail can upset.
+Enumeration needs no isotonicity: it joins per-agent menu tables instead of
+scanning all 3^|X| side assignments.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .choices import is_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .instances import Instance
-from .network import sorted_ids
+from .network import sorted_ids, subsets
 
 ENUMERATION_GUARD = 12
 
@@ -144,25 +145,46 @@ def seller_optimal(inst: Instance) -> FixedPointResult:
 
 
 def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
-    """All fixed points, by scanning candidate pairs.
+    """All fixed points, by joining one menu table per agent.
 
-    Any fixed point covers the contract set (a contract missing from the
-    seller side is never rejected by its seller, so it lands on the buyer
-    side), which cuts the scan from 4^|X| pairs to 3^|X| side assignments.
+    A contract is on the buyer side exactly when its seller does not reject
+    it, and on the seller side exactly when its buyer does not, so the menu an
+    agent faces fixes the state of each of its contracts: buyer-only (0),
+    seller-only (1) or both (2).  Each agent tabulates its 2^|domain| menus; a
+    hash join keyed by the states already assigned keeps the assignments on
+    which every seller and buyer agree, and one response round confirms each.
     """
-    ids = sorted(inst.contract_ids)
-    if len(ids) > ENUMERATION_GUARD:
+    if len(inst.contract_ids) > ENUMERATION_GUARD:
         raise GuardExceededError(
             f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
-            f"instance has {len(ids)}"
+            f"instance has {len(inst.contract_ids)}"
         )
+    order: list[str] = []  # contracts in the order their states were assigned
+    partials: list[tuple[int, ...]] = [()]
+    for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
+        at = {c: i for i, c in enumerate(order)}
+        own = sorted(cf.domain, key=lambda c: (c not in at, c))  # assigned ones first
+        k = sum(c in at for c in own)
+        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for menu in subsets(own):
+            kept = cf.choose(menu)
+            # not kept: 1 if offered downstream or unoffered upstream, else 0
+            st = tuple(2 if c in kept else int((c in cf.downstream) == (c in menu)) for c in own)
+            table.setdefault(st[:k], []).append(st[k:])
+        key = [at[c] for c in own[:k]]
+        partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]
+        order += own[k:]
     out = []
-    for assignment in itertools.product((0, 1, 2), repeat=len(ids)):
-        buyer = frozenset(c for c, a in zip(ids, assignment) if a != 1)
-        seller = frozenset(c for c, a in zip(ids, assignment) if a != 0)
+    for states in partials:
+        buyer = frozenset(c for c, a in zip(order, states) if a != 1)
+        seller = frozenset(c for c, a in zip(order, states) if a != 0)
         pair = OfferPair(buyer, seller)
-        if respond(inst, pair) == pair:
-            out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
+        if respond(inst, pair) != pair:
+            raise IterationDiagnosisError(
+                "menu tables joined into a pair that is not a fixed point; "
+                "a choice function answers the same menu inconsistently"
+            )
+        out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
     out.sort(key=lambda r: r.pair.sort_key())
     return out
 

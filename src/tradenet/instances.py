@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .choices import ChoiceFunction, build_family
-from .errors import InstanceFormatError
+from .errors import ChoiceFunctionError, InstanceFormatError
 from .network import ContractNetwork, validate_network
 
 INSTANCE_FIELDS = {"agents", "contracts", "choice_functions"}
@@ -78,7 +78,10 @@ def instance_from_json(raw: dict) -> Instance:
         raise InstanceFormatError("'choice_functions' must be a list")
     choice: dict[str, ChoiceFunction] = {}
     for desc in descs:
-        cf = build_family(net, desc)
+        try:
+            cf = build_family(net, desc)
+        except ChoiceFunctionError as exc:
+            raise InstanceFormatError(f"choice function: {exc}") from exc
         if cf.agent in choice:
             raise InstanceFormatError(f"two choice functions for agent {cf.agent!r}")
         choice[cf.agent] = cf

@@ -295,6 +295,10 @@ def _malformed_files(tmp_path):
     ranking, quota = bundled_json("example1"), bundled_json("example1")
     ranking["choice_functions"][0] = {"agent": "i", "type": "preference_list", "ranking": 5}
     quota["choice_functions"][0] = {"agent": "i", "type": "quota", "order": ["x"], "quota": "z"}
+    # well-typed but inconsistent choice descriptions
+    family, extra = bundled_json("example1"), bundled_json("example1")
+    family["choice_functions"][0]["type"] = ["q"]
+    extra["choice_functions"][0]["bonus"] = 1
     priced = {
         "trades": [
             {"id": "t1", "seller": "a", "buyer": "b", "price_min": "x", "price_max": 6}
@@ -304,13 +308,26 @@ def _malformed_files(tmp_path):
             {"agent": "b", "type": "reservation", "values": {"t1": 5}, "costs": {}},
         ],
     }
+    costs = json.loads(json.dumps(priced))
+    costs["trades"][0]["price_min"] = 0
+    costs["choice_functions"][0]["costs"] = {}
     entry = {"agent": "f2", "side": "terminal_seller", "contracts": None, "choice_functions": []}
+    entry_family = {
+        "agent": "f2",
+        "side": "terminal_seller",
+        "contracts": [{"id": "n1", "seller": "f2", "buyer": "j"}],
+        "choice_functions": [{"agent": "f2", "type": "mystery"}],
+    }
     paths = {}
     for name, raw in (
         ("ranking", ranking),
         ("quota", quota),
+        ("family", family),
+        ("extra", extra),
         ("price_min", priced),
+        ("costs", costs),
         ("entry", entry),
+        ("entry_family", entry_family),
         ("example2", bundled_json("example2")),
     ):
         path = tmp_path / f"{name}.json"
@@ -330,6 +347,11 @@ def _malformed_files(tmp_path):
         ["validate", "{quota}"],
         ["equilibrium", "{price_min}"],
         ["dynamics", "{example2}", "--entry", "{entry}"],
+        ["oracle", "needle", "--n", "2", "--hidden", "1,2,3"],
+        ["validate", "{family}"],
+        ["validate", "{extra}"],
+        ["equilibrium", "{costs}"],
+        ["dynamics", "{example2}", "--entry", "{entry_family}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):

@@ -5,8 +5,9 @@ import random
 
 import pytest
 
-from tradenet.errors import GuardExceededError, PreconditionError
+from tradenet.errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from tradenet.fixedpoint import (
+    FixedPointResult,
     OfferPair,
     buyer_optimal,
     canonical_pair,
@@ -22,8 +23,8 @@ from tradenet.fixedpoint import (
     terminal_lattice,
     top_pair,
 )
-from tradenet.instances import instance_from_json
-from tradenet.oracle import brute_force_stable, generate_instance
+from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
+from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
 
 
 def test_respond_from_top_keeps_buyer_side_full(example1):
@@ -100,8 +101,6 @@ def test_single_contract_both_accept():
 
 
 def test_non_substitutable_choices_are_diagnosed():
-    from tradenet.errors import IterationDiagnosisError
-
     # the buyer wants the two inputs only as a package; once one seller
     # withdraws, the buyer un-rejects nothing and re-rejects the survivor,
     # which knocks the response off the monotone path
@@ -124,8 +123,8 @@ def test_non_substitutable_choices_are_diagnosed():
 
 
 def test_enumeration_pruning_matches_full_pair_scan(reduced, example1):
-    # independent oracle over all 4^|X| offer pairs validates the cover-based
-    # 3^|X| scan
+    # independent oracle over all 4^|X| offer pairs validates the menu-table
+    # join, including its claim that every fixed point covers the contracts
     for inst in (reduced, example1):
         ids = sorted(inst.contract_ids)
         full_scan = set()
@@ -137,6 +136,66 @@ def test_enumeration_pruning_matches_full_pair_scan(reduced, example1):
                 if respond(inst, pair) == pair:
                     full_scan.add(pair)
         assert {r.pair for r in enumerate_fixed_points(inst)} == full_scan
+
+
+def _scanned_fixed_points(inst):
+    """Every fixed point by the definition, over all 3^|X| side assignments
+    (0 buyer side only, 1 seller side only, 2 both)."""
+    ids = sorted(inst.contract_ids)
+    out = []
+    for sides in itertools.product((0, 1, 2), repeat=len(ids)):
+        buyer = frozenset(c for c, s in zip(ids, sides) if s != 1)
+        seller = frozenset(c for c, s in zip(ids, sides) if s != 0)
+        pair = OfferPair(buyer, seller)
+        if respond(inst, pair) == pair:
+            out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
+    return sorted(out, key=lambda r: r.pair.sort_key())
+
+
+def test_enumeration_matches_literal_scan(unrestricted_instance):
+    # random preference lists are not substitutable, so respond is not
+    # isotone there and the fixed points need not form a lattice
+    corpus = (
+        [bundled_instance(name) for name in BUNDLED]
+        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(12)]
+        + [unrestricted_instance(seed) for seed in range(100)]
+        + [unrestricted_instance(seed, "abcd", max_contracts=8) for seed in range(40)]
+    )
+    counts = []
+    for inst in corpus:
+        assert len(inst.contract_ids) <= 8
+        found = enumerate_fixed_points(inst)
+        assert found == _scanned_fixed_points(inst)
+        counts.append(len(found))
+    assert 0 in counts and max(counts) >= 20  # both empty and crowded answers occur
+
+
+def test_enumeration_diagnoses_a_fickle_choice_function():
+    # b turns c down the first time it sees a menu and keeps it afterwards, so
+    # the joined tables name a pair that the confirming response round moves
+    inst = instance_from_json(
+        {
+            "agents": ["a", "b"],
+            "contracts": [{"id": "c", "seller": "a", "buyer": "b"}],
+            "choice_functions": [
+                {"agent": "a", "type": "quota", "order": ["c"], "quota": 1},
+                {"agent": "b", "type": "quota", "order": ["c"], "quota": 1},
+            ],
+        }
+    )
+    cf, seen = inst.choice["b"], set()
+    steady = cf.choose
+
+    def fickle(offered):
+        menu = frozenset(offered) & cf.domain
+        if menu in seen:
+            return steady(menu)
+        seen.add(menu)
+        return frozenset()
+
+    cf.choose = fickle
+    with pytest.raises(IterationDiagnosisError, match="not a fixed point"):
+        enumerate_fixed_points(inst)
 
 
 def test_enumeration_covers_contracts_and_contains_optima(example1):

@@ -1,13 +1,10 @@
 from __future__ import annotations
 
-import random
-
 import pytest
 
 from tradenet.choices import is_rational
 from tradenet.errors import GuardExceededError, StabilityContradictionError
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
-from tradenet.network import subsets
 from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
 from tradenet.stability import (
     classify,
@@ -325,27 +322,7 @@ def _every_outcome(inst):
         yield frozenset(c for pos, c in enumerate(ids) if mask >> pos & 1)
 
 
-def _unrestricted_instance(seed):
-    """Three agents trading up to seven contracts with random preference
-    lists; without substitutability the trail readings part ways."""
-    rng = random.Random(seed)
-    agents = ["a", "b", "c"]
-    contracts = []
-    for i in range(rng.randint(4, 7)):
-        seller, buyer = rng.sample(agents, 2)
-        contracts.append({"id": f"c{i}", "seller": seller, "buyer": buyer})
-    choices = []
-    for agent in agents:
-        own = {c["id"] for c in contracts if agent in (c["seller"], c["buyer"])}
-        menus = [sorted(m) for m in subsets(own) if len(m) > 1 or rng.random() < 0.3]
-        rng.shuffle(menus)
-        choices.append({"agent": agent, "type": "preference_list", "ranking": menus[:12]})
-    return instance_from_json(
-        {"agents": agents, "contracts": contracts, "choice_functions": choices}
-    )
-
-
-def test_witnesses_are_first_blocking_trails_of_reference_enumeration():
+def test_witnesses_are_first_blocking_trails_of_reference_enumeration(unrestricted_instance):
     corpus = (
         [bundled_instance(name) for name in BUNDLED]
         + [
@@ -353,7 +330,7 @@ def test_witnesses_are_first_blocking_trails_of_reference_enumeration():
             for profile in PROFILES
             for seed in range(8)
         ]
-        + [_unrestricted_instance(seed) for seed in range(300)]
+        + [unrestricted_instance(seed) for seed in range(300)]
     )
     checkers = {
         "full_trail": (find_locally_blocking_trail, "pair"),
