@@ -156,12 +156,7 @@ class PreferenceListChoice(ChoiceFunction):
 
     def restrict(self, keep):
         keep = frozenset(keep)
-        ranking = []
-        seen = set()
-        for entry in self.ranking:
-            if entry <= keep and entry not in seen:
-                seen.add(entry)
-                ranking.append(entry)
+        ranking = [entry for entry in self.ranking if entry <= keep]
         return PreferenceListChoice(
             self.agent, self.upstream & keep, self.downstream & keep, ranking
         )
@@ -308,6 +303,16 @@ def _indexed(ids_by_index: dict[int, str], menu) -> list[int]:
     return sorted(i for i, cid in ids_by_index.items() if cid in menu)
 
 
+def _gadget_weights(weights) -> tuple[int, ...]:
+    """The subset-sum gadget's weights: positive integers, ascending."""
+    weights = tuple(int(w) for w in weights)
+    if not weights or any(w <= 0 for w in weights):
+        raise ChoiceFunctionError("weights must be positive integers")
+    if list(weights) != sorted(weights):
+        raise ChoiceFunctionError("weights must be sorted ascending")
+    return weights
+
+
 class PartitionChoiceF(ChoiceFunction):
     """Buyer of the weighted contracts in the subset-sum gadget.
 
@@ -318,11 +323,7 @@ class PartitionChoiceF(ChoiceFunction):
     family = "partition_f"
 
     def __init__(self, agent, weighted_ids: dict[int, str], down_id: str, weights):
-        weights = tuple(int(w) for w in weights)
-        if not weights or any(w <= 0 for w in weights):
-            raise ChoiceFunctionError("weights must be positive integers")
-        if list(weights) != sorted(weights):
-            raise ChoiceFunctionError("weights must be sorted ascending")
+        weights = _gadget_weights(weights)
         if sorted(weighted_ids) != list(range(1, len(weights) + 1)):
             raise ChoiceFunctionError("weighted contracts must be indexed 1..k")
         super().__init__(agent, weighted_ids.values(), [down_id])
@@ -354,11 +355,7 @@ class PartitionChoiceG(ChoiceFunction):
     family = "partition_g"
 
     def __init__(self, agent, up_id: str, weighted_ids: dict[int, str], weights):
-        weights = tuple(int(w) for w in weights)
-        if not weights or any(w <= 0 for w in weights):
-            raise ChoiceFunctionError("weights must be positive integers")
-        if list(weights) != sorted(weights):
-            raise ChoiceFunctionError("weights must be sorted ascending")
+        weights = _gadget_weights(weights)
         super().__init__(agent, [up_id], weighted_ids.values())
         self.weights = weights
         self.weighted_ids = dict(weighted_ids)
@@ -451,9 +448,9 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
     down = net.downstream[agent]
     params = {k: v for k, v in desc.items() if k not in ("agent", "type")}
 
-    def need(*names):
+    def need(*names, optional=()):
         missing = set(names) - set(params)
-        extra = set(params) - set(names)
+        extra = set(params) - set(names) - set(optional)
         if missing:
             raise ChoiceFunctionError(f"{agent}/{kind}: missing parameters {sorted(missing)}")
         if extra:
@@ -487,14 +484,10 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
         ids, up_id = _gadget_wiring(net, agent, down, up, len(params["weights"]))
         return PartitionChoiceG(agent, up_id, ids, params["weights"])
     if kind == "needle_f":
-        n = params.get("n")
-        if n is None:
-            raise ChoiceFunctionError(f"{agent}/needle_f: missing parameter 'n'")
-        extra = set(params) - {"n", "hidden"}
-        if extra:
-            raise ChoiceFunctionError(f"{agent}/needle_f: unknown parameters {sorted(extra)}")
-        ids, down_id = _gadget_wiring(net, agent, up, down, 2 * int(n))
-        return NeedleChoiceF(agent, ids, down_id, int(n), params.get("hidden"))
+        need("n", optional=("hidden",))
+        n = int(params["n"])
+        ids, down_id = _gadget_wiring(net, agent, up, down, 2 * n)
+        return NeedleChoiceF(agent, ids, down_id, n, params.get("hidden"))
     raise ChoiceFunctionError(f"unknown choice family {kind!r}")
 
 

@@ -16,7 +16,7 @@ import sys
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
 from .choices import build_family
 from .errors import ChoiceFunctionError, InstanceFormatError, NetworkValidationError, TradenetError
-from .instances import Instance, load_instance, write_examples
+from .instances import Instance, load_instance, read_json, write_examples, write_json
 from .network import Contract, sorted_ids, validate_network
 
 
@@ -48,22 +48,16 @@ def _render_human(payload, indent: int = 0) -> None:
         print(f"{pad}{payload}")
 
 
-def _load_priced(path) -> equilibrium.PricedInstance:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceFormatError(f"cannot read priced instance {path}: {exc}") from exc
-    return equilibrium.build_priced(raw)
-
-
-def _parse_outcome(text: str) -> frozenset[str]:
+def _parse_outcome(text: str, inst: Instance) -> frozenset[str]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"--outcome must be a JSON list: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
         raise InstanceFormatError("--outcome must be a JSON list of contract ids")
+    unknown = frozenset(data) - inst.contract_ids
+    if unknown:
+        raise InstanceFormatError(f"outcome uses unknown contracts: {sorted(unknown)}")
     return frozenset(data)
 
 
@@ -102,16 +96,13 @@ def _cmd_enumerate(args) -> dict:
     results = fixedpoint.enumerate_fixed_points(inst)
     return {
         "fixed_points": [r.to_json() for r in results],
-        "outcomes": [sorted_ids(o) for o in fixedpoint.fixed_point_outcomes(inst)],
+        "outcomes": [sorted_ids(o) for o in fixedpoint.fixed_point_outcomes(inst, results)],
     }
 
 
 def _cmd_check(args) -> dict:
     inst = load_instance(args.instance)
-    outcome = _parse_outcome(args.outcome)
-    unknown = outcome - inst.contract_ids
-    if unknown:
-        raise InstanceFormatError(f"outcome uses unknown contracts: {sorted(unknown)}")
+    outcome = _parse_outcome(args.outcome, inst)
     notion = args.notion.replace("-", "_")
     if notion == "all":
         verdicts = stability.classify(inst, outcome)
@@ -125,13 +116,11 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_equilibrium(args) -> dict:
-    priced = _load_priced(args.instance)
+    priced = equilibrium.build_priced(read_json(args.instance, "priced instance"))
     outcome, trace = equilibrium.price_adjustment(priced, perspective=args.perspective)
     arrangement = equilibrium.complete_prices(priced, outcome, trace)
     if args.trace_out:
-        with open(args.trace_out, "w", encoding="utf-8") as fh:
-            json.dump(trace.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(args.trace_out, trace.to_json())
     return {
         "outcome": sorted_ids(outcome),
         "arrangement": arrangement.to_json(),
@@ -143,11 +132,7 @@ def _cmd_equilibrium(args) -> dict:
 
 
 def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceFormatError(f"cannot read entry file {path}: {exc}") from exc
+    raw = read_json(path, "entry file")
     required = {"agent", "side", "contracts", "choice_functions"}
     if not isinstance(raw, dict) or set(raw) != required:
         raise InstanceFormatError(f"entry file needs exactly fields {sorted(required)}")
@@ -182,10 +167,11 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
 def _cmd_dynamics(args) -> dict:
     inst = load_instance(args.instance)
     event = _load_entry(inst, args.entry)
+    readjust = args.readjust_from is not None
+    outcome = _parse_outcome(args.readjust_from, inst) if readjust else None
     report = dynamics.entry_comparative_statics(inst, event)
     out = {"entry_statics": report.to_json()}
-    if args.readjust_from is not None:
-        outcome = _parse_outcome(args.readjust_from)
+    if readjust:
         pair = fixedpoint.canonical_pair(inst, outcome)
         readj = dynamics.market_readjustment(inst, pair, event)
         out["readjustment"] = readj.result.to_json()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import axioms
 from .choices import ChoiceFunction
-from .errors import PreconditionError
+from .errors import GuardExceededError, PreconditionError
 from .fixedpoint import (
     FixedPointResult,
     OfferPair,
@@ -44,7 +44,7 @@ class EntryEvent:
 def _check_consistent(old: ChoiceFunction, new: ChoiceFunction) -> None:
     """Replacement functions must restrict to the originals on old menus."""
     if len(old.domain) > CONSISTENCY_GUARD:
-        raise PreconditionError(
+        raise GuardExceededError(
             f"{old.agent}: consistency check guard is {CONSISTENCY_GUARD} contracts"
         )
     if not old.domain <= new.domain:

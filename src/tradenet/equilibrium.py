@@ -28,7 +28,6 @@ from .network import sorted_ids, subsets, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
-MENU_GUARD = 16  # matches the axiom validators' per-agent guard
 
 
 @dataclass(frozen=True)
@@ -65,12 +64,11 @@ class PricedInstance:
     def trade_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.trades)
 
-    def split(self, cid: str) -> tuple[str, int]:
+    @staticmethod
+    def split(cid: str) -> tuple[str, int]:
+        """Trade id and price of a grid contract id."""
         trade_id, _, price = cid.rpartition("@")
         return trade_id, int(price)
-
-    def trade_of(self, cid: str) -> str:
-        return self.split(cid)[0]
 
     def to_json(self) -> dict:
         return {
@@ -108,34 +106,29 @@ class ReservationChoice(ChoiceFunction):
 
     family = "reservation"
 
-    def __init__(self, agent, upstream, downstream, decode, values, costs,
+    def __init__(self, agent, upstream, downstream, values, costs,
                  capacity_buy=None, capacity_sell=None):
         super().__init__(agent, upstream, downstream)
-        self.decode = dict(decode)  # contract id -> (trade id, price)
         self.values = {str(t): int(v) for t, v in values.items()}
         self.costs = {str(t): int(v) for t, v in costs.items()}
         self.capacity_buy = None if capacity_buy is None else int(capacity_buy)
         self.capacity_sell = None if capacity_sell is None else int(capacity_sell)
-        buy_trades = {self.decode[c][0] for c in self.upstream}
-        sell_trades = {self.decode[c][0] for c in self.downstream}
+        buy_trades = {PricedInstance.split(c)[0] for c in self.upstream}
+        sell_trades = {PricedInstance.split(c)[0] for c in self.downstream}
         if buy_trades - set(self.values):
             raise ChoiceFunctionError(f"{agent}: missing buyer values")
         if sell_trades - set(self.costs):
             raise ChoiceFunctionError(f"{agent}: missing seller costs")
 
     def _side_pick(self, offers, book, cap, buying: bool):
-        best: dict[str, str] = {}
+        best: dict[str, tuple[int, str]] = {}  # trade -> best offered (price, id)
         for cid in offers:
-            trade, price = self.decode[cid]
-            if trade not in best:
-                best[trade] = cid
-            else:
-                incumbent = self.decode[best[trade]][1]
-                if (buying and price < incumbent) or (not buying and price > incumbent):
-                    best[trade] = cid
+            trade, price = PricedInstance.split(cid)
+            held = best.get(trade)
+            if held is None or (price < held[0] if buying else price > held[0]):
+                best[trade] = (price, cid)
         scored = []
-        for trade, cid in best.items():
-            price = self.decode[cid][1]
+        for trade, (price, cid) in best.items():
             margin = book[trade] - price if buying else price - book[trade]
             if margin >= 0:
                 scored.append((-margin, trade, cid))
@@ -204,9 +197,6 @@ def _build_priced(raw: dict) -> PricedInstance:
         for p in t.prices()
     ]
     net = validate_network({"agents": agents, "contracts": contracts})
-    decode = {
-        contract_id(t.id, p): (t.id, p) for t in trades for p in t.prices()
-    }
     choice: dict[str, ChoiceFunction] = {}
     for desc in descs:
         if not isinstance(desc, dict) or desc.get("type") != "reservation":
@@ -224,7 +214,6 @@ def _build_priced(raw: dict) -> PricedInstance:
             agent,
             net.upstream[agent],
             net.downstream[agent],
-            decode,
             desc.get("values", {}),
             desc.get("costs", {}),
             desc.get("capacity_buy"),
@@ -238,26 +227,18 @@ def _build_priced(raw: dict) -> PricedInstance:
 # ---------------------------------------------------------------------------
 
 
-def _menu_guard(cf: ChoiceFunction, what: str) -> None:
-    if len(cf.domain) > MENU_GUARD:
-        raise GuardExceededError(
-            f"{what}: menu enumeration guard is {MENU_GUARD} contracts per firm, "
-            f"agent {cf.agent} has {len(cf.domain)}"
-        )
-
-
 def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
     """No chosen set may carry two prices for one trade."""
     out = []
     for agent in sorted(priced.instance.network.agents):
         cf = priced.instance.choice[agent]
-        _menu_guard(cf, "feasibility")
+        axioms._guard(cf, "feasibility")
         witness = None
         for menu in subsets(cf.domain):
             chosen = cf.choose(menu)
             seen: dict[str, str] = {}
             for cid in sorted(chosen):
-                trade = priced.trade_of(cid)
+                trade, _ = priced.split(cid)
                 if trade in seen:
                     witness = {
                         "menu": sorted_ids(menu),
@@ -290,8 +271,8 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
     for t in priced.trades:
         buyer_cf = inst.choice[t.buyer]
         seller_cf = inst.choice[t.seller]
-        _menu_guard(buyer_cf, "complete_prices")
-        _menu_guard(seller_cf, "complete_prices")
+        axioms._guard(buyer_cf, "complete_prices")
+        axioms._guard(seller_cf, "complete_prices")
         witness = None
 
         always_bought = [
@@ -321,9 +302,10 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
     price an unrealized trade, so no second copy of it can be on the table)."""
     grid = {contract_id(t.id, p) for p in t.prices()}
     pool = (buyer_cf.domain | seller_cf.domain) - grid
-    if len(pool) > MENU_GUARD:
+    if len(pool) > axioms.SIZE_GUARD:
         raise GuardExceededError(
-            f"complete_prices: joint menu guard is {MENU_GUARD}, trade {t.id} has {len(pool)}"
+            f"complete_prices: joint menu guard is {axioms.SIZE_GUARD}, "
+            f"trade {t.id} has {len(pool)}"
         )
     for p in range(t.price_min, t.price_max):
         low = contract_id(t.id, p)
@@ -361,7 +343,7 @@ def _pm_witness(inst: Instance, t: Trade):
     subset order."""
     for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
         cf = inst.choice[agent]
-        _menu_guard(cf, "price_monotonicity")
+        axioms._guard(cf, "price_monotonicity")
         for low, high in itertools.combinations(t.prices(), 2):
             cheap = contract_id(t.id, low)
             dear = contract_id(t.id, high)
@@ -422,23 +404,6 @@ class PriceTrace:
         }
 
 
-def _round_offers(priced: PricedInstance, pair: OfferPair, perspective: str):
-    inst = priced.instance
-    offers: set[str] = set()
-    keeps: set[str] = set()
-    rejects: set[str] = set()
-    for cf in inst.choice.values():
-        if perspective == "buyer":
-            offers |= cf.chosen_upstream(pair.buyer_side, pair.seller_side)
-            keeps |= cf.chosen_downstream(pair.seller_side, pair.buyer_side)
-            rejects |= cf.rejected_downstream(pair.seller_side, pair.buyer_side)
-        else:
-            offers |= cf.chosen_downstream(pair.seller_side, pair.buyer_side)
-            keeps |= cf.chosen_upstream(pair.buyer_side, pair.seller_side)
-            rejects |= cf.rejected_upstream(pair.buyer_side, pair.seller_side)
-    return frozenset(offers), frozenset(keeps), frozenset(rejects)
-
-
 def price_adjustment(
     priced: PricedInstance, perspective: str = "buyer", validate: bool = True
 ) -> tuple[frozenset[str], PriceTrace]:
@@ -466,11 +431,21 @@ def price_adjustment(
     run = iterate_from(inst, start)
     states = run.trace + (run.pair,)
 
+    def sides(p: OfferPair):  # (proposing side's set, responding side's set)
+        return (p.buyer_side, p.seller_side) if perspective == "buyer" else (
+            p.seller_side, p.buyer_side)
+
+    # A state's successor is its response round (the fixed point answers
+    # itself), so it already holds every firm's choice: the proposers' offers
+    # are what they kept of their own side, the responders' keeps what they
+    # kept of theirs, and the responders rejected everything else.
     rounds: list[PriceRound] = []
     last_rejected: dict[str, int] = {}
     prev_offers: frozenset[str] = frozenset()
-    for pair in states:
-        offers, keeps, rejects = _round_offers(priced, pair, perspective)
+    for pair, nxt in zip(states, states[1:] + states[-1:]):
+        (own, other), (own_next, other_next) = sides(pair), sides(nxt)
+        offers, keeps = own & other_next, other & own_next
+        rejects = inst.contract_ids - own_next
         for cid in sorted(prev_offers & rejects):
             trade, price = priced.split(cid)
             last_rejected[trade] = price

@@ -15,6 +15,7 @@ scanning all 3^|X| side assignments.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .choices import is_rational
@@ -189,12 +190,12 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     return out
 
 
-def fixed_point_outcomes(inst: Instance) -> list[frozenset[str]]:
-    seen = []
-    for res in enumerate_fixed_points(inst):
-        if res.outcome not in seen:
-            seen.append(res.outcome)
-    return sorted(seen, key=sorted_ids)
+def fixed_point_outcomes(inst: Instance, results=None) -> list[frozenset[str]]:
+    """Distinct outcomes of the fixed points, ordered by sorted ids; pass the
+    `enumerate_fixed_points` results when they are already at hand."""
+    if results is None:
+        results = enumerate_fixed_points(inst)
+    return sorted({r.outcome for r in results}, key=sorted_ids)
 
 
 def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
@@ -332,7 +333,7 @@ class TerminalLattice:
         }
 
 
-def _project_terminal(inst: Instance, pair: OfferPair, terminal_contracts) -> OfferPair:
+def _project_terminal(pair: OfferPair, terminal_contracts) -> OfferPair:
     return OfferPair(pair.buyer_side & terminal_contracts, pair.seller_side & terminal_contracts)
 
 
@@ -365,34 +366,26 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
     )
     results = enumerate_fixed_points(inst)
     fps = [r.pair for r in results]
-    outcomes_seen: list[frozenset[str]] = []
-    projections: list[OfferPair] = []
-    for res in results:
-        if res.outcome in outcomes_seen:
-            continue
-        outcomes_seen.append(res.outcome)
-        proj = _project_terminal(
-            inst, canonical_pair(inst, res.outcome, check=False), terminal_contracts
-        )
-        if proj not in projections:
-            projections.append(proj)
-    projections.sort(key=lambda p: p.sort_key())
+    projections = sorted(
+        {
+            _project_terminal(canonical_pair(inst, outcome, check=False), terminal_contracts)
+            for outcome in fixed_point_outcomes(inst, results)
+        },
+        key=OfferPair.sort_key,
+    )
 
     def canonical_inverse(proj: OfferPair) -> OfferPair:
-        below = [p for p in fps if pair_leq(_project_terminal(inst, p, terminal_contracts), proj)]
-        acc = below[0]
-        for p in below[1:]:
-            acc = pair_join(acc, p)
-        return acc
+        below = [p for p in fps if pair_leq(_project_terminal(p, terminal_contracts), proj)]
+        return functools.reduce(pair_join, below)
 
     index = {p: i for i, p in enumerate(projections)}
+    inverses = [canonical_inverse(p) for p in projections]
     joins: dict[tuple[int, int], int] = {}
     meets: dict[tuple[int, int], int] = {}
-    for i, p in enumerate(projections):
-        for j, q in enumerate(projections):
-            ci, cj = canonical_inverse(p), canonical_inverse(q)
-            joined = _project_terminal(inst, pair_join(ci, cj), terminal_contracts)
-            met = _project_terminal(inst, pair_meet(ci, cj), terminal_contracts)
+    for i, ci in enumerate(inverses):
+        for j, cj in enumerate(inverses):
+            joined = _project_terminal(pair_join(ci, cj), terminal_contracts)
+            met = _project_terminal(pair_meet(ci, cj), terminal_contracts)
             if joined not in index or met not in index:
                 raise IterationDiagnosisError(
                     "terminal projections are not closed under join/meet; "

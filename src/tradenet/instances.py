@@ -8,6 +8,7 @@ instances used across the docs and the test suite.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from importlib import resources
 
@@ -88,13 +89,28 @@ def instance_from_json(raw: dict) -> Instance:
     return Instance(net, choice)
 
 
-def load_instance(path) -> Instance:
+def read_json(path, what: str):
+    """Parsed contents of a JSON file; a file that cannot be read or parsed
+    is an input error naming `what` it should have held."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InstanceFormatError(f"cannot read instance file {path}: {exc}") from exc
-    return instance_from_json(raw)
+        raise InstanceFormatError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def write_json(path, payload) -> None:
+    """Indented, key-sorted JSON; a path that cannot be written is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {path}: {exc}") from exc
+
+
+def load_instance(path) -> Instance:
+    return instance_from_json(read_json(path, "instance file"))
 
 
 BUNDLED = ("example1", "example2", "example3", "reduced")
@@ -113,14 +129,13 @@ def bundled_instance(name: str) -> Instance:
 
 def write_examples(directory) -> list[str]:
     """Materialize the bundled instance files into a directory."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise InstanceFormatError(f"cannot write {directory}: {exc}") from exc
     written = []
     for name in BUNDLED:
         path = os.path.join(directory, f"{name}.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(bundled_json(name), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, bundled_json(name))
         written.append(path)
     return written

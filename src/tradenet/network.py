@@ -10,6 +10,7 @@ subset enumeration order).
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
@@ -112,31 +113,13 @@ class ContractNetwork:
 
     def is_acyclic(self) -> bool:
         """True when the agent digraph induced by contracts has no directed cycle."""
-        succ: dict[str, set[str]] = {a: set() for a in self.agents}
+        order = graphlib.TopologicalSorter()
         for c in self.contracts:
-            succ[c.seller].add(c.buyer)
-        WHITE, GREY, BLACK = 0, 1, 2
-        color = {a: WHITE for a in self.agents}
-
-        for root in self.agents:
-            if color[root] != WHITE:
-                continue
-            stack = [(root, iter(sorted(succ[root])))]
-            color[root] = GREY
-            while stack:
-                node, it = stack[-1]
-                advanced = False
-                for nxt in it:
-                    if color[nxt] == GREY:
-                        return False
-                    if color[nxt] == WHITE:
-                        color[nxt] = GREY
-                        stack.append((nxt, iter(sorted(succ[nxt]))))
-                        advanced = True
-                        break
-                if not advanced:
-                    color[node] = BLACK
-                    stack.pop()
+            order.add(c.buyer, c.seller)
+        try:
+            order.prepare()
+        except graphlib.CycleError:
+            return False
         return True
 
     def to_json(self) -> dict:

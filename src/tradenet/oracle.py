@@ -103,18 +103,11 @@ class GadgetInstance:
         return self.instance.choice["g"].weights
 
 
-def partition_to_gs(weights) -> GadgetInstance:
-    """Two firms trading k parallel contracts against one return contract;
-    the empty outcome has a blocking set exactly when the weights split
-    evenly.  Choice functions are the closed-form case splits, not tables."""
-    weights = tuple(int(w) for w in weights)
-    if not weights or any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive integers")
-    if list(weights) != sorted(weights):
-        raise ValueError("weights must be sorted ascending")
-    k = len(weights)
+def _two_firm_network(k: int):
+    """Firm g sells k parallel contracts x1..xk (ids zero-padded to one
+    width) to firm f, which sells the return contract y back."""
     pad = len(str(k))
-    xs = {i + 1: f"x{i + 1:0{pad}d}" for i in range(k)}
+    xs = {i: f"x{i:0{pad}d}" for i in range(1, k + 1)}
     net = validate_network(
         {
             "agents": ["f", "g"],
@@ -122,11 +115,23 @@ def partition_to_gs(weights) -> GadgetInstance:
             + [{"id": xs[i], "seller": "g", "buyer": "f"} for i in sorted(xs)],
         }
     )
-    choice = {
-        "f": PartitionChoiceF("f", xs, "y", weights),
-        "g": PartitionChoiceG("g", "y", xs, weights),
-    }
-    return GadgetInstance(Instance(net, choice), frozenset(), sum(weights) % 2 == 1)
+    return net, xs
+
+
+def partition_to_gs(weights) -> GadgetInstance:
+    """Two firms trading k parallel contracts against one return contract;
+    the empty outcome has a blocking set exactly when the weights split
+    evenly.  Choice functions are the closed-form case splits, not tables."""
+    weights = tuple(weights)
+    net, xs = _two_firm_network(len(weights))
+    try:
+        choice = {
+            "f": PartitionChoiceF("f", xs, "y", weights),
+            "g": PartitionChoiceG("g", "y", xs, weights),
+        }
+    except ChoiceFunctionError as exc:
+        raise ValueError(str(exc)) from exc
+    return GadgetInstance(Instance(net, choice), frozenset(), sum(choice["g"].weights) % 2 == 1)
 
 
 def gadget_not_set_stable(weights) -> bool:
@@ -146,15 +151,7 @@ def needle_family(n: int, hidden=None) -> Instance:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    pad = len(str(2 * n))
-    xs = {i + 1: f"x{i + 1:0{pad}d}" for i in range(2 * n)}
-    net = validate_network(
-        {
-            "agents": ["f", "g"],
-            "contracts": [{"id": "y", "seller": "f", "buyer": "g"}]
-            + [{"id": xs[i], "seller": "g", "buyer": "f"} for i in sorted(xs)],
-        }
-    )
+    net, xs = _two_firm_network(2 * n)
     choice = {
         "f": NeedleChoiceF("f", xs, "y", n, hidden),
         "g": PartitionChoiceG("g", "y", xs, (1,) * (2 * n)),

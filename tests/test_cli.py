@@ -311,12 +311,27 @@ def _malformed_files(tmp_path):
     costs = json.loads(json.dumps(priced))
     costs["trades"][0]["price_min"] = 0
     costs["choice_functions"][0]["costs"] = {}
+    priced_ok = json.loads(json.dumps(priced))
+    priced_ok["trades"][0]["price_min"] = 0
     entry = {"agent": "f2", "side": "terminal_seller", "contracts": None, "choice_functions": []}
     entry_family = {
         "agent": "f2",
         "side": "terminal_seller",
         "contracts": [{"id": "n1", "seller": "f2", "buyer": "j"}],
         "choice_functions": [{"agent": "f2", "type": "mystery"}],
+    }
+    entry_ok = {
+        "agent": "f2",
+        "side": "terminal_seller",
+        "contracts": [{"id": "n1", "seller": "f2", "buyer": "j"}],
+        "choice_functions": [
+            {"agent": "f2", "type": "quota", "order": ["n1"], "quota": 1},
+            {
+                "agent": "j",
+                "type": "preference_list",
+                "ranking": [["z", "y"], ["w", "z"], ["y", "x"], ["n1", "z"]],
+            },
+        ],
     }
     paths = {}
     for name, raw in (
@@ -328,6 +343,8 @@ def _malformed_files(tmp_path):
         ("costs", costs),
         ("entry", entry),
         ("entry_family", entry_family),
+        ("priced_ok", priced_ok),
+        ("entry_ok", entry_ok),
         ("example2", bundled_json("example2")),
     ):
         path = tmp_path / f"{name}.json"
@@ -352,6 +369,9 @@ def _malformed_files(tmp_path):
         ["validate", "{extra}"],
         ["equilibrium", "{costs}"],
         ["dynamics", "{example2}", "--entry", "{entry_family}"],
+        ["dynamics", "{example2}", "--entry", "{entry_ok}", "--readjust-from", '["y","z","nope"]'],
+        ["examples", "--out", "{example2}/sub"],
+        ["equilibrium", "{priced_ok}", "--trace", "{example2}/t.json"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
@@ -361,3 +381,20 @@ def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_enumerate_runs_one_enumeration(capsys, example_dir, monkeypatch):
+    from tradenet import fixedpoint
+
+    calls = []
+    enumerate_once = fixedpoint.enumerate_fixed_points
+
+    def counting(inst):
+        calls.append(inst)
+        return enumerate_once(inst)
+
+    monkeypatch.setattr(fixedpoint, "enumerate_fixed_points", counting)
+    code, out, _ = run_cli(capsys, "enumerate", str(example_dir / "example1.json"))
+    assert code == 0
+    assert json.loads(out)["outcomes"]
+    assert len(calls) == 1

@@ -12,7 +12,7 @@ from tradenet.dynamics import (
     prefers,
     rural_hospitals_check,
 )
-from tradenet.errors import PreconditionError
+from tradenet.errors import GuardExceededError, PreconditionError
 from tradenet.fixedpoint import buyer_optimal, pair_leq, seller_optimal
 from tradenet.instances import instance_from_json
 from tradenet.oracle import generate_entry_scenario, generate_instance
@@ -87,6 +87,32 @@ def test_entry_rejects_inconsistent_replacement(example2):
                      {"j": broken})
     with pytest.raises(PreconditionError, match="disagrees"):
         apply_entry(example2, bad)
+
+
+def test_consistency_guard_is_a_guard_error():
+    from tradenet.network import Contract
+
+    contracts = [{"id": f"c{i:02d}", "seller": "a", "buyer": "b"} for i in range(13)]
+    inst = instance_from_json(
+        {
+            "agents": ["a", "b"],
+            "contracts": contracts,
+            "choice_functions": [
+                {"agent": "a", "type": "quota", "order": [], "quota": 1},
+                {"agent": "b", "type": "quota", "order": [], "quota": 1},
+            ],
+        }
+    )
+    b_new = QuotaChoice("b", inst.choice["b"].upstream | {"n1"}, frozenset(), ["n1"], 1)
+    event = EntryEvent(
+        agent="f2",
+        side="terminal_seller",
+        contracts=(Contract("n1", "f2", "b"),),
+        choice=QuotaChoice("f2", frozenset(), {"n1"}, ["n1"], 1),
+        updated_choices={"b": b_new},
+    )
+    with pytest.raises(GuardExceededError, match="consistency check guard is 12"):
+        apply_entry(inst, event)
 
 
 def test_entry_rejects_non_substitutable_entrant(example2):

@@ -22,7 +22,7 @@ from tradenet.equilibrium import (
     trace_rejections_remain_final,
     verify_competitive_equilibrium,
 )
-from tradenet.errors import InstanceFormatError, PreconditionError
+from tradenet.errors import GuardExceededError, InstanceFormatError, PreconditionError
 from tradenet.instances import Instance
 from tradenet.network import validate_network
 from tradenet.oracle import generate_priced_instance
@@ -294,6 +294,13 @@ def test_perturbed_price_breaks_equilibrium():
     assert not verify_competitive_equilibrium(priced, worse)
 
 
+def test_priced_checks_share_the_per_firm_guard():
+    wide = one_trade(lo=0, hi=16)  # 17 price contracts per firm, one over the guard
+    for check in (check_feasibility, check_cp, check_pm):
+        with pytest.raises(GuardExceededError, match="agent [ab] has 17 contracts, guard is 16"):
+            check(wide)
+
+
 def test_price_adjustment_refuses_uncertified_instances():
     priced = one_trade(value=4, cost=5, lo=0, hi=9)
     with pytest.raises(PreconditionError):
@@ -309,3 +316,34 @@ def test_generated_priced_instances_run_end_to_end():
         assert trace_prices_monotone(trace), seed
         assert trace_offers_remain_open(trace), seed
         assert trace_rejections_remain_final(trace), seed
+
+
+def _reference_round(priced, pair, perspective):
+    """Offers, keeps and rejects of one price round, re-chosen firm by firm
+    from the round's offer pair."""
+    offers, keeps, rejects = set(), set(), set()
+    for cf in priced.instance.choice.values():
+        if perspective == "buyer":
+            offers |= cf.chosen_upstream(pair.buyer_side, pair.seller_side)
+            keeps |= cf.chosen_downstream(pair.seller_side, pair.buyer_side)
+            rejects |= cf.rejected_downstream(pair.seller_side, pair.buyer_side)
+        else:
+            offers |= cf.chosen_downstream(pair.seller_side, pair.buyer_side)
+            keeps |= cf.chosen_upstream(pair.buyer_side, pair.seller_side)
+            rejects |= cf.rejected_upstream(pair.buyer_side, pair.seller_side)
+    return offers, keeps, rejects
+
+
+def test_price_rounds_match_firm_by_firm_choices():
+    rounds = 0
+    for seed in range(100):
+        priced = generate_priced_instance(seed)
+        for perspective in ("buyer", "seller"):
+            _, trace = price_adjustment(priced, perspective, validate=False)
+            for r in trace.rounds:
+                offers, keeps, rejects = _reference_round(priced, r.pair, perspective)
+                assert (r.offers, r.responder_keeps, r.responder_rejects) == (
+                    offers, keeps, rejects
+                ), (seed, perspective)
+                rounds += 1
+    assert rounds > 1000

@@ -1,0 +1,51 @@
+"""Golden digests of the CLI's output.
+
+The sha256 of what `tradenet` prints (exit code, stdout and any trace file)
+on the bundled instances and on a few seeded priced economies.  A refactor
+must leave these bytes alone; a deliberate output change updates a digest
+here and says why in CHANGES.md.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+
+from tradenet.cli import main
+from tradenet.instances import BUNDLED, bundled_instance, write_examples
+from tradenet.network import sorted_ids, subsets
+from tradenet.oracle import generate_priced_instance
+
+BUNDLED_DIGEST = "9bd61734e192e5de53ce5332d0b4c2f1d098c5d462d83f32012c672d79327db8"
+EQUILIBRIUM_DIGEST = "31e8a019384b46b3fe6027e307372f41496530809c15acecef511ed1a717b53b"
+
+
+def _run(capsys, digest, argv, extra_file=None):
+    code = main(argv)
+    digest.update(f"{code}\n{capsys.readouterr().out}".encode())
+    if extra_file is not None:
+        digest.update(extra_file.read_bytes())
+
+
+def test_bundled_cli_output_is_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for name, path in zip(BUNDLED, write_examples(tmp_path)):
+        _run(capsys, digest, ["enumerate", path])
+        for side in ("buyer", "seller"):
+            _run(capsys, digest, ["solve", path, "--side", side, "--trace"])
+        for outcome in subsets(bundled_instance(name).contract_ids):
+            outcome_arg = json.dumps(sorted_ids(outcome))
+            _run(capsys, digest, ["check", path, "--outcome", outcome_arg, "--notion", "all"])
+    assert digest.hexdigest() == BUNDLED_DIGEST
+
+
+def test_equilibrium_cli_output_is_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for seed in range(6):
+        path = tmp_path / f"priced{seed}.json"
+        path.write_text(json.dumps(generate_priced_instance(seed).to_json()))
+        for perspective in ("buyer", "seller"):
+            trace = tmp_path / f"trace{seed}{perspective}.json"
+            argv = ["equilibrium", str(path), "--perspective", perspective, "--trace", str(trace)]
+            _run(capsys, digest, argv, trace)
+    assert digest.hexdigest() == EQUILIBRIUM_DIGEST
