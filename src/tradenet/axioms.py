@@ -5,15 +5,21 @@ menu of a single agent and reports the first counterexample it meets, in a
 fixed enumeration order, so reports are reproducible and self-validating: a
 returned witness replayed through the definition reproduces the violation.
 
+The quantifiers run on one table per agent: contract i of the sorted domain
+is bit i, and `cf.choose` is asked once per menu, its answer kept as an int
+mask.  Menus are visited in `network.subsets` order (by size, then by id), so
+the first witness is the one the literal definition meets first.
+
 All quantifiers are exponential in the agent's contract count, so every
 check carries an explicit size guard instead of silently truncating.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
-from .choices import ChoiceFunction, is_individually_rational, is_rational, is_rational_pair
+from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .instances import Instance
 from .network import sorted_ids, subsets
@@ -56,6 +62,49 @@ def _guard(cf: ChoiceFunction, axiom: str) -> None:
         )
 
 
+class _Table:
+    """An agent's choice on every menu of its domain, as int masks.
+
+    `chosen[m]` is the mask chosen from menu `m` and `rejected[m]` the rest
+    of `m`; `up`, `down` and `full` are the side and domain masks."""
+
+    def __init__(self, cf: ChoiceFunction):
+        self.ids = sorted_ids(cf.domain)
+        bit = {c: 1 << i for i, c in enumerate(self.ids)}
+        self.up = sum(bit[c] for c in cf.upstream)
+        self.down = sum(bit[c] for c in cf.downstream)
+        self.full = self.up | self.down
+        menus = [frozenset()]
+        for c in self.ids:
+            menus += [menu | {c} for menu in menus]
+        self.chosen = [sum(map(bit.__getitem__, cf.choose(menu))) for menu in menus]
+        self.rejected = [m & ~c for m, c in enumerate(self.chosen)]
+
+    def names(self, mask: int) -> list[str]:
+        return [c for i, c in enumerate(self.ids) if mask >> i & 1]
+
+
+# every check of one agent reads the same table; it goes with its choice function
+_TABLES = weakref.WeakKeyDictionary()
+
+
+def _table(cf: ChoiceFunction) -> _Table:
+    table = _TABLES.get(cf)
+    if table is None:
+        table = _TABLES[cf] = _Table(cf)
+    return table
+
+
+def _submasks(mask: int) -> list[int]:
+    """Every submask of `mask` in `network.subsets` order."""
+    return [sum(s) for s in subsets(_bits(mask))]
+
+
+def _bits(mask: int) -> list[int]:
+    """The single-bit masks of `mask`, lowest (first id) first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def check_irc(cf: ChoiceFunction) -> AxiomReport:
     """Removing rejected contracts from the offer must not change the choice.
 
@@ -64,22 +113,18 @@ def check_irc(cf: ChoiceFunction) -> AxiomReport:
     the remaining contracts rejected, so checking single removals on every
     menu is exactly equivalent to checking every intermediate menu."""
     _guard(cf, "irc")
-    for menu in subsets(cf.domain):
-        chosen = cf.choose(menu)
-        for dropped in sorted(menu - chosen):
-            trimmed = menu - {dropped}
-            if cf.choose(trimmed) != chosen:
-                return AxiomReport(
-                    "irc",
-                    cf.agent,
-                    False,
-                    witness={
-                        "offer": sorted_ids(menu),
-                        "trimmed_offer": sorted_ids(trimmed),
-                        "choice_from_offer": sorted_ids(chosen),
-                        "choice_from_trimmed": sorted_ids(cf.choose(trimmed)),
-                    },
-                )
+    t = _table(cf)
+    for menu in _submasks(t.full):
+        chosen = t.chosen[menu]
+        for dropped in _bits(t.rejected[menu]):
+            trimmed = menu ^ dropped
+            if t.chosen[trimmed] != chosen:
+                return AxiomReport("irc", cf.agent, False, {
+                    "offer": t.names(menu),
+                    "trimmed_offer": t.names(trimmed),
+                    "choice_from_offer": t.names(chosen),
+                    "choice_from_trimmed": t.names(t.chosen[trimmed]),
+                })
     return AxiomReport("irc", cf.agent, True)
 
 
@@ -93,60 +138,29 @@ def check_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
     one-contract step is exactly equivalent to checking every nested pair.
     """
     _guard(cf, "full_substitutability")
-
-    def violation(condition, small_rej, big_rej, sets):
-        extra = small_rej - big_rej
-        return AxiomReport(
-            "full_substitutability",
-            cf.agent,
-            False,
-            witness={
-                "condition": condition,
-                "contract": min(extra),
-                **{k: sorted_ids(v) for k, v in sets.items()},
-            },
-        )
-
-    for down in subsets(cf.downstream):
-        for up in subsets(cf.upstream):
-            rej = cf.rejected_upstream(up, down)
-            for extra_up in sorted(cf.upstream - up):
-                grown = up | {extra_up}
-                if not rej <= cf.rejected_upstream(grown, down):
-                    return violation(
-                        "same_side_upstream",
-                        rej,
-                        cf.rejected_upstream(grown, down),
-                        {"up": grown, "up_smaller": up, "down": down},
-                    )
-            for extra_down in sorted(cf.downstream - down):
-                grown = down | {extra_down}
-                if not cf.rejected_upstream(up, grown) <= rej:
-                    return violation(
-                        "cross_side_upstream",
-                        cf.rejected_upstream(up, grown),
-                        rej,
-                        {"up": up, "down": grown, "down_smaller": down},
-                    )
-            rej = cf.rejected_downstream(down, up)
-            for extra_down in sorted(cf.downstream - down):
-                grown = down | {extra_down}
-                if not rej <= cf.rejected_downstream(grown, up):
-                    return violation(
-                        "same_side_downstream",
-                        rej,
-                        cf.rejected_downstream(grown, up),
-                        {"down": grown, "down_smaller": down, "up": up},
-                    )
-            for extra_up in sorted(cf.upstream - up):
-                grown = up | {extra_up}
-                if not cf.rejected_downstream(down, grown) <= rej:
-                    return violation(
-                        "cross_side_downstream",
-                        cf.rejected_downstream(down, grown),
-                        rej,
-                        {"down": down, "up": grown, "up_smaller": up},
-                    )
+    t = _table(cf)
+    U, D = t.up, t.down
+    # (condition, grown side, side compared), in checking order: a same-side
+    # step must keep every rejection there, a cross-side step must add none
+    conditions = (("same_side_upstream", U, U), ("cross_side_upstream", D, U),
+                  ("same_side_downstream", D, D), ("cross_side_downstream", U, D))
+    for down in _submasks(D):
+        for up in _submasks(U):
+            menu = up | down
+            rej = t.rejected[menu]
+            for condition, grown, side in conditions:
+                for extra in _bits(grown & ~menu):
+                    rej_big = t.rejected[menu | extra]
+                    bad = (rej & ~rej_big if grown == side else rej_big & ~rej) & side
+                    if bad:
+                        key, other = ("up", "down") if grown == U else ("down", "up")
+                        return AxiomReport("full_substitutability", cf.agent, False, {
+                            "condition": condition,
+                            "contract": t.names(bad & -bad)[0],
+                            key: t.names((menu | extra) & grown),
+                            f"{key}_smaller": t.names(menu & grown),
+                            other: t.names(menu & ~grown),
+                        })
     return AxiomReport("full_substitutability", cf.agent, True)
 
 
@@ -156,74 +170,67 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     along chains of single-contract insertions, so per-step checking is
     exactly equivalent to checking every nested pair."""
     _guard(cf, "lad_las")
-    for down in subsets(cf.downstream):
-        for up in subsets(cf.upstream):
-            nb = len(cf.chosen_upstream(up, down))
-            ns = len(cf.chosen_downstream(down, up))
-            for extra_up in sorted(cf.upstream - up):
-                grown = up | {extra_up}
-                nb_big = len(cf.chosen_upstream(grown, down))
-                ns_big = len(cf.chosen_downstream(down, grown))
-                if nb_big - nb < ns_big - ns:
-                    return AxiomReport(
-                        "lad_las",
-                        cf.agent,
-                        False,
-                        witness={
-                            "law": "aggregate_demand",
-                            "up": sorted_ids(grown),
-                            "up_smaller": sorted_ids(up),
-                            "down": sorted_ids(down),
-                            "chosen_counts": [nb_big, nb, ns_big, ns],
-                        },
-                    )
-            for extra_down in sorted(cf.downstream - down):
-                grown = down | {extra_down}
-                ns_big = len(cf.chosen_downstream(grown, up))
-                nb_big = len(cf.chosen_upstream(up, grown))
-                if ns_big - ns < nb_big - nb:
-                    return AxiomReport(
-                        "lad_las",
-                        cf.agent,
-                        False,
-                        witness={
-                            "law": "aggregate_supply",
-                            "down": sorted_ids(grown),
-                            "down_smaller": sorted_ids(down),
-                            "up": sorted_ids(up),
-                            "chosen_counts": [ns_big, ns, nb_big, nb],
-                        },
-                    )
+    t = _table(cf)
+    U, D = t.up, t.down
+    laws = (("aggregate_demand", U, D, "up", "down"), ("aggregate_supply", D, U, "down", "up"))
+    for down in _submasks(D):
+        for up in _submasks(U):
+            menu = up | down
+            chosen = t.chosen[menu]
+            for law, side, other, key, other_key in laws:
+                n, n_other = (chosen & side).bit_count(), (chosen & other).bit_count()
+                for extra in _bits(side & ~menu):
+                    big = t.chosen[menu | extra]
+                    n_big, n_other_big = (big & side).bit_count(), (big & other).bit_count()
+                    if n_big - n < n_other_big - n_other:
+                        return AxiomReport("lad_las", cf.agent, False, {
+                            "law": law,
+                            key: t.names((menu | extra) & side),
+                            f"{key}_smaller": t.names(menu & side),
+                            other_key: t.names(menu & other),
+                            "chosen_counts": [n_big, n, n_other_big, n_other],
+                        })
     return AxiomReport("lad_las", cf.agent, True)
 
 
 def check_separability(cf: ChoiceFunction) -> AxiomReport:
     """Joint upstream/downstream pairs can be signed independently of other
-    kept contracts: a kept set plus a kept-only-together pair stays kept."""
+    kept contracts: a kept set plus a kept-only-together pair stays kept.
+
+    A set is kept alongside `given` when the choice from their union keeps
+    all of it.  The pairs kept only together depend on `given` alone, so they
+    are listed once per `given`, in (upstream id, downstream id) order."""
     _guard(cf, "separability")
-    for given in subsets(cf.domain):
-        for kept in subsets(cf.domain):
-            if not is_rational(cf, kept, given):
+    t = _table(cf)
+    menus = _submasks(t.full)
+
+    def keeps(kept, given):
+        return not kept & t.rejected[kept | given]
+
+    for given in menus:
+        alone = sum(b for b in _bits(t.full) if keeps(b, given))
+        pairs = [(up, down) for up in _bits(t.up & ~alone) for down in _bits(t.down & ~alone)
+                 if keeps(up | down, given)]
+        if not pairs:
+            continue
+        for kept in menus:
+            if not keeps(kept, given):
                 continue
-            for up in sorted(cf.upstream - kept):
-                for down in sorted(cf.downstream - kept):
-                    if not is_rational_pair(cf, up, down, given):
-                        continue
-                    if not is_rational(cf, kept | {up, down}, given):
-                        return AxiomReport(
-                            "separability",
-                            cf.agent,
-                            False,
-                            witness={
-                                "given": sorted_ids(given),
-                                "kept": sorted_ids(kept),
-                                "pair": [up, down],
-                                "union_choice": sorted_ids(
-                                    cf.choose(given | kept | {up, down})
-                                ),
-                            },
-                        )
+            for up, down in pairs:
+                union = kept | up | down
+                if not (up | down) & kept and not keeps(union, given):
+                    return AxiomReport("separability", cf.agent, False, {
+                        "given": t.names(given),
+                        "kept": t.names(kept),
+                        "pair": t.names(up) + t.names(down),
+                        "union_choice": t.names(t.chosen[given | union]),
+                    })
     return AxiomReport("separability", cf.agent, True)
+
+
+_EMPTY_DOWNSTREAM = (
+    "kept set has upstream contracts but no downstream ones; the requirement fails by emptiness",
+)
 
 
 def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomReport:
@@ -240,84 +247,72 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
     _guard(cf, "simplicity")
     missing = cf.domain - set(intensity)
     if missing:
-        return AxiomReport(
-            "simplicity",
-            cf.agent,
-            False,
-            witness={"missing_intensity": sorted_ids(missing)},
-        )
-    for kept in subsets(cf.domain):
-        if not is_individually_rational(cf, kept):
+        witness = {"missing_intensity": sorted_ids(missing)}
+        return AxiomReport("simplicity", cf.agent, False, witness)
+    t = _table(cf)
+    level = {b: intensity[t.names(b)[0]] for b in _bits(t.full)}
+    for kept in _submasks(t.full):
+        if t.chosen[kept] != kept:
             continue
-        ups = kept & cf.upstream
-        downs = kept & cf.downstream
-        for up in sorted(ups):
-            if not any(intensity[up] > intensity[d] for d in downs):
-                notes = ()
-                if not downs:
-                    notes = (
-                        "kept set has upstream contracts but no downstream ones; "
-                        "the requirement fails by emptiness",
-                    )
-                return AxiomReport(
-                    "simplicity",
-                    cf.agent,
-                    False,
-                    witness={
-                        "kept": sorted_ids(kept),
-                        "upstream_contract": up,
-                        "downstream_intensities": {
-                            d: intensity[d] for d in sorted(downs)
-                        },
-                    },
-                    notes=notes,
-                )
+        downs = _bits(kept & t.down)
+        for up in _bits(kept & t.up):
+            if not any(level[up] > level[d] for d in downs):
+                return AxiomReport("simplicity", cf.agent, False, {
+                    "kept": t.names(kept),
+                    "upstream_contract": t.names(up)[0],
+                    "downstream_intensities": {d: intensity[d] for d in t.names(kept & t.down)},
+                }, () if downs else _EMPTY_DOWNSTREAM)
     return AxiomReport("simplicity", cf.agent, True)
-
-
-def _pair_merge_weight(cf, big, small) -> int:
-    """Weight of the directed difference of two (upstream, downstream) pairs:
-    kept-upstream growth minus the complement of the downstream growth."""
-    up_diff = big[0] - small[0]
-    down_growth = small[1] - big[1]
-    return len(up_diff) - (len(cf.downstream) - len(down_growth))
 
 
 def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     """The rejection map must not expand the signed weight of nested menu
-    differences (+1 per upstream contract, -1 per downstream contract)."""
+    differences (+1 per upstream contract, -1 per downstream contract).
+
+    Pairs are nested as up_small <= up and down <= down_big.  The weight of
+    a directed difference (big over small) is its upstream growth minus the
+    complement of its downstream shrinkage.  Both sides of the inequality
+    carry the same -|downstream|; without it the weight is a directed
+    distance, which obeys the triangle inequality and adds up along a chain
+    of one-contract steps between nested pairs.  So some nested pair is
+    expanded exactly when some one-contract step is, and the steps settle
+    the verdict.  A violator's first witness is found by walking the nested
+    pairs directly, 3^|up| * 3^|down| of them: the supersets of a set, in
+    `subsets` order, are the set joined with each subset of the rest."""
     _guard(cf, "w_contraction")
-    for up_small in subsets(cf.upstream):
-        for up in subsets(cf.upstream):
-            if not up_small <= up:
-                continue
-            for down in subsets(cf.downstream):
-                for down_big in subsets(cf.downstream):
-                    if not down <= down_big:
-                        continue
-                    rej = (
-                        cf.rejected_upstream(up, down),
-                        cf.rejected_downstream(down, up),
-                    )
-                    rej_small = (
-                        cf.rejected_upstream(up_small, down_big),
-                        cf.rejected_downstream(down_big, up_small),
-                    )
-                    lhs = _pair_merge_weight(cf, rej, rej_small)
-                    rhs = _pair_merge_weight(cf, (up, down), (up_small, down_big))
+    t = _table(cf)
+    U, D, rej = t.up, t.down, t.rejected
+
+    def distance(big, small):
+        return ((rej[big] & ~rej[small] & U) | (rej[small] & ~rej[big] & D)).bit_count()
+
+    def some_step_expands():
+        # a step drops one upstream contract or adds one downstream contract
+        for c in _bits(t.full):
+            for m in range(t.full + 1):
+                if not m & c and (distance(m | c, m) if c & U else distance(m, m | c)) > 1:
+                    return True
+        return False
+
+    if not some_step_expands():
+        return AxiomReport("w_contraction", cf.agent, True)
+    ups, downs = _submasks(U), _submasks(D)
+    up_supersets = {s: [s | x for x in _submasks(U & ~s)] for s in ups}
+    down_supersets = {s: [s | x for x in _submasks(D & ~s)] for s in downs}
+    for up_small in ups:
+        for up in up_supersets[up_small]:
+            for down in downs:
+                for down_big in down_supersets[down]:
+                    big, small = up | down, up_small | down_big
+                    lhs, rhs = distance(big, small), (big ^ small).bit_count()
                     if lhs > rhs:
-                        return AxiomReport(
-                            "w_contraction",
-                            cf.agent,
-                            False,
-                            witness={
-                                "up": sorted_ids(up),
-                                "up_smaller": sorted_ids(up_small),
-                                "down": sorted_ids(down),
-                                "down_bigger": sorted_ids(down_big),
-                                "weights": [lhs, rhs],
-                            },
-                        )
+                        return AxiomReport("w_contraction", cf.agent, False, {
+                            "up": t.names(up),
+                            "up_smaller": t.names(up_small),
+                            "down": t.names(down),
+                            "down_bigger": t.names(down_big),
+                            "weights": [lhs - D.bit_count(), rhs - D.bit_count()],
+                        })
     return AxiomReport("w_contraction", cf.agent, True)
 
 

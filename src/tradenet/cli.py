@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
@@ -48,13 +49,13 @@ def _render_human(payload, indent: int = 0) -> None:
         print(f"{pad}{payload}")
 
 
-def _parse_outcome(text: str, inst: Instance) -> frozenset[str]:
+def _parse_outcome(text: str, inst: Instance, flag: str) -> frozenset[str]:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceFormatError(f"--outcome must be a JSON list: {exc}") from exc
+        raise InstanceFormatError(f"{flag} must be a JSON list: {exc}") from exc
     if not isinstance(data, list) or not all(isinstance(x, str) for x in data):
-        raise InstanceFormatError("--outcome must be a JSON list of contract ids")
+        raise InstanceFormatError(f"{flag} must be a JSON list of contract ids")
     unknown = frozenset(data) - inst.contract_ids
     if unknown:
         raise InstanceFormatError(f"outcome uses unknown contracts: {sorted(unknown)}")
@@ -102,7 +103,7 @@ def _cmd_enumerate(args) -> dict:
 
 def _cmd_check(args) -> dict:
     inst = load_instance(args.instance)
-    outcome = _parse_outcome(args.outcome, inst)
+    outcome = _parse_outcome(args.outcome, inst, "--outcome")
     notion = args.notion.replace("-", "_")
     if notion == "all":
         verdicts = stability.classify(inst, outcome)
@@ -168,7 +169,7 @@ def _cmd_dynamics(args) -> dict:
     inst = load_instance(args.instance)
     event = _load_entry(inst, args.entry)
     readjust = args.readjust_from is not None
-    outcome = _parse_outcome(args.readjust_from, inst) if readjust else None
+    outcome = _parse_outcome(args.readjust_from, inst, "--readjust-from") if readjust else None
     report = dynamics.entry_comparative_statics(inst, event)
     out = {"entry_statics": report.to_json()}
     if readjust:
@@ -329,12 +330,15 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except TradenetError as exc:
-        _emit({"error": {"kind": type(exc).__name__, "message": str(exc)}}, fmt)
-        return 1
-    _emit(payload, fmt)
-    if isinstance(payload, dict) and payload.get("valid") is False:
-        return 2
-    return 0
+        payload, code = {"error": {"kind": type(exc).__name__, "message": str(exc)}}, 1
+    else:
+        code = 2 if isinstance(payload, dict) and payload.get("valid") is False else 0
+    try:
+        _emit(payload, fmt)
+    except BrokenPipeError:
+        # the reader left early (`| head`): drop the rest so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
 from tradenet.axioms import (
+    _CHECKS,
     AxiomReport,
     check_full_substitutability,
     check_instance,
@@ -18,11 +22,14 @@ from tradenet.choices import (
     QuotaChoice,
     SeparableIntensityChoice,
     SimpleIntensityChoice,
+    is_individually_rational,
     is_rational,
     is_rational_pair,
 )
 from tradenet.errors import GuardExceededError
-from tradenet.oracle import generate_instance
+from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
+from tradenet.network import sorted_ids, subsets
+from tradenet.oracle import PROFILES, generate_instance
 
 
 class ConstantEmptyChoice(ChoiceFunction):
@@ -273,3 +280,366 @@ def test_check_instance_report_shape(example1):
     assert all(isinstance(r, AxiomReport) and r.holds for r in reports)
     payload = reports[0].to_json()
     assert set(payload) == {"axiom", "agent", "holds", "witness", "notes"}
+
+
+# ---------------------------------------------------------------------------
+# the validators against the literal definitions
+#
+# The functions below are the frozenset loops the validators replaced: each
+# replays its axiom's quantifier through the choice function, menu by menu,
+# in `subsets` order.  The mask validators must give the same report (same
+# verdict, same first witness, same notes) on every choice function.
+# ---------------------------------------------------------------------------
+
+
+def literal_irc(cf: ChoiceFunction) -> AxiomReport:
+    """Removing rejected contracts from the offer must not change the choice.
+
+    Any menu between the choice and the offer is reached by dropping rejected
+    contracts one at a time, and each drop that preserves the choice keeps
+    the remaining contracts rejected, so checking single removals on every
+    menu is exactly equivalent to checking every intermediate menu."""
+    for menu in subsets(cf.domain):
+        chosen = cf.choose(menu)
+        for dropped in sorted(menu - chosen):
+            trimmed = menu - {dropped}
+            if cf.choose(trimmed) != chosen:
+                return AxiomReport(
+                    "irc",
+                    cf.agent,
+                    False,
+                    witness={
+                        "offer": sorted_ids(menu),
+                        "trimmed_offer": sorted_ids(trimmed),
+                        "choice_from_offer": sorted_ids(chosen),
+                        "choice_from_trimmed": sorted_ids(cf.choose(trimmed)),
+                    },
+                )
+    return AxiomReport("irc", cf.agent, True)
+
+
+def literal_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
+    """Same-side offers act as substitutes, cross-side offers as complements.
+
+    Four containments over nested menus: growing one side never un-rejects a
+    contract on that side, and shrinking one side never un-rejects a contract
+    on the other side.  Nested pairs decompose into chains of single-contract
+    insertions and the containments compose along a chain, so checking every
+    one-contract step is exactly equivalent to checking every nested pair.
+    """
+
+    def violation(condition, small_rej, big_rej, sets):
+        extra = small_rej - big_rej
+        return AxiomReport(
+            "full_substitutability",
+            cf.agent,
+            False,
+            witness={
+                "condition": condition,
+                "contract": min(extra),
+                **{k: sorted_ids(v) for k, v in sets.items()},
+            },
+        )
+
+    for down in subsets(cf.downstream):
+        for up in subsets(cf.upstream):
+            rej = cf.rejected_upstream(up, down)
+            for extra_up in sorted(cf.upstream - up):
+                grown = up | {extra_up}
+                if not rej <= cf.rejected_upstream(grown, down):
+                    return violation(
+                        "same_side_upstream",
+                        rej,
+                        cf.rejected_upstream(grown, down),
+                        {"up": grown, "up_smaller": up, "down": down},
+                    )
+            for extra_down in sorted(cf.downstream - down):
+                grown = down | {extra_down}
+                if not cf.rejected_upstream(up, grown) <= rej:
+                    return violation(
+                        "cross_side_upstream",
+                        cf.rejected_upstream(up, grown),
+                        rej,
+                        {"up": up, "down": grown, "down_smaller": down},
+                    )
+            rej = cf.rejected_downstream(down, up)
+            for extra_down in sorted(cf.downstream - down):
+                grown = down | {extra_down}
+                if not rej <= cf.rejected_downstream(grown, up):
+                    return violation(
+                        "same_side_downstream",
+                        rej,
+                        cf.rejected_downstream(grown, up),
+                        {"down": grown, "down_smaller": down, "up": up},
+                    )
+            for extra_up in sorted(cf.upstream - up):
+                grown = up | {extra_up}
+                if not cf.rejected_downstream(down, grown) <= rej:
+                    return violation(
+                        "cross_side_downstream",
+                        cf.rejected_downstream(down, grown),
+                        rej,
+                        {"down": down, "up": grown, "up_smaller": up},
+                    )
+    return AxiomReport("full_substitutability", cf.agent, True)
+
+
+def literal_lad_las(cf: ChoiceFunction) -> AxiomReport:
+    """Aggregate demand/supply laws: growing one side's offers cannot widen
+    the count gap in the other side's favor.  The count differences telescope
+    along chains of single-contract insertions, so per-step checking is
+    exactly equivalent to checking every nested pair."""
+    for down in subsets(cf.downstream):
+        for up in subsets(cf.upstream):
+            nb = len(cf.chosen_upstream(up, down))
+            ns = len(cf.chosen_downstream(down, up))
+            for extra_up in sorted(cf.upstream - up):
+                grown = up | {extra_up}
+                nb_big = len(cf.chosen_upstream(grown, down))
+                ns_big = len(cf.chosen_downstream(down, grown))
+                if nb_big - nb < ns_big - ns:
+                    return AxiomReport(
+                        "lad_las",
+                        cf.agent,
+                        False,
+                        witness={
+                            "law": "aggregate_demand",
+                            "up": sorted_ids(grown),
+                            "up_smaller": sorted_ids(up),
+                            "down": sorted_ids(down),
+                            "chosen_counts": [nb_big, nb, ns_big, ns],
+                        },
+                    )
+            for extra_down in sorted(cf.downstream - down):
+                grown = down | {extra_down}
+                ns_big = len(cf.chosen_downstream(grown, up))
+                nb_big = len(cf.chosen_upstream(up, grown))
+                if ns_big - ns < nb_big - nb:
+                    return AxiomReport(
+                        "lad_las",
+                        cf.agent,
+                        False,
+                        witness={
+                            "law": "aggregate_supply",
+                            "down": sorted_ids(grown),
+                            "down_smaller": sorted_ids(down),
+                            "up": sorted_ids(up),
+                            "chosen_counts": [ns_big, ns, nb_big, nb],
+                        },
+                    )
+    return AxiomReport("lad_las", cf.agent, True)
+
+
+def literal_separability(cf: ChoiceFunction) -> AxiomReport:
+    """Joint upstream/downstream pairs can be signed independently of other
+    kept contracts: a kept set plus a kept-only-together pair stays kept."""
+    for given in subsets(cf.domain):
+        for kept in subsets(cf.domain):
+            if not is_rational(cf, kept, given):
+                continue
+            for up in sorted(cf.upstream - kept):
+                for down in sorted(cf.downstream - kept):
+                    if not is_rational_pair(cf, up, down, given):
+                        continue
+                    if not is_rational(cf, kept | {up, down}, given):
+                        return AxiomReport(
+                            "separability",
+                            cf.agent,
+                            False,
+                            witness={
+                                "given": sorted_ids(given),
+                                "kept": sorted_ids(kept),
+                                "pair": [up, down],
+                                "union_choice": sorted_ids(
+                                    cf.choose(given | kept | {up, down})
+                                ),
+                            },
+                        )
+    return AxiomReport("separability", cf.agent, True)
+
+
+def literal_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomReport:
+    """Every kept upstream contract must out-rank some kept downstream one
+    under the supplied intensity map.
+
+    Kept sets are quantified over the individually rational sets of the
+    agent (any conditioning set would do, since the empty one already makes
+    a set kept exactly when it is individually rational).  A kept set with
+    upstream contracts but no downstream ones fails the quantifier by
+    emptiness; that situation is flagged in the notes because it is what any
+    accepting one-sided agent produces.
+    """
+    missing = cf.domain - set(intensity)
+    if missing:
+        return AxiomReport(
+            "simplicity",
+            cf.agent,
+            False,
+            witness={"missing_intensity": sorted_ids(missing)},
+        )
+    for kept in subsets(cf.domain):
+        if not is_individually_rational(cf, kept):
+            continue
+        ups = kept & cf.upstream
+        downs = kept & cf.downstream
+        for up in sorted(ups):
+            if not any(intensity[up] > intensity[d] for d in downs):
+                notes = ()
+                if not downs:
+                    notes = (
+                        "kept set has upstream contracts but no downstream ones; "
+                        "the requirement fails by emptiness",
+                    )
+                return AxiomReport(
+                    "simplicity",
+                    cf.agent,
+                    False,
+                    witness={
+                        "kept": sorted_ids(kept),
+                        "upstream_contract": up,
+                        "downstream_intensities": {
+                            d: intensity[d] for d in sorted(downs)
+                        },
+                    },
+                    notes=notes,
+                )
+    return AxiomReport("simplicity", cf.agent, True)
+
+
+def _pair_merge_weight(cf, big, small) -> int:
+    """Weight of the directed difference of two (upstream, downstream) pairs:
+    kept-upstream growth minus the complement of the downstream growth."""
+    up_diff = big[0] - small[0]
+    down_growth = small[1] - big[1]
+    return len(up_diff) - (len(cf.downstream) - len(down_growth))
+
+
+def literal_w_contraction(cf: ChoiceFunction) -> AxiomReport:
+    """The rejection map must not expand the signed weight of nested menu
+    differences (+1 per upstream contract, -1 per downstream contract)."""
+    for up_small in subsets(cf.upstream):
+        for up in subsets(cf.upstream):
+            if not up_small <= up:
+                continue
+            for down in subsets(cf.downstream):
+                for down_big in subsets(cf.downstream):
+                    if not down <= down_big:
+                        continue
+                    rej = (
+                        cf.rejected_upstream(up, down),
+                        cf.rejected_downstream(down, up),
+                    )
+                    rej_small = (
+                        cf.rejected_upstream(up_small, down_big),
+                        cf.rejected_downstream(down_big, up_small),
+                    )
+                    lhs = _pair_merge_weight(cf, rej, rej_small)
+                    rhs = _pair_merge_weight(cf, (up, down), (up_small, down_big))
+                    if lhs > rhs:
+                        return AxiomReport(
+                            "w_contraction",
+                            cf.agent,
+                            False,
+                            witness={
+                                "up": sorted_ids(up),
+                                "up_smaller": sorted_ids(up_small),
+                                "down": sorted_ids(down),
+                                "down_bigger": sorted_ids(down_big),
+                                "weights": [lhs, rhs],
+                            },
+                        )
+    return AxiomReport("w_contraction", cf.agent, True)
+
+
+LITERAL = {
+    "irc": literal_irc,
+    "full_substitutability": literal_full_substitutability,
+    "lad_las": literal_lad_las,
+    "separability": literal_separability,
+    "w_contraction": literal_w_contraction,
+}
+
+
+def _hub(rng, n_up, n_down, quota_buyer):
+    """A separable-intensity hub buying `n_up` contracts from a quota seller
+    and selling `n_down` to a quota or preference-list buyer."""
+    ups = [f"u{i}" for i in range(n_up)]
+    downs = [f"d{i}" for i in range(n_down)]
+    if quota_buyer:
+        buyer = {"agent": "b", "type": "quota", "order": rng.sample(downs, n_down),
+                 "quota": rng.randint(1, n_down)}
+    else:
+        sets = [list(c) for r in (1, 2) for c in itertools.combinations(downs, r)]
+        buyer = {"agent": "b", "type": "preference_list",
+                 "ranking": rng.sample(sets, min(4, len(sets)))}
+    return instance_from_json({
+        "agents": ["s", "h", "b"],
+        "contracts": [{"id": c, "seller": "s", "buyer": "h"} for c in ups]
+        + [{"id": c, "seller": "h", "buyer": "b"} for c in downs],
+        "choice_functions": [
+            {"agent": "h", "type": "separable_intensity", "upstream_order": rng.sample(ups, n_up),
+             "downstream_order": rng.sample(downs, n_down)},
+            {"agent": "s", "type": "quota", "order": rng.sample(ups, n_up),
+             "quota": rng.randint(1, n_up)},
+            buyer,
+        ],
+    })
+
+
+def _random_table(rng, n):
+    """A choice function picking an arbitrary subset of each menu."""
+    ids = [f"c{i}" for i in range(n)]
+    up = set(rng.sample(ids, rng.randint(0, n)))
+    table = [(m, [c for c in sorted(m) if rng.random() < 0.5]) for m in subsets(ids)]
+    return TableChoice("f", up, set(ids) - up, table)
+
+
+def _comparison_corpus(unrestricted_instance):
+    """(choice function, intensity map or None) pairs."""
+    for name in BUNDLED:
+        inst = bundled_instance(name)
+        yield from ((inst.choice[a], None) for a in sorted(inst.network.agents))
+    rng = random.Random(5)
+    for size in range(2, 10):
+        for n_up in range(1, size):
+            inst = _hub(rng, n_up, size - n_up, quota_buyer=n_up % 2 == 0)
+            yield from ((inst.choice[a], None) for a in "hsb")
+    for profile in PROFILES:
+        for seed in range(20):
+            gen = generate_instance(seed, profile)
+            for a in sorted(gen.instance.network.agents):
+                yield gen.instance.choice[a], (gen.intensities or {}).get(a)
+    for seed in range(200):
+        inst = unrestricted_instance(seed)
+        yield from ((inst.choice[a], None) for a in sorted(inst.network.agents))
+    for n in range(1, 6):
+        for _ in range(12):
+            yield _random_table(rng, n), None
+    # hand-built violators: IRC, substitutability, LAD/LAS and separability
+    yield TableChoice("f", {"a", "b"}, set(), [(("a",), ("a",))]), None
+    irc_table = [(("a", "b", "c"), ("a", "b")), (("a", "b"), ("a",))]
+    yield TableChoice("f", {"a"}, {"b", "c"}, irc_table), None
+    yield PreferenceListChoice("f", {"a", "b"}, set(), [("a", "b")]), None
+    yield PreferenceListChoice("f", {"a"}, {"b", "c"}, [("a", "b", "c")]), None
+    yield SeparableIntensityChoice("f", ["u0", "u1", "u2"], ["d0", "d1", "d2"]), None
+    yield QuotaChoice("b", {"u1"}, set(), ["u1"], quota=1), None
+
+
+def test_validators_match_literal_definitions(unrestricted_instance):
+    rng = random.Random(11)
+    failing = set()
+    for cf, intensity in _comparison_corpus(unrestricted_instance):
+        where = (cf.family, sorted(cf.upstream), sorted(cf.downstream))
+        for name, check in _CHECKS.items():
+            report = check(cf).to_json()
+            assert report == LITERAL[name](cf).to_json(), (name, where)
+            if not report["holds"]:
+                failing.add(name)
+        if intensity is None:
+            # ties included: a tie out-ranks nothing
+            intensity = {c: rng.choice((1.0, 2.0, 3.0)) for c in sorted(cf.domain)}
+        report = check_simplicity(cf, intensity).to_json()
+        assert report == literal_simplicity(cf, intensity).to_json(), ("simplicity", where)
+        if not report["holds"]:
+            failing.add("simplicity")
+    assert failing == set(_CHECKS) | {"simplicity"}

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import jsonschema
 import pytest
 
+import tradenet
 from tradenet.cli import main
-from tradenet.instances import bundled_json
+from tradenet.instances import BUNDLED, bundled_json
 
 
 def run_cli(capsys, *argv):
@@ -372,6 +376,7 @@ def _malformed_files(tmp_path):
         ["dynamics", "{example2}", "--entry", "{entry_ok}", "--readjust-from", '["y","z","nope"]'],
         ["examples", "--out", "{example2}/sub"],
         ["equilibrium", "{priced_ok}", "--trace", "{example2}/t.json"],
+        ["dynamics", "{example2}", "--entry", "{entry_ok}", "--readjust-from", "y"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
@@ -381,6 +386,50 @@ def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("input error: ") and err.count("\n") == 1
+    if argv[-2:] == ["--readjust-from", "y"]:
+        # the message names the flag the command was given
+        assert err.startswith("input error: --readjust-from must be a JSON list")
+
+
+def _field_mutations(raw):
+    """(label, copy of `raw`) with one field dropped, or its value retyped to
+    null, a number or a list, at the top level, in each contract and in each
+    choice function."""
+    places = [()] + [(k, i) for k in ("contracts", "choice_functions") for i in range(len(raw[k]))]
+    for place in places:
+        for key in sorted(_at(raw, place)):
+            for change in ("drop", None, 7, [7]):
+                mutant = json.loads(json.dumps(raw))
+                if change == "drop":
+                    del _at(mutant, place)[key]
+                else:
+                    _at(mutant, place)[key] = change
+                yield f"{place}/{key}: {change}", mutant
+
+
+def _at(raw, place):
+    for step in place:
+        raw = raw[step]
+    return raw
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_mutated_bundled_files_end_in_a_documented_exit(capsys, tmp_path, name):
+    path = tmp_path / f"{name}.json"
+    for label, mutant in _field_mutations(bundled_json(name)):
+        path.write_text(json.dumps(mutant))
+        for command in ("validate", "check-axioms"):
+            try:
+                code, out, err = run_cli(capsys, command, str(path))
+            except Exception as exc:  # a crash is the failure this test looks for
+                pytest.fail(f"{command} on {label}: {exc!r}")
+            assert code in (0, 1, 2), (command, label)
+            assert "Traceback" not in err, (command, label)
+            if code == 2 and command == "validate" and err == "":
+                # `validate` may answer with its structured issue list instead
+                assert json.loads(out)["valid"] is False, (command, label)
+            elif code == 2:
+                assert err.startswith("input error: ") and err.count("\n") == 1, (command, label)
 
 
 def test_enumerate_runs_one_enumeration(capsys, example_dir, monkeypatch):
@@ -398,3 +447,35 @@ def test_enumerate_runs_one_enumeration(capsys, example_dir, monkeypatch):
     assert code == 0
     assert json.loads(out)["outcomes"]
     assert len(calls) == 1
+
+
+def test_closed_pipe_ends_quietly(tmp_path):
+    """A reader that stops after the first line, as `tradenet ... | head -1`
+    does, gets no traceback on stderr and the command's own exit code."""
+    ids = [f"c{i:02d}" for i in range(12)]
+    wide = {
+        "agents": ["s", "b"],
+        "contracts": [{"id": c, "seller": "s", "buyer": "b"} for c in ids],
+        "choice_functions": [
+            {"agent": a, "type": "quota", "order": ids, "quota": len(ids)} for a in ("s", "b")
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(wide))
+    src = os.path.dirname(os.path.dirname(tradenet.__file__))
+    path_entries = filter(None, (src, os.environ.get("PYTHONPATH")))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path_entries))
+    # all 4096 outcomes are acceptable: far more output than a pipe buffers
+    argv = ["oracle", "brute", str(path), "--notion", "acceptable"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "tradenet.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0
+    assert b"Traceback" not in err
+    assert err == b""

@@ -1,7 +1,8 @@
 """Golden digests of the CLI's output.
 
 The sha256 of what `tradenet` prints (exit code, stdout and any trace file)
-on the bundled instances and on a few seeded priced economies.  A refactor
+on the bundled instances, on a few seeded priced economies and, for
+`check-axioms`, on seeded generated instances of every profile.  A refactor
 must leave these bytes alone; a deliberate output change updates a digest
 here and says why in CHANGES.md.
 """
@@ -14,10 +15,11 @@ import json
 from tradenet.cli import main
 from tradenet.instances import BUNDLED, bundled_instance, write_examples
 from tradenet.network import sorted_ids, subsets
-from tradenet.oracle import generate_priced_instance
+from tradenet.oracle import PROFILES, generate_instance, generate_priced_instance
 
 BUNDLED_DIGEST = "9bd61734e192e5de53ce5332d0b4c2f1d098c5d462d83f32012c672d79327db8"
 EQUILIBRIUM_DIGEST = "31e8a019384b46b3fe6027e307372f41496530809c15acecef511ed1a717b53b"
+CHECK_AXIOMS_DIGEST = "f9cf83342d347976c6bbf9316323d02636640235525c4de0b4f1e690469e4adb"
 
 
 def _run(capsys, digest, argv, extra_file=None):
@@ -49,3 +51,16 @@ def test_equilibrium_cli_output_is_unchanged(capsys, tmp_path):
             argv = ["equilibrium", str(path), "--perspective", perspective, "--trace", str(trace)]
             _run(capsys, digest, argv, trace)
     assert digest.hexdigest() == EQUILIBRIUM_DIGEST
+
+
+def test_check_axioms_cli_output_is_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    paths = write_examples(tmp_path)
+    for profile in PROFILES:
+        for seed in range(10):
+            path = tmp_path / f"{profile}{seed}.json"
+            path.write_text(json.dumps(generate_instance(seed, profile).instance.to_json()))
+            paths.append(str(path))
+    for path in paths:
+        _run(capsys, digest, ["check-axioms", path])
+    assert digest.hexdigest() == CHECK_AXIOMS_DIGEST
