@@ -6,9 +6,9 @@ fixed enumeration order, so reports are reproducible and self-validating: a
 returned witness replayed through the definition reproduces the violation.
 
 The quantifiers run on one table per agent: contract i of the sorted domain
-is bit i, and `cf.choose` is asked once per menu, its answer kept as an int
-mask.  Menus are visited in `network.subsets` order (by size, then by id), so
-the first witness is the one the literal definition meets first.
+is bit i, and `cf.choose_mask` is asked once per menu.  Menus are visited in
+`network.subsets` order (by size, then by id), so the first witness is the
+one the literal definition meets first.
 
 All quantifiers are exponential in the agent's contract count, so every
 check carries an explicit size guard instead of silently truncating.
@@ -69,15 +69,11 @@ class _Table:
     of `m`; `up`, `down` and `full` are the side and domain masks."""
 
     def __init__(self, cf: ChoiceFunction):
-        self.ids = sorted_ids(cf.domain)
-        bit = {c: 1 << i for i, c in enumerate(self.ids)}
-        self.up = sum(bit[c] for c in cf.upstream)
-        self.down = sum(bit[c] for c in cf.downstream)
+        self.ids = cf.ids
+        self.up = cf.up_mask
+        self.down = cf.down_mask
         self.full = self.up | self.down
-        menus = [frozenset()]
-        for c in self.ids:
-            menus += [menu | {c} for menu in menus]
-        self.chosen = [sum(map(bit.__getitem__, cf.choose(menu))) for menu in menus]
+        self.chosen = [cf.choose_mask(m) for m in range(self.full + 1)]
         self.rejected = [m & ~c for m, c in enumerate(self.chosen)]
 
     def names(self, mask: int) -> list[str]:

@@ -2,7 +2,10 @@
 
 Every family maps an offered set of the agent's own contracts to a chosen
 subset.  Contracts that do not involve the agent are silently dropped before
-evaluation; evaluation is pure and memoized (the cache never changes an
+evaluation.  Inside, a menu is an int mask: each choice function numbers its
+domain in sorted-id order, contract i is bit i, and every family's selector
+takes and returns masks (`choose_mask`); `choose` is the frozenset boundary.
+Evaluation is pure and memoized per menu (the cache never changes an
 observable result, it only speeds up the exhaustive searches that hammer the
 same menus).
 
@@ -13,11 +16,12 @@ ones the agent buys, *downstream* the ones it sells.
 from __future__ import annotations
 
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork
+from .network import ContractNetwork, sorted_ids
 
 
 class ChoiceFunction:
-    """Base evaluator.  Subclasses implement _select on restricted menus."""
+    """Base evaluator.  Subclasses implement _select on int masks: contract i
+    of the sorted domain is bit i, and a menu is the mask of its contracts."""
 
     family = "abstract"
 
@@ -31,23 +35,49 @@ class ChoiceFunction:
                 f"{agent}: contracts {sorted(overlap)} listed on both sides"
             )
         self.domain = self.upstream | self.downstream
-        self._cache: dict[frozenset[str], frozenset[str]] = {}
+        self.ids = sorted_ids(self.domain)
+        self.bit = {c: 1 << i for i, c in enumerate(self.ids)}
+        self.up_mask = self.mask(self.upstream)
+        self.down_mask = self.mask(self.downstream)
+        self._cache: dict[int, int] = {}
+        # the same menus as `_cache`, answered at the frozenset boundary
+        self._answers: dict[frozenset[str], frozenset[str]] = {}
+
+    def mask(self, contracts) -> int:
+        """The mask of the agent's own contracts among `contracts`."""
+        return sum(map(self.bit.__getitem__, self.domain.intersection(contracts)))
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The contracts of a mask, peeled off lowest bit first."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.ids[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
 
     # -- evaluation ---------------------------------------------------------
 
     def choose(self, offered) -> frozenset[str]:
         menu = frozenset(offered) & self.domain
+        hit = self._answers.get(menu)
+        if hit is None:
+            hit = self._answers[menu] = self.names(self.choose_mask(self.mask(menu)))
+        return hit
+
+    def choose_mask(self, menu: int) -> int:
+        """The chosen mask from a menu mask over the agent's domain."""
         hit = self._cache.get(menu)
         if hit is None:
-            hit = frozenset(self._select(menu))
-            if not hit <= menu:
+            hit = self._select(menu)
+            if hit & ~menu:
                 raise ChoiceFunctionError(
                     f"{self.agent}: evaluator chose contracts outside the menu"
                 )
             self._cache[menu] = hit
         return hit
 
-    def _select(self, menu: frozenset[str]) -> frozenset[str]:
+    def _select(self, menu: int) -> int:
         raise NotImplementedError
 
     @property
@@ -147,12 +177,13 @@ class PreferenceListChoice(ChoiceFunction):
             seen.add(fs)
             clean.append(fs)
         self.ranking = tuple(clean)
+        self._ranked = tuple(map(self.mask, self.ranking))
 
     def _select(self, menu):
-        for entry in self.ranking:
-            if entry <= menu:
+        for entry in self._ranked:
+            if not entry & ~menu:
                 return entry
-        return frozenset()
+        return 0
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -186,12 +217,14 @@ class SeparableIntensityChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: downstream order repeats a contract")
         self.upstream_order = tuple(upstream_order)
         self.downstream_order = tuple(downstream_order)
+        self._up_bits = tuple(map(self.bit.__getitem__, self.upstream_order))
+        self._down_bits = tuple(map(self.bit.__getitem__, self.downstream_order))
 
     def _select(self, menu):
-        ups = [c for c in self.upstream_order if c in menu]
-        downs = [c for c in self.downstream_order if c in menu]
+        ups = [b for b in self._up_bits if menu & b]
+        downs = [b for b in self._down_bits if menu & b]
         take = min(len(ups), len(downs))
-        return frozenset(ups[:take]) | frozenset(downs[:take])
+        return sum(ups[:take]) | sum(downs[:take])
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -230,17 +263,20 @@ class SimpleIntensityChoice(ChoiceFunction):
         if len(set(own.values())) != len(own):
             raise ChoiceFunctionError(f"{agent}: intensities must be pairwise distinct")
         self.intensity = own
+        # (bit, intensity): upstream most intense first, downstream least first
+        self._up_rank = self._ranked_bits(self.upstream, reverse=True)
+        self._down_rank = self._ranked_bits(self.downstream, reverse=False)
+
+    def _ranked_bits(self, side, reverse):
+        ranked = sorted(side, key=lambda c: (self.intensity[c], c), reverse=reverse)
+        return tuple((self.bit[c], self.intensity[c]) for c in ranked)
 
     def _select(self, menu):
-        ups = menu & self.upstream
-        downs = menu & self.downstream
-        if not ups or not downs:
-            return frozenset()
-        best_up = max(ups, key=lambda c: (self.intensity[c], c))
-        best_down = min(downs, key=lambda c: (self.intensity[c], c))
-        if self.intensity[best_up] > self.intensity[best_down]:
-            return frozenset({best_up, best_down})
-        return frozenset()
+        up = next((pick for pick in self._up_rank if menu & pick[0]), None)
+        down = next((pick for pick in self._down_rank if menu & pick[0]), None)
+        if up and down and up[1] > down[1]:
+            return up[0] | down[0]
+        return 0
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -280,10 +316,10 @@ class QuotaChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: quota must be at least 1")
         self.order = tuple(order)
         self.quota = int(quota)
+        self._order_bits = tuple(map(self.bit.__getitem__, self.order))
 
     def _select(self, menu):
-        picked = [c for c in self.order if c in menu][: self.quota]
-        return frozenset(picked)
+        return sum([b for b in self._order_bits if menu & b][: self.quota])
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -299,8 +335,9 @@ class QuotaChoice(ChoiceFunction):
         return {"order": list(self.order), "quota": self.quota}
 
 
-def _indexed(ids_by_index: dict[int, str], menu) -> list[int]:
-    return sorted(i for i, cid in ids_by_index.items() if cid in menu)
+def _weighted_bits(cf, weighted_ids, weights) -> tuple[tuple[int, int], ...]:
+    """(bit, weight) of a gadget's weighted contracts, in index order."""
+    return tuple((cf.bit[weighted_ids[i]], w) for i, w in enumerate(weights, 1))
 
 
 def _gadget_weights(weights) -> tuple[int, ...]:
@@ -331,13 +368,16 @@ class PartitionChoiceF(ChoiceFunction):
         self.weighted_ids = dict(weighted_ids)
         self.down_id = down_id
         self.double_threshold = sum(weights)  # compare 2*sum(offered) against this
+        self._weighted = _weighted_bits(self, weighted_ids, weights)
 
     def _select(self, menu):
-        idx = _indexed(self.weighted_ids, menu)
-        ups = frozenset(self.weighted_ids[i] for i in idx)
-        offered_weight = sum(self.weights[i - 1] for i in idx)
-        if self.down_id in menu and 2 * offered_weight >= self.double_threshold:
-            return ups | {self.down_id}
+        ups = menu & self.up_mask
+        offered_weight = 0
+        for b, w in self._weighted:
+            if ups & b:
+                offered_weight += w
+        if menu & self.down_mask and 2 * offered_weight >= self.double_threshold:
+            return ups | self.down_mask
         return ups
 
     def params_json(self):
@@ -361,18 +401,20 @@ class PartitionChoiceG(ChoiceFunction):
         self.weighted_ids = dict(weighted_ids)
         self.up_id = up_id
         self.double_threshold = sum(weights)
+        self._weighted = _weighted_bits(self, weighted_ids, weights)
 
     def _select(self, menu):
-        if self.up_id not in menu:
-            return frozenset()
-        kept = []
+        if not menu & self.up_mask:
+            return 0
+        kept = self.up_mask
         running = 0
-        for i in _indexed(self.weighted_ids, menu):
-            running += self.weights[i - 1]
-            if 2 * running > self.double_threshold:
-                break
-            kept.append(self.weighted_ids[i])
-        return frozenset(kept) | {self.up_id}
+        for b, w in self._weighted:
+            if menu & b:
+                running += w
+                if 2 * running > self.double_threshold:
+                    break
+                kept |= b
+        return kept
 
     def params_json(self):
         return {"weights": list(self.weights)}
@@ -405,13 +447,13 @@ class NeedleChoiceF(ChoiceFunction):
             if len(hidden) != n or not hidden <= set(weighted_ids):
                 raise ChoiceFunctionError("hidden index set must contain exactly n valid indices")
             self.hidden = hidden
+        self._hidden = None if hidden is None else self.mask(weighted_ids[i] for i in hidden)
 
     def _select(self, menu):
-        idx = frozenset(_indexed(self.weighted_ids, menu))
-        ups = frozenset(self.weighted_ids[i] for i in idx)
-        take_down = len(idx) >= self.n + 1 or (self.hidden is not None and idx == self.hidden)
-        if self.down_id in menu and take_down:
-            return ups | {self.down_id}
+        ups = menu & self.up_mask
+        take_down = ups.bit_count() >= self.n + 1 or ups == self._hidden
+        if menu & self.down_mask and take_down:
+            return ups | self.down_mask
         return ups
 
     def params_json(self):

@@ -119,29 +119,32 @@ class ReservationChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: missing buyer values")
         if sell_trades - set(self.costs):
             raise ChoiceFunctionError(f"{agent}: missing seller costs")
+        # (bit, trade, price) of each own contract
+        self._priced = tuple((self.bit[c], *PricedInstance.split(c)) for c in self.ids)
 
     def _side_pick(self, offers, book, cap, buying: bool):
-        best: dict[str, tuple[int, str]] = {}  # trade -> best offered (price, id)
-        for cid in offers:
-            trade, price = PricedInstance.split(cid)
+        best: dict[str, tuple[int, int]] = {}  # trade -> best offered (price, bit)
+        for b, trade, price in self._priced:
+            if not offers & b:
+                continue
             held = best.get(trade)
             if held is None or (price < held[0] if buying else price > held[0]):
-                best[trade] = (price, cid)
+                best[trade] = (price, b)
         scored = []
-        for trade, (price, cid) in best.items():
+        for trade, (price, b) in best.items():
             margin = book[trade] - price if buying else price - book[trade]
             if margin >= 0:
-                scored.append((-margin, trade, cid))
+                scored.append((-margin, trade, b))
         scored.sort()
         if cap is not None:
             scored = scored[:cap]
-        return frozenset(cid for _, _, cid in scored)
+        return sum(b for _, _, b in scored)
 
     def _select(self, menu):
         return self._side_pick(
-            menu & self.upstream, self.values, self.capacity_buy, True
+            menu & self.up_mask, self.values, self.capacity_buy, True
         ) | self._side_pick(
-            menu & self.downstream, self.costs, self.capacity_sell, False
+            menu & self.down_mask, self.costs, self.capacity_sell, False
         )
 
     def params_json(self):

@@ -33,30 +33,29 @@ PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
 # ---------------------------------------------------------------------------
 
 
-def _outcome_by_index(ids: list[str], index: int) -> frozenset[str]:
-    return frozenset(c for pos, c in enumerate(ids) if index >> pos & 1)
-
-
-def _scan_range(raw: dict, notion: str, start: int, stop: int) -> list[int]:
+def _scan_range(raw: dict, notion: str, start: int, stop: int) -> list[frozenset[str]]:
+    """The stable outcomes among candidates start..stop-1, where candidate i
+    holds the contracts (in id order) at the set bits of i."""
     inst = instance_from_json(raw)
-    ids = sorted(inst.contract_ids)
-    hits = []
-    for index in range(start, stop):
-        outcome = _outcome_by_index(ids, index)
-        if stability.check_notion(inst, outcome, notion).stable:
-            hits.append(index)
-    return hits
+    outcomes = [frozenset()]
+    for cid in sorted(inst.contract_ids):
+        outcomes += [outcome | {cid} for outcome in outcomes]
+    return [
+        outcome
+        for outcome in outcomes[start:stop]
+        if stability.check_notion(inst, outcome, notion).stable
+    ]
 
 
 def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[frozenset[str]]:
     """Every stable outcome of one notion, by scanning all 2^|X| candidates
     through the literal definition checkers."""
-    ids = sorted(inst.contract_ids)
-    if len(ids) > BRUTE_GUARD:
+    n = len(inst.contract_ids)
+    if n > BRUTE_GUARD:
         raise GuardExceededError(
-            f"brute-force guard is {BRUTE_GUARD} contracts, instance has {len(ids)}"
+            f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
         )
-    total = 1 << len(ids)
+    total = 1 << n
     if jobs <= 1 or total < 64:
         hits = _scan_range(inst.to_json(), notion, 0, total)
     else:
@@ -66,8 +65,8 @@ def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[froze
         workers = min(jobs, os.cpu_count() or 1, len(spans))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = pool.map(_scan_range, *zip(*[(raw, notion, a, b) for a, b in spans]))
-        hits = sorted(i for part in parts for i in part)
-    return sorted((_outcome_by_index(ids, i) for i in hits), key=sorted_ids)
+        hits = [outcome for part in parts for outcome in part]
+    return sorted(hits, key=sorted_ids)
 
 
 # ---------------------------------------------------------------------------

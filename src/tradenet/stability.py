@@ -10,11 +10,12 @@ replayed through the definitions to validate the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .choices import is_rational
 from .errors import GuardExceededError, StabilityContradictionError
 from .instances import Instance
-from .network import sorted_ids, subsets
+from .network import sorted_ids
 
 TRAIL_GUARD = 10**6
 SET_GUARD = 20
@@ -220,7 +221,14 @@ def find_blocking_chain(inst: Instance, outcome) -> StabilityVerdict:
 
 def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     """Set stability: no nonempty fresh contract set that every involved
-    agent keeps in full alongside the outcome."""
+    agent keeps in full alongside the outcome.
+
+    Blocks are index combinations of the fresh contracts in id order, which
+    is `network.subsets` order.  Each agent carries its outcome mask and one
+    local bit per fresh index (0 when the contract is not its own), so a
+    block's share of the agent is one OR per index; agents holding none of
+    the block are not involved.  Involved agents are asked in id order, and
+    the first that turns its share down ends the block."""
     outcome, avail, short = _fresh(inst, outcome, "set")
     if short:
         return short
@@ -228,9 +236,21 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
         raise GuardExceededError(
             f"set search guard is {SET_GUARD} candidate contracts, have {len(avail)}"
         )
-    for block in subsets(avail):
-        if block and _kept_in_full(inst, block, outcome):
-            return StabilityVerdict("set", False, Witness("set", tuple(sorted_ids(block))))
+    agents = []
+    for agent in sorted(inst.network.agents):
+        cf = inst.choice[agent]
+        local = [cf.bit.get(c, 0) for c in avail]
+        if any(local):
+            agents.append((cf.choose_mask, cf.mask(outcome), local.__getitem__))
+    for size in range(1, len(avail) + 1):
+        for block in combinations(range(len(avail)), size):
+            for choose_mask, base, local in agents:
+                own = sum(map(local, block))
+                if own and own & ~choose_mask(own | base):
+                    break
+            else:
+                witness = Witness("set", tuple(avail[i] for i in block))
+                return StabilityVerdict("set", False, witness)
     return StabilityVerdict("set", True)
 
 

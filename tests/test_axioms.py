@@ -36,21 +36,21 @@ class ConstantEmptyChoice(ChoiceFunction):
     family = "constant_empty"
 
     def _select(self, menu):
-        return frozenset()
+        return 0
 
 
 class TableChoice(ChoiceFunction):
-    """Explicit menu table for building violators; unlisted menus map to
-    their intersection with the listed default."""
+    """Explicit menu table for building violators; unlisted menus choose
+    nothing."""
 
     family = "table"
 
     def __init__(self, agent, upstream, downstream, table):
         super().__init__(agent, upstream, downstream)
-        self.table = {frozenset(k): frozenset(v) for k, v in table}
+        self.table = {self.mask(k): self.mask(v) for k, v in table}
 
     def _select(self, menu):
-        return self.table.get(menu, frozenset())
+        return self.table.get(menu, 0)
 
 
 def test_irc_holds_on_strict_preference_lists(example1):

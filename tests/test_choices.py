@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
 from tradenet.choices import (
+    ChoiceFunction,
     PartitionChoiceF,
     PartitionChoiceG,
+    PreferenceListChoice,
     QuotaChoice,
     SeparableIntensityChoice,
     SimpleIntensityChoice,
@@ -15,7 +18,17 @@ from tradenet.choices import (
     is_rational,
     is_rational_pair,
 )
+from tradenet.equilibrium import PricedInstance, ReservationChoice
 from tradenet.errors import ChoiceFunctionError
+from tradenet.instances import BUNDLED, bundled_instance
+from tradenet.network import subsets
+from tradenet.oracle import (
+    PROFILES,
+    generate_instance,
+    generate_priced_instance,
+    needle_family,
+    partition_to_gs,
+)
 
 
 def test_preference_list_best_contained_set(example1):
@@ -254,3 +267,192 @@ def test_preference_list_restrict(example1):
     assert small.choose({"x", "y", "w"}) == {"x", "y", "w"}
     for menu in ({"w"}, {"x", "y"}, {"y", "w"}):
         assert small.choose(menu) == j.choose(menu)
+
+
+# ---------------------------------------------------------------------------
+# literal frozenset selectors: the references for the mask selectors
+# ---------------------------------------------------------------------------
+
+
+def literal_preference_list(cf, menu):
+    for entry in cf.ranking:
+        if entry <= menu:
+            return entry
+    return frozenset()
+
+
+def literal_separable_intensity(cf, menu):
+    ups = [c for c in cf.upstream_order if c in menu]
+    downs = [c for c in cf.downstream_order if c in menu]
+    take = min(len(ups), len(downs))
+    return frozenset(ups[:take]) | frozenset(downs[:take])
+
+
+def literal_simple_intensity(cf, menu):
+    ups = menu & cf.upstream
+    downs = menu & cf.downstream
+    if not ups or not downs:
+        return frozenset()
+    best_up = max(ups, key=lambda c: (cf.intensity[c], c))
+    best_down = min(downs, key=lambda c: (cf.intensity[c], c))
+    if cf.intensity[best_up] > cf.intensity[best_down]:
+        return frozenset({best_up, best_down})
+    return frozenset()
+
+
+def literal_quota(cf, menu):
+    return frozenset([c for c in cf.order if c in menu][: cf.quota])
+
+
+def _indexed(cf, menu):
+    return sorted(i for i, cid in cf.weighted_ids.items() if cid in menu)
+
+
+def literal_partition_f(cf, menu):
+    idx = _indexed(cf, menu)
+    ups = frozenset(cf.weighted_ids[i] for i in idx)
+    offered_weight = sum(cf.weights[i - 1] for i in idx)
+    if cf.down_id in menu and 2 * offered_weight >= cf.double_threshold:
+        return ups | {cf.down_id}
+    return ups
+
+
+def literal_partition_g(cf, menu):
+    if cf.up_id not in menu:
+        return frozenset()
+    kept = []
+    running = 0
+    for i in _indexed(cf, menu):
+        running += cf.weights[i - 1]
+        if 2 * running > cf.double_threshold:
+            break
+        kept.append(cf.weighted_ids[i])
+    return frozenset(kept) | {cf.up_id}
+
+
+def literal_needle_f(cf, menu):
+    idx = frozenset(_indexed(cf, menu))
+    ups = frozenset(cf.weighted_ids[i] for i in idx)
+    take_down = len(idx) >= cf.n + 1 or (cf.hidden is not None and idx == cf.hidden)
+    if cf.down_id in menu and take_down:
+        return ups | {cf.down_id}
+    return ups
+
+
+def _literal_side_pick(offers, book, cap, buying):
+    best = {}  # trade -> best offered (price, id)
+    for cid in offers:
+        trade, price = PricedInstance.split(cid)
+        held = best.get(trade)
+        if held is None or (price < held[0] if buying else price > held[0]):
+            best[trade] = (price, cid)
+    scored = []
+    for trade, (price, cid) in best.items():
+        margin = book[trade] - price if buying else price - book[trade]
+        if margin >= 0:
+            scored.append((-margin, trade, cid))
+    scored.sort()
+    if cap is not None:
+        scored = scored[:cap]
+    return frozenset(cid for _, _, cid in scored)
+
+
+def literal_reservation(cf, menu):
+    return _literal_side_pick(
+        menu & cf.upstream, cf.values, cf.capacity_buy, True
+    ) | _literal_side_pick(menu & cf.downstream, cf.costs, cf.capacity_sell, False)
+
+
+LITERAL = {
+    "preference_list": literal_preference_list,
+    "separable_intensity": literal_separable_intensity,
+    "simple_intensity": literal_simple_intensity,
+    "quota": literal_quota,
+    "partition_f": literal_partition_f,
+    "partition_g": literal_partition_g,
+    "needle_f": literal_needle_f,
+    "reservation": literal_reservation,
+}
+
+
+def _selector_corpus(unrestricted_instance):
+    rng = random.Random(17)
+    instances = [bundled_instance(name) for name in BUNDLED]
+    instances += [generate_instance(seed, p).instance for p in PROFILES for seed in range(12)]
+    instances += [unrestricted_instance(seed) for seed in range(40)]
+    weights = [(1,), (3, 3), (1, 1, 4), (1, 1, 1, 2, 2, 3), (5, 5, 5, 5),
+               (1, 2, 3, 4, 5, 6, 7), (2, 2, 3, 5, 7, 9, 10, 10)]
+    instances += [partition_to_gs(w).instance for w in weights]
+    for n in range(1, 5):
+        instances.append(needle_family(n))
+        for hidden in itertools.combinations(range(1, 2 * n + 1), n):
+            if n <= 2 or rng.random() < 0.1:
+                instances.append(needle_family(n, hidden))
+    for inst in instances:
+        yield from (inst.choice[a] for a in sorted(inst.network.agents))
+    ids = [f"c{i}" for i in range(6)]
+    for _ in range(40):
+        up = set(rng.sample(ids, rng.randint(1, 5)))
+        ranking = [m for m in subsets(ids) if rng.random() < 0.15]
+        rng.shuffle(ranking)
+        yield PreferenceListChoice("f", up, set(ids) - up, ranking)
+        intensity = dict(zip(ids, rng.sample(range(len(ids) + 2), len(ids))))
+        yield SimpleIntensityChoice("f", up, set(ids) - up, intensity)
+        order = rng.sample(ids, rng.randint(0, len(ids)))
+        yield QuotaChoice("f", set(ids), set(), order, rng.randint(1, 4))
+    for seed in range(20):
+        priced = generate_priced_instance(seed)
+        for cf in priced.instance.choice.values():
+            yield cf
+            caps = (rng.randint(1, 2), rng.randint(1, 2))
+            yield ReservationChoice(cf.agent, cf.upstream, cf.downstream,
+                                    cf.values, cf.costs, *caps)
+
+
+def test_mask_selectors_match_literal_selectors(unrestricted_instance):
+    families = set()
+    for cf in _selector_corpus(unrestricted_instance):
+        literal = LITERAL[cf.family]
+        families.add(cf.family)
+        for menu in subsets(cf.domain):
+            expected = literal(cf, menu)
+            assert cf.names(cf._select(cf.mask(menu))) == expected, (cf.to_json(), menu)
+            assert cf.choose(menu) == expected, (cf.to_json(), menu)
+    assert families == set(LITERAL)
+
+
+class Overreach(ChoiceFunction):
+    """Keeps every offered contract, and `extra` besides."""
+
+    family = "overreach"
+
+    def __init__(self, agent, upstream, downstream, extra):
+        super().__init__(agent, upstream, downstream)
+        self.extra = extra
+
+    def _select(self, menu):
+        return menu | self.extra
+
+
+def test_choose_rejects_contracts_outside_the_menu():
+    cf = Overreach("f", {"a"}, {"b"}, extra=0b10)  # b, whether offered or not
+    assert cf.choose({"a", "b"}) == {"a", "b"}
+    with pytest.raises(ChoiceFunctionError, match="outside the menu"):
+        cf.choose({"a"})
+    with pytest.raises(ChoiceFunctionError, match="outside the menu"):
+        cf.choose_mask(0)
+    assert cf.query_count == 1  # a refused answer is not cached
+    beyond = Overreach("f", {"a"}, {"b"}, extra=0b100)  # not even in the domain
+    with pytest.raises(ChoiceFunctionError, match="outside the menu"):
+        beyond.choose({"a", "b"})
+    assert beyond.query_count == 0
+
+
+def test_masks_number_the_domain_in_id_order():
+    cf = QuotaChoice("f", {"u2", "u10", "a"}, set(), ["u10", "a"], quota=2)
+    assert cf.ids == ["a", "u10", "u2"]
+    assert cf.mask({"u2", "a", "foreign"}) == 0b101
+    assert cf.names(0b110) == {"u10", "u2"}
+    assert cf.choose_mask(0b111) == 0b011
+    assert cf.choose({"a", "u2"}) == {"a"}
+    assert cf.query_count == 2

@@ -184,12 +184,12 @@ def test_enumeration_diagnoses_a_fickle_choice_function():
         }
     )
     cf, seen = inst.choice["b"], set()
-    steady = cf.choose
+    steady = cf.choose_mask
 
     def fickle(offered):
-        menu = frozenset(offered) & cf.domain
+        menu = cf.mask(offered)
         if menu in seen:
-            return steady(menu)
+            return cf.names(steady(menu))
         seen.add(menu)
         return frozenset()
 

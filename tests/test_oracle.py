@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 import pytest
 
@@ -113,6 +114,47 @@ def test_needle_query_counter_grows_with_n():
         assert counts[-1] >= comb(2 * n, n)
     assert counts == sorted(counts)
     assert counts[0] < counts[-1]
+
+
+# distinct menus each firm is asked, as the set search made them before it
+# moved to masks; the search must ask exactly the same menus
+NEEDLE_QUERIES = {
+    (1, None): (8, 5), (1, "1"): (6, 5), (1, "2"): (7, 5),
+    (2, None): (32, 21), (2, "1,2"): (19, 14), (2, "3,4"): (26, 16),
+    (3, None): (128, 86), (3, "1,2,3"): (68, 46), (3, "4,5,6"): (99, 58),
+    (4, None): (512, 349), (4, "1,2,3,4"): (261, 168), (4, "5,6,7,8"): (382, 220),
+}
+
+
+@pytest.mark.parametrize("n, hidden", sorted(NEEDLE_QUERIES, key=str))
+def test_needle_query_counts_are_pinned(capsys, n, hidden):
+    from tradenet.cli import main
+
+    argv = ["oracle", "needle", "--n", str(n)] + (["--hidden", hidden] if hidden else [])
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    f, g = NEEDLE_QUERIES[n, hidden]
+    assert out["oracle_queries"] == {"f": f, "g": g}
+    assert out["empty_outcome_set_stable"] == (hidden is None)
+    if hidden:
+        planted = [f"x{int(i)}" for i in hidden.split(",")]
+        assert out["witness"]["contracts"] == planted + ["y"]
+
+
+@pytest.mark.parametrize(
+    "weights, witness, queries",
+    [
+        ((1, 1, 1, 2, 2, 3), ("x4", "x6", "y"), (63, 43)),
+        ((2, 2, 3, 5, 7, 9, 10, 10), ("x4", "x6", "x7", "y"), (249, 163)),
+        ((1, 1, 4), None, (16, 12)),
+    ],
+)
+def test_partition_query_counts_are_pinned(weights, witness, queries):
+    gadget = partition_to_gs(weights)
+    verdict = find_blocking_set(gadget.instance, gadget.outcome)
+    assert (verdict.witness.contracts if verdict.witness else None) == witness
+    choice = gadget.instance.choice
+    assert (choice["f"].query_count, choice["g"].query_count) == queries
 
 
 def test_generation_is_deterministic():
