@@ -5,10 +5,11 @@ menu of a single agent and reports the first counterexample it meets, in a
 fixed enumeration order, so reports are reproducible and self-validating: a
 returned witness replayed through the definition reproduces the violation.
 
-The quantifiers run on one table per agent: contract i of the sorted domain
-is bit i, and `cf.choose_mask` is asked once per menu.  Menus are visited in
-`network.subsets` order (by size, then by id), so the first witness is the
-one the literal definition meets first.
+The quantifiers read the agent's menu table (`ChoiceFunction.menu_table`):
+contract i of the sorted domain is bit i, and the table holds the chosen
+mask of every menu mask.  Menus are visited in `network.subsets` order (by
+size, then by id), so the first witness is the one the literal definition
+meets first.
 
 All quantifiers are exponential in the agent's contract count, so every
 check carries an explicit size guard instead of silently truncating.
@@ -16,13 +17,12 @@ check carries an explicit size guard instead of silently truncating.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .instances import Instance
-from .network import sorted_ids, subsets
+from .network import mask_bits, sorted_ids, submasks
 
 SIZE_GUARD = 16
 
@@ -62,43 +62,8 @@ def _guard(cf: ChoiceFunction, axiom: str) -> None:
         )
 
 
-class _Table:
-    """An agent's choice on every menu of its domain, as int masks.
-
-    `chosen[m]` is the mask chosen from menu `m` and `rejected[m]` the rest
-    of `m`; `up`, `down` and `full` are the side and domain masks."""
-
-    def __init__(self, cf: ChoiceFunction):
-        self.ids = cf.ids
-        self.up = cf.up_mask
-        self.down = cf.down_mask
-        self.full = self.up | self.down
-        self.chosen = [cf.choose_mask(m) for m in range(self.full + 1)]
-        self.rejected = [m & ~c for m, c in enumerate(self.chosen)]
-
-    def names(self, mask: int) -> list[str]:
-        return [c for i, c in enumerate(self.ids) if mask >> i & 1]
-
-
-# every check of one agent reads the same table; it goes with its choice function
-_TABLES = weakref.WeakKeyDictionary()
-
-
-def _table(cf: ChoiceFunction) -> _Table:
-    table = _TABLES.get(cf)
-    if table is None:
-        table = _TABLES[cf] = _Table(cf)
-    return table
-
-
-def _submasks(mask: int) -> list[int]:
-    """Every submask of `mask` in `network.subsets` order."""
-    return [sum(s) for s in subsets(_bits(mask))]
-
-
-def _bits(mask: int) -> list[int]:
-    """The single-bit masks of `mask`, lowest (first id) first."""
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+def _names(cf: ChoiceFunction, mask: int) -> list[str]:
+    return sorted_ids(cf.names(mask))
 
 
 def check_irc(cf: ChoiceFunction) -> AxiomReport:
@@ -109,17 +74,17 @@ def check_irc(cf: ChoiceFunction) -> AxiomReport:
     the remaining contracts rejected, so checking single removals on every
     menu is exactly equivalent to checking every intermediate menu."""
     _guard(cf, "irc")
-    t = _table(cf)
-    for menu in _submasks(t.full):
-        chosen = t.chosen[menu]
-        for dropped in _bits(t.rejected[menu]):
+    table = cf.menu_table()
+    for menu in submasks(cf.up_mask | cf.down_mask):
+        chosen = table[menu]
+        for dropped in mask_bits(menu & ~chosen):
             trimmed = menu ^ dropped
-            if t.chosen[trimmed] != chosen:
+            if table[trimmed] != chosen:
                 return AxiomReport("irc", cf.agent, False, {
-                    "offer": t.names(menu),
-                    "trimmed_offer": t.names(trimmed),
-                    "choice_from_offer": t.names(chosen),
-                    "choice_from_trimmed": t.names(t.chosen[trimmed]),
+                    "offer": _names(cf, menu),
+                    "trimmed_offer": _names(cf, trimmed),
+                    "choice_from_offer": _names(cf, chosen),
+                    "choice_from_trimmed": _names(cf, table[trimmed]),
                 })
     return AxiomReport("irc", cf.agent, True)
 
@@ -134,28 +99,28 @@ def check_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
     one-contract step is exactly equivalent to checking every nested pair.
     """
     _guard(cf, "full_substitutability")
-    t = _table(cf)
-    U, D = t.up, t.down
+    table = cf.menu_table()
+    U, D = cf.up_mask, cf.down_mask
     # (condition, grown side, side compared), in checking order: a same-side
     # step must keep every rejection there, a cross-side step must add none
     conditions = (("same_side_upstream", U, U), ("cross_side_upstream", D, U),
                   ("same_side_downstream", D, D), ("cross_side_downstream", U, D))
-    for down in _submasks(D):
-        for up in _submasks(U):
+    for down in submasks(D):
+        for up in submasks(U):
             menu = up | down
-            rej = t.rejected[menu]
+            rej = menu & ~table[menu]
             for condition, grown, side in conditions:
-                for extra in _bits(grown & ~menu):
-                    rej_big = t.rejected[menu | extra]
+                for extra in mask_bits(grown & ~menu):
+                    rej_big = (menu | extra) & ~table[menu | extra]
                     bad = (rej & ~rej_big if grown == side else rej_big & ~rej) & side
                     if bad:
                         key, other = ("up", "down") if grown == U else ("down", "up")
                         return AxiomReport("full_substitutability", cf.agent, False, {
                             "condition": condition,
-                            "contract": t.names(bad & -bad)[0],
-                            key: t.names((menu | extra) & grown),
-                            f"{key}_smaller": t.names(menu & grown),
-                            other: t.names(menu & ~grown),
+                            "contract": _names(cf, bad & -bad)[0],
+                            key: _names(cf, (menu | extra) & grown),
+                            f"{key}_smaller": _names(cf, menu & grown),
+                            other: _names(cf, menu & ~grown),
                         })
     return AxiomReport("full_substitutability", cf.agent, True)
 
@@ -166,24 +131,24 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     along chains of single-contract insertions, so per-step checking is
     exactly equivalent to checking every nested pair."""
     _guard(cf, "lad_las")
-    t = _table(cf)
-    U, D = t.up, t.down
+    table = cf.menu_table()
+    U, D = cf.up_mask, cf.down_mask
     laws = (("aggregate_demand", U, D, "up", "down"), ("aggregate_supply", D, U, "down", "up"))
-    for down in _submasks(D):
-        for up in _submasks(U):
+    for down in submasks(D):
+        for up in submasks(U):
             menu = up | down
-            chosen = t.chosen[menu]
+            chosen = table[menu]
             for law, side, other, key, other_key in laws:
                 n, n_other = (chosen & side).bit_count(), (chosen & other).bit_count()
-                for extra in _bits(side & ~menu):
-                    big = t.chosen[menu | extra]
+                for extra in mask_bits(side & ~menu):
+                    big = table[menu | extra]
                     n_big, n_other_big = (big & side).bit_count(), (big & other).bit_count()
                     if n_big - n < n_other_big - n_other:
                         return AxiomReport("lad_las", cf.agent, False, {
                             "law": law,
-                            key: t.names((menu | extra) & side),
-                            f"{key}_smaller": t.names(menu & side),
-                            other_key: t.names(menu & other),
+                            key: _names(cf, (menu | extra) & side),
+                            f"{key}_smaller": _names(cf, menu & side),
+                            other_key: _names(cf, menu & other),
                             "chosen_counts": [n_big, n, n_other_big, n_other],
                         })
     return AxiomReport("lad_las", cf.agent, True)
@@ -197,16 +162,17 @@ def check_separability(cf: ChoiceFunction) -> AxiomReport:
     all of it.  The pairs kept only together depend on `given` alone, so they
     are listed once per `given`, in (upstream id, downstream id) order."""
     _guard(cf, "separability")
-    t = _table(cf)
-    menus = _submasks(t.full)
+    table = cf.menu_table()
+    full = cf.up_mask | cf.down_mask
+    menus = submasks(full)
 
     def keeps(kept, given):
-        return not kept & t.rejected[kept | given]
+        return not kept & ~table[kept | given]
 
     for given in menus:
-        alone = sum(b for b in _bits(t.full) if keeps(b, given))
-        pairs = [(up, down) for up in _bits(t.up & ~alone) for down in _bits(t.down & ~alone)
-                 if keeps(up | down, given)]
+        alone = sum(b for b in mask_bits(full) if keeps(b, given))
+        pairs = [(up, down) for up in mask_bits(cf.up_mask & ~alone)
+                 for down in mask_bits(cf.down_mask & ~alone) if keeps(up | down, given)]
         if not pairs:
             continue
         for kept in menus:
@@ -216,10 +182,10 @@ def check_separability(cf: ChoiceFunction) -> AxiomReport:
                 union = kept | up | down
                 if not (up | down) & kept and not keeps(union, given):
                     return AxiomReport("separability", cf.agent, False, {
-                        "given": t.names(given),
-                        "kept": t.names(kept),
-                        "pair": t.names(up) + t.names(down),
-                        "union_choice": t.names(t.chosen[given | union]),
+                        "given": _names(cf, given),
+                        "kept": _names(cf, kept),
+                        "pair": _names(cf, up) + _names(cf, down),
+                        "union_choice": _names(cf, table[given | union]),
                     })
     return AxiomReport("separability", cf.agent, True)
 
@@ -245,19 +211,19 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
     if missing:
         witness = {"missing_intensity": sorted_ids(missing)}
         return AxiomReport("simplicity", cf.agent, False, witness)
-    t = _table(cf)
-    level = {b: intensity[t.names(b)[0]] for b in _bits(t.full)}
-    for kept in _submasks(t.full):
-        if t.chosen[kept] != kept:
+    table = cf.menu_table()
+    level = {cf.bit[c]: intensity[c] for c in cf.ids}
+    for kept in submasks(cf.up_mask | cf.down_mask):
+        if table[kept] != kept:
             continue
-        downs = _bits(kept & t.down)
-        for up in _bits(kept & t.up):
-            if not any(level[up] > level[d] for d in downs):
+        down = kept & cf.down_mask
+        for up in mask_bits(kept & cf.up_mask):
+            if not any(level[up] > level[d] for d in mask_bits(down)):
                 return AxiomReport("simplicity", cf.agent, False, {
-                    "kept": t.names(kept),
-                    "upstream_contract": t.names(up)[0],
-                    "downstream_intensities": {d: intensity[d] for d in t.names(kept & t.down)},
-                }, () if downs else _EMPTY_DOWNSTREAM)
+                    "kept": _names(cf, kept),
+                    "upstream_contract": _names(cf, up)[0],
+                    "downstream_intensities": {d: intensity[d] for d in _names(cf, down)},
+                }, () if down else _EMPTY_DOWNSTREAM)
     return AxiomReport("simplicity", cf.agent, True)
 
 
@@ -276,25 +242,25 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     pairs directly, 3^|up| * 3^|down| of them: the supersets of a set, in
     `subsets` order, are the set joined with each subset of the rest."""
     _guard(cf, "w_contraction")
-    t = _table(cf)
-    U, D, rej = t.up, t.down, t.rejected
+    U, D = cf.up_mask, cf.down_mask
+    rej = [m & ~c for m, c in enumerate(cf.menu_table())]
 
     def distance(big, small):
         return ((rej[big] & ~rej[small] & U) | (rej[small] & ~rej[big] & D)).bit_count()
 
     def some_step_expands():
         # a step drops one upstream contract or adds one downstream contract
-        for c in _bits(t.full):
-            for m in range(t.full + 1):
+        for c in mask_bits(U | D):
+            for m in range(len(rej)):
                 if not m & c and (distance(m | c, m) if c & U else distance(m, m | c)) > 1:
                     return True
         return False
 
     if not some_step_expands():
         return AxiomReport("w_contraction", cf.agent, True)
-    ups, downs = _submasks(U), _submasks(D)
-    up_supersets = {s: [s | x for x in _submasks(U & ~s)] for s in ups}
-    down_supersets = {s: [s | x for x in _submasks(D & ~s)] for s in downs}
+    ups, downs = submasks(U), submasks(D)
+    up_supersets = {s: [s | x for x in submasks(U & ~s)] for s in ups}
+    down_supersets = {s: [s | x for x in submasks(D & ~s)] for s in downs}
     for up_small in ups:
         for up in up_supersets[up_small]:
             for down in downs:
@@ -303,10 +269,10 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
                     lhs, rhs = distance(big, small), (big ^ small).bit_count()
                     if lhs > rhs:
                         return AxiomReport("w_contraction", cf.agent, False, {
-                            "up": t.names(up),
-                            "up_smaller": t.names(up_small),
-                            "down": t.names(down),
-                            "down_bigger": t.names(down_big),
+                            "up": _names(cf, up),
+                            "up_smaller": _names(cf, up_small),
+                            "down": _names(cf, down),
+                            "down_bigger": _names(cf, down_big),
                             "weights": [lhs - D.bit_count(), rhs - D.bit_count()],
                         })
     return AxiomReport("w_contraction", cf.agent, True)

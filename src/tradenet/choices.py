@@ -7,7 +7,8 @@ domain in sorted-id order, contract i is bit i, and every family's selector
 takes and returns masks (`choose_mask`); `choose` is the frozenset boundary.
 Evaluation is pure and memoized per menu (the cache never changes an
 observable result, it only speeds up the exhaustive searches that hammer the
-same menus).
+same menus).  `menu_table` is the one tabulation of every menu, read by each
+layer that quantifies over all of an agent's menus.
 
 Side conventions follow the rest of the library: *upstream* contracts are the
 ones the agent buys, *downstream* the ones it sells.
@@ -40,6 +41,7 @@ class ChoiceFunction:
         self.up_mask = self.mask(self.upstream)
         self.down_mask = self.mask(self.downstream)
         self._cache: dict[int, int] = {}
+        self._menu_table: list[int] | None = None
         # the same menus as `_cache`, answered at the frozenset boundary
         self._answers: dict[frozenset[str], frozenset[str]] = {}
 
@@ -79,6 +81,17 @@ class ChoiceFunction:
 
     def _select(self, menu: int) -> int:
         raise NotImplementedError
+
+    def menu_table(self) -> list[int]:
+        """The chosen mask of every menu, indexed by menu mask.
+
+        Filled in full on the first call, since every reader (the axiom
+        validators, fixed-point enumeration, the priced checks) visits all
+        2^|domain| menus, and kept on the function.  Searches that may stop
+        early ask `choose_mask`, whose per-menu cache is the lazy layer."""
+        if self._menu_table is None:
+            self._menu_table = [self.choose_mask(m) for m in range(1 << len(self.ids))]
+        return self._menu_table
 
     @property
     def query_count(self) -> int:

@@ -82,6 +82,8 @@ def _cmd_check_axioms(args) -> list:
     inst = load_instance(args.instance)
     names = [args.axiom] if args.axiom else None
     agents = [args.agent] if args.agent else None
+    if args.agent and args.agent not in inst.network.agents:
+        raise InstanceFormatError(f"--agent: unknown agent {args.agent!r}")
     reports = axioms.check_instance(inst, names, agents)
     return [r.to_json() for r in reports]
 

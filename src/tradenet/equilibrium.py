@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
 from .instances import Instance
-from .network import sorted_ids, subsets, validate_network
+from .network import mask_bits, sorted_ids, submasks, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
@@ -236,21 +236,22 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
     for agent in sorted(priced.instance.network.agents):
         cf = priced.instance.choice[agent]
         axioms._guard(cf, "feasibility")
+        table = cf.menu_table()
+        trade_of = {cf.bit[cid]: priced.split(cid)[0] for cid in cf.ids}
         witness = None
-        for menu in subsets(cf.domain):
-            chosen = cf.choose(menu)
-            seen: dict[str, str] = {}
-            for cid in sorted(chosen):
-                trade, _ = priced.split(cid)
+        for menu in submasks(cf.up_mask | cf.down_mask):
+            seen: dict[str, int] = {}
+            for b in mask_bits(table[menu]):
+                trade = trade_of[b]
                 if trade in seen:
                     witness = {
-                        "menu": sorted_ids(menu),
-                        "chosen": sorted_ids(chosen),
+                        "menu": axioms._names(cf, menu),
+                        "chosen": axioms._names(cf, table[menu]),
                         "trade": trade,
-                        "contracts": [seen[trade], cid],
+                        "contracts": axioms._names(cf, seen[trade] | b),
                     }
                     break
-                seen[trade] = cid
+                seen[trade] = b
             if witness:
                 break
         out.append(axioms.AxiomReport("feasibility", agent, witness is None, witness))
@@ -259,6 +260,13 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
 
 def _rejects(cf: ChoiceFunction, cid: str, menu) -> bool:
     return cid not in cf.choose(frozenset(menu) | {cid})
+
+
+def _always_kept(cf: ChoiceFunction, cid: str) -> bool:
+    """The firm keeps `cid` from every menu that offers it."""
+    b = cf.bit[cid]
+    table = cf.menu_table()
+    return all(table[m] & b for m in range(len(table)) if m & b)
 
 
 def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
@@ -276,24 +284,12 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
         seller_cf = inst.choice[t.seller]
         axioms._guard(buyer_cf, "complete_prices")
         axioms._guard(seller_cf, "complete_prices")
-        witness = None
-
-        always_bought = [
-            p
-            for p in t.prices()
-            if all(not _rejects(buyer_cf, contract_id(t.id, p), m) for m in subsets(buyer_cf.domain))
-        ]
-        if not always_bought:
+        grid = [contract_id(t.id, p) for p in t.prices()]
+        if not any(_always_kept(buyer_cf, cid) for cid in grid):
             witness = {"condition": "buyer_floor_missing", "trade": t.id}
-        if witness is None:
-            always_sold = [
-                p
-                for p in t.prices()
-                if all(not _rejects(seller_cf, contract_id(t.id, p), m) for m in subsets(seller_cf.domain))
-            ]
-            if not always_sold:
-                witness = {"condition": "seller_ceiling_missing", "trade": t.id}
-        if witness is None:
+        elif not any(_always_kept(seller_cf, cid) for cid in grid):
+            witness = {"condition": "seller_ceiling_missing", "trade": t.id}
+        else:
             witness = _cp3_witness(priced, t, buyer_cf, seller_cf)
         out.append(axioms.AxiomReport("complete_prices", t.id, witness is None, witness))
     return out
@@ -302,29 +298,47 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
 def _cp3_witness(priced, t, buyer_cf, seller_cf):
     """Crossing condition: side menus are quantified jointly over both firms'
     contracts, minus the trade's own price grid (the condition is applied to
-    price an unrealized trade, so no second copy of it can be on the table)."""
+    price an unrealized trade, so no second copy of it can be on the table).
+
+    Each pool contract has one local bit, in id order, so pool menus are
+    walked in `network.subsets` order; a firm's menu is its own share of the
+    pool menu, listed once for every pool menu."""
     grid = {contract_id(t.id, p) for p in t.prices()}
-    pool = (buyer_cf.domain | seller_cf.domain) - grid
+    pool = sorted_ids((buyer_cf.domain | seller_cf.domain) - grid)
     if len(pool) > axioms.SIZE_GUARD:
         raise GuardExceededError(
             f"complete_prices: joint menu guard is {axioms.SIZE_GUARD}, "
             f"trade {t.id} has {len(pool)}"
         )
+
+    def own_menus(cf):  # the firm's menu mask of each pool menu, by doubling
+        menus = [0]
+        for cid in pool:
+            b = cf.bit.get(cid, 0)
+            menus += [m | b for m in menus]
+        return menus
+
+    buyer_menus, seller_menus = own_menus(buyer_cf), own_menus(seller_cf)
+    buyer_table, seller_table = buyer_cf.menu_table(), seller_cf.menu_table()
+    pool_menus = submasks((1 << len(pool)) - 1)
     for p in range(t.price_min, t.price_max):
         low = contract_id(t.id, p)
         high = contract_id(t.id, p + 1)
-        for menu in subsets(pool):
+        buy_low, buy_high = buyer_cf.bit[low], buyer_cf.bit[high]
+        sell_low, sell_high = seller_cf.bit[low], seller_cf.bit[high]
+        for menu in pool_menus:
+            bm, sm = buyer_menus[menu], seller_menus[menu]
             if (
-                _rejects(seller_cf, low, menu)
-                and _rejects(buyer_cf, high, menu)
-                and not _rejects(buyer_cf, low, menu)
-                and not _rejects(seller_cf, high, menu)
+                not seller_table[sm | sell_low] & sell_low
+                and not buyer_table[bm | buy_high] & buy_high
+                and buyer_table[bm | buy_low] & buy_low
+                and seller_table[sm | sell_high] & sell_high
             ):
                 return {
                     "condition": "no_common_rejection",
                     "trade": t.id,
                     "price": p,
-                    "menu": sorted_ids(menu),
+                    "menu": [c for i, c in enumerate(pool) if menu >> i & 1],
                 }
     return None
 
@@ -347,17 +361,19 @@ def _pm_witness(inst: Instance, t: Trade):
     for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
         cf = inst.choice[agent]
         axioms._guard(cf, "price_monotonicity")
+        table = cf.menu_table()
         for low, high in itertools.combinations(t.prices(), 2):
-            cheap = contract_id(t.id, low)
-            dear = contract_id(t.id, high)
+            cheap = cf.bit[contract_id(t.id, low)]
+            dear = cf.bit[contract_id(t.id, high)]
             bad = dear if role == "buyer" else cheap
-            for outcome in subsets(cf.domain - {cheap, dear}):
-                if bad in cf.choose(outcome | {cheap, dear}):
+            pair = cheap | dear
+            for outcome in submasks((cf.up_mask | cf.down_mask) & ~pair):
+                if table[outcome | pair] & bad:
                     return {
                         "trade": t.id,
                         "role": role,
                         "prices": [low, high],
-                        "outcome": sorted_ids(outcome),
+                        "outcome": axioms._names(cf, outcome),
                     }
     return None
 

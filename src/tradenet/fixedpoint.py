@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .choices import is_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .instances import Instance
-from .network import sorted_ids, subsets
+from .network import sorted_ids, submasks
 
 ENUMERATION_GUARD = 12
 
@@ -151,9 +151,10 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     A contract is on the buyer side exactly when its seller does not reject
     it, and on the seller side exactly when its buyer does not, so the menu an
     agent faces fixes the state of each of its contracts: buyer-only (0),
-    seller-only (1) or both (2).  Each agent tabulates its 2^|domain| menus; a
-    hash join keyed by the states already assigned keeps the assignments on
-    which every seller and buyer agree, and one response round confirms each.
+    seller-only (1) or both (2).  Each agent's states are read off its menu
+    table; a hash join keyed by the states already assigned keeps the
+    assignments on which every seller and buyer agree, and one response round
+    confirms each.
     """
     if len(inst.contract_ids) > ENUMERATION_GUARD:
         raise GuardExceededError(
@@ -164,13 +165,15 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     partials: list[tuple[int, ...]] = [()]
     for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
         at = {c: i for i, c in enumerate(order)}
-        own = sorted(cf.domain, key=lambda c: (c not in at, c))  # assigned ones first
+        own = sorted(cf.ids, key=lambda c: (c not in at, c))  # assigned ones first
         k = sum(c in at for c in own)
+        own_bits = [cf.bit[c] for c in own]
+        chosen = cf.menu_table()
         table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for menu in subsets(own):
-            kept = cf.choose(menu)
+        for menu in submasks(cf.up_mask | cf.down_mask):
+            kept, seller_only = chosen[menu], menu ^ cf.up_mask
             # not kept: 1 if offered downstream or unoffered upstream, else 0
-            st = tuple(2 if c in kept else int((c in cf.downstream) == (c in menu)) for c in own)
+            st = tuple(2 if kept & b else int(bool(seller_only & b)) for b in own_bits)
             table.setdefault(st[:k], []).append(st[k:])
         key = [at[c] for c in own[:k]]
         partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]

@@ -5,7 +5,7 @@ contracts pointing from seller to buyer.  Everything downstream of this module
 treats contracts by their string id; the network object owns the id ->
 endpoint lookup and the graph utilities (terminal agents, acyclicity), and
 this module holds the canonical forms of contract sets (sorted id lists, the
-subset enumeration order).
+subset enumeration order, on id sets and on int masks).
 """
 
 from __future__ import annotations
@@ -197,3 +197,14 @@ def subsets(items):
     items = sorted(items)
     for size in range(len(items) + 1):
         yield from map(frozenset, itertools.combinations(items, size))
+
+
+def submasks(mask: int) -> list[int]:
+    """Every submask of `mask` in `subsets` order, when bit i stands for the
+    i-th contract in id order."""
+    return [sum(s) for s in subsets(mask_bits(mask))]
+
+
+def mask_bits(mask: int) -> list[int]:
+    """The single-bit masks of `mask`, lowest (first id) first."""
+    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]

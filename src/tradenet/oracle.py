@@ -5,9 +5,7 @@ family, and seeded generation of axiom-certified random instances.
 
 from __future__ import annotations
 
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import axioms, stability
@@ -21,7 +19,7 @@ from .choices import (
     SimpleIntensityChoice,
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
-from .instances import Instance, instance_from_json
+from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
 
 BRUTE_GUARD = 12
@@ -33,39 +31,19 @@ PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
 # ---------------------------------------------------------------------------
 
 
-def _scan_range(raw: dict, notion: str, start: int, stop: int) -> list[frozenset[str]]:
-    """The stable outcomes among candidates start..stop-1, where candidate i
-    holds the contracts (in id order) at the set bits of i."""
-    inst = instance_from_json(raw)
-    outcomes = [frozenset()]
-    for cid in sorted(inst.contract_ids):
-        outcomes += [outcome | {cid} for outcome in outcomes]
-    return [
-        outcome
-        for outcome in outcomes[start:stop]
-        if stability.check_notion(inst, outcome, notion).stable
-    ]
-
-
 def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[frozenset[str]]:
     """Every stable outcome of one notion, by scanning all 2^|X| candidates
-    through the literal definition checkers."""
+    through the literal definition checkers.  `jobs` is accepted and ignored:
+    at the guard's 12 contracts a second process costs more than it saves."""
     n = len(inst.contract_ids)
     if n > BRUTE_GUARD:
         raise GuardExceededError(
             f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
         )
-    total = 1 << n
-    if jobs <= 1 or total < 64:
-        hits = _scan_range(inst.to_json(), notion, 0, total)
-    else:
-        raw = inst.to_json()
-        chunk = (total + jobs - 1) // jobs
-        spans = [(i, min(i + chunk, total)) for i in range(0, total, chunk)]
-        workers = min(jobs, os.cpu_count() or 1, len(spans))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(_scan_range, *zip(*[(raw, notion, a, b) for a, b in spans]))
-        hits = [outcome for part in parts for outcome in part]
+    outcomes = [frozenset()]
+    for cid in sorted(inst.contract_ids):
+        outcomes += [outcome | {cid} for outcome in outcomes]
+    hits = [o for o in outcomes if stability.check_notion(inst, o, notion).stable]
     return sorted(hits, key=sorted_ids)
 
 

@@ -377,6 +377,7 @@ def _malformed_files(tmp_path):
         ["examples", "--out", "{example2}/sub"],
         ["equilibrium", "{priced_ok}", "--trace", "{example2}/t.json"],
         ["dynamics", "{example2}", "--entry", "{entry_ok}", "--readjust-from", "y"],
+        ["check-axioms", "{example2}", "--agent", "zzz"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):

@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
-from tradenet.choices import PreferenceListChoice
+from tradenet import axioms
+from tradenet.choices import ChoiceFunction, PreferenceListChoice
 from tradenet.equilibrium import (
     Arrangement,
     PricedInstance,
     Trade,
+    _cp3_witness,
+    _pm_witness,
     build_priced,
     check_cp,
     check_feasibility,
@@ -24,7 +28,7 @@ from tradenet.equilibrium import (
 )
 from tradenet.errors import GuardExceededError, InstanceFormatError, PreconditionError
 from tradenet.instances import Instance
-from tradenet.network import validate_network
+from tradenet.network import sorted_ids, subsets, validate_network
 from tradenet.oracle import generate_priced_instance
 
 
@@ -347,3 +351,238 @@ def test_price_rounds_match_firm_by_firm_choices():
                 ), (seed, perspective)
                 rounds += 1
     assert rounds > 1000
+
+
+# ---------------------------------------------------------------------------
+# the priced checks against their literal frozenset definitions
+# ---------------------------------------------------------------------------
+
+
+def literal_rejects(cf, cid, menu):
+    return cid not in cf.choose(frozenset(menu) | {cid})
+
+
+def literal_feasibility(priced):
+    out = []
+    for agent in sorted(priced.instance.network.agents):
+        cf = priced.instance.choice[agent]
+        witness = None
+        for menu in subsets(cf.domain):
+            chosen = cf.choose(menu)
+            seen: dict[str, str] = {}
+            for cid in sorted(chosen):
+                trade, _ = priced.split(cid)
+                if trade in seen:
+                    witness = {
+                        "menu": sorted_ids(menu),
+                        "chosen": sorted_ids(chosen),
+                        "trade": trade,
+                        "contracts": [seen[trade], cid],
+                    }
+                    break
+                seen[trade] = cid
+            if witness:
+                break
+        out.append(axioms.AxiomReport("feasibility", agent, witness is None, witness))
+    return out
+
+
+def literal_cp3_witness(priced, t, buyer_cf, seller_cf):
+    grid = {contract_id(t.id, p) for p in t.prices()}
+    pool = (buyer_cf.domain | seller_cf.domain) - grid
+    for p in range(t.price_min, t.price_max):
+        low = contract_id(t.id, p)
+        high = contract_id(t.id, p + 1)
+        for menu in subsets(pool):
+            if (
+                literal_rejects(seller_cf, low, menu)
+                and literal_rejects(buyer_cf, high, menu)
+                and not literal_rejects(buyer_cf, low, menu)
+                and not literal_rejects(seller_cf, high, menu)
+            ):
+                return {
+                    "condition": "no_common_rejection",
+                    "trade": t.id,
+                    "price": p,
+                    "menu": sorted_ids(menu),
+                }
+    return None
+
+
+def literal_cp(priced):
+    out = []
+    inst = priced.instance
+    for t in priced.trades:
+        buyer_cf = inst.choice[t.buyer]
+        seller_cf = inst.choice[t.seller]
+
+        def always_kept(cf, p):
+            cid = contract_id(t.id, p)
+            return all(not literal_rejects(cf, cid, m) for m in subsets(cf.domain))
+
+        witness = None
+        if not [p for p in t.prices() if always_kept(buyer_cf, p)]:
+            witness = {"condition": "buyer_floor_missing", "trade": t.id}
+        elif not [p for p in t.prices() if always_kept(seller_cf, p)]:
+            witness = {"condition": "seller_ceiling_missing", "trade": t.id}
+        else:
+            witness = literal_cp3_witness(priced, t, buyer_cf, seller_cf)
+        out.append(axioms.AxiomReport("complete_prices", t.id, witness is None, witness))
+    return out
+
+
+def literal_pm_witness(inst, t):
+    for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
+        cf = inst.choice[agent]
+        for low, high in itertools.combinations(t.prices(), 2):
+            cheap = contract_id(t.id, low)
+            dear = contract_id(t.id, high)
+            bad = dear if role == "buyer" else cheap
+            for outcome in subsets(cf.domain - {cheap, dear}):
+                if bad in cf.choose(outcome | {cheap, dear}):
+                    return {
+                        "trade": t.id,
+                        "role": role,
+                        "prices": [low, high],
+                        "outcome": sorted_ids(outcome),
+                    }
+    return None
+
+
+def _two_price_violators():
+    """The feasibility and price-monotonicity violators above."""
+    net = validate_network(
+        {
+            "agents": ["a", "b"],
+            "contracts": [
+                {"id": "t@0", "seller": "a", "buyer": "b"},
+                {"id": "t@1", "seller": "a", "buyer": "b"},
+            ],
+        }
+    )
+    trade = (Trade("t", "a", "b", 0, 1),)
+    grabber = PreferenceListChoice("b", {"t@0", "t@1"}, frozenset(), [("t@0", "t@1")])
+    quiet = PreferenceListChoice("a", frozenset(), {"t@0", "t@1"}, [])
+    cheap_seller = PreferenceListChoice("a", frozenset(), {"t@0", "t@1"}, [("t@0",)])
+    buyer = PreferenceListChoice("b", {"t@0", "t@1"}, frozenset(), [("t@0",), ("t@1",)])
+    yield PricedInstance(trade, Instance(net, {"a": quiet, "b": grabber}))
+    yield PricedInstance(trade, Instance(net, {"a": cheap_seller, "b": buyer}))
+
+
+def _crossing_violator():
+    """The buyer keeps t@0 beside r, or beside p and q, and never keeps t@1;
+    the seller keeps only t@1.  The first crossing menu in subset order is
+    {r@0}; in numeric mask order it would be {p@0, q@0}."""
+    trades = (Trade("t", "a", "b", 0, 1),) + tuple(Trade(x, "a", "b", 0, 0) for x in "pqr")
+    ids = ["t@0", "t@1", "p@0", "q@0", "r@0"]
+    net = validate_network(
+        {"agents": ["a", "b"],
+         "contracts": [{"id": c, "seller": "a", "buyer": "b"} for c in ids]}
+    )
+    buyer = PreferenceListChoice("b", ids, (), [("t@0", "r@0"), ("t@0", "p@0", "q@0")])
+    seller = PreferenceListChoice("a", (), ids, [("t@1",)])
+    return PricedInstance(trades, Instance(net, {"a": seller, "b": buyer}))
+
+
+def _random_trades(rng, firms, max_grid=12):
+    trades, grid = [], 0
+    for i in range(rng.randint(1, 3)):
+        seller, buyer = rng.sample(firms, 2)
+        lo, width = rng.randint(0, 3), rng.randint(1, 3)
+        if grid + width + 1 > max_grid:
+            break
+        grid += width + 1
+        trades.append({"id": f"t{i + 1}", "seller": seller, "buyer": buyer,
+                       "price_min": lo, "price_max": lo + width})
+    return trades
+
+
+def _random_reservation_economy(rng):
+    """Uncertified: capacities, and value/cost gaps of exactly one step."""
+    firms = [f"f{i}" for i in range(1, rng.randint(2, 3) + 1)]
+    trades = _random_trades(rng, firms)
+    values = {f: {} for f in firms}
+    costs = {f: {} for f in firms}
+    for t in trades:
+        value = rng.randint(t["price_min"] - 1, t["price_max"] + 1)
+        cost = value + 1 if rng.random() < 0.3 else rng.randint(t["price_min"] - 1, t["price_max"] + 1)
+        values[t["buyer"]][t["id"]] = value
+        costs[t["seller"]][t["id"]] = cost
+    descs = []
+    for f in sorted({t["seller"] for t in trades} | {t["buyer"] for t in trades}):
+        desc = {"agent": f, "type": "reservation", "values": values[f], "costs": costs[f]}
+        for side in ("capacity_buy", "capacity_sell"):
+            if rng.random() < 0.4:
+                desc[side] = rng.randint(1, 2)
+        descs.append(desc)
+    return build_priced({"trades": trades, "choice_functions": descs})
+
+
+def _random_preference_economy(rng):
+    """Firms ranking random sets of grid contracts: every priced axiom fails
+    somewhere in this corpus, with witnesses of every kind."""
+    firms = ["a", "b", "c"][: rng.randint(2, 3)]
+    trades = [Trade(**t) for t in _random_trades(rng, firms, max_grid=8)]
+    contracts = [{"id": contract_id(t.id, p), "seller": t.seller, "buyer": t.buyer}
+                 for t in trades for p in t.prices()]
+    net = validate_network({"agents": firms, "contracts": contracts})
+    choice = {}
+    for f in firms:
+        ranked = list(subsets(net.upstream[f] | net.downstream[f]))[1:]
+        rng.shuffle(ranked)
+        choice[f] = PreferenceListChoice(
+            f, net.upstream[f], net.downstream[f], ranked[: rng.randint(0, 6)]
+        )
+    return PricedInstance(tuple(trades), Instance(net, choice))
+
+
+def test_priced_checks_match_literal_definitions():
+    rng = random.Random(23)
+    corpus = (
+        [generate_priced_instance(seed) for seed in range(20)]
+        + [_random_reservation_economy(rng) for _ in range(60)]
+        + list(_two_price_violators())
+        + [_crossing_violator()]
+        + [_random_preference_economy(rng) for _ in range(60)]
+    )
+    seen = set()
+    for where, priced in enumerate(corpus):
+        reports = check_feasibility(priced)
+        assert reports == literal_feasibility(priced), where
+        seen.update(("feasibility", r.holds) for r in reports)
+        reports = check_cp(priced)
+        assert reports == literal_cp(priced), where
+        seen.update((r.witness or {}).get("condition", True) for r in reports)
+        inst = priced.instance
+        for t in priced.trades:
+            buyer_cf, seller_cf = inst.choice[t.buyer], inst.choice[t.seller]
+            cp3 = _cp3_witness(priced, t, buyer_cf, seller_cf)
+            assert cp3 == literal_cp3_witness(priced, t, buyer_cf, seller_cf), where
+            pm = _pm_witness(inst, t)
+            assert pm == literal_pm_witness(inst, t), where
+            seen.add(("pm", pm["role"]) if pm else ("pm", None))
+    # holding and failing cases of every check, so no comparison is vacuous
+    assert seen >= {
+        ("feasibility", True), ("feasibility", False), True,
+        "buyer_floor_missing", "seller_ceiling_missing", "no_common_rejection",
+        ("pm", None), ("pm", "buyer"), ("pm", "seller"),
+    }, seen
+
+
+def test_priced_checks_read_only_the_menu_tables(monkeypatch):
+    calls = []
+    choose = ChoiceFunction.choose
+
+    def counting_choose(self, offered):
+        calls.append(self.agent)
+        return choose(self, offered)
+
+    monkeypatch.setattr(ChoiceFunction, "choose", counting_choose)
+    for seed in range(5):
+        # rebuilt from JSON, so certification has not filled the caches
+        priced = build_priced(generate_priced_instance(seed).to_json())
+        calls.clear()
+        check_priced_axioms(priced)
+        assert calls == [], seed
+        for cf in priced.instance.choice.values():
+            assert cf.query_count == 2 ** len(cf.domain), (seed, cf.agent)

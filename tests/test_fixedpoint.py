@@ -171,8 +171,9 @@ def test_enumeration_matches_literal_scan(unrestricted_instance):
 
 
 def test_enumeration_diagnoses_a_fickle_choice_function():
-    # b turns c down the first time it sees a menu and keeps it afterwards, so
-    # the joined tables name a pair that the confirming response round moves
+    # b's menu table keeps c, but its frozenset door (which the response round
+    # asks) turns everything down, so the joined tables name a pair that the
+    # confirming response round moves
     inst = instance_from_json(
         {
             "agents": ["a", "b"],
@@ -183,17 +184,7 @@ def test_enumeration_diagnoses_a_fickle_choice_function():
             ],
         }
     )
-    cf, seen = inst.choice["b"], set()
-    steady = cf.choose_mask
-
-    def fickle(offered):
-        menu = cf.mask(offered)
-        if menu in seen:
-            return cf.names(steady(menu))
-        seen.add(menu)
-        return frozenset()
-
-    cf.choose = fickle
+    inst.choice["b"].choose = lambda offered: frozenset()
     with pytest.raises(IterationDiagnosisError, match="not a fixed point"):
         enumerate_fixed_points(inst)
 

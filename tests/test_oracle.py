@@ -15,7 +15,7 @@ from tradenet.oracle import (
     partition_to_gs,
     solve_partition,
 )
-from tradenet.stability import NOTIONS, find_blocking_set
+from tradenet.stability import find_blocking_set
 
 
 def split_evenly_reference(weights) -> bool:
@@ -206,54 +206,3 @@ def test_parallel_scan_matches_sequential(example1):
         assert brute_force_stable(example1, notion, jobs=2) == brute_force_stable(
             example1, notion
         )
-
-
-def test_parallel_scan_starts_a_real_pool(monkeypatch):
-    # 256 outcomes lie above the serial cut-off, so jobs=2 must go through a
-    # real process pool; the subclass only counts the pools it starts
-    import tradenet.oracle as oracle
-
-    started = []
-
-    class CountingPool(oracle.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    inst = generate_instance(2).instance
-    assert len(inst.contract_ids) == 8
-    sequential = {notion: brute_force_stable(inst, notion) for notion in NOTIONS}
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", CountingPool)
-    for notion in NOTIONS:
-        assert brute_force_stable(inst, notion, jobs=2) == sequential[notion], notion
-    assert len(started) == len(NOTIONS)
-
-
-@pytest.mark.parametrize("jobs, cpus, workers", [(10**6, 2, 2), (10**6, None, 1), (300, 10**4, 256)])
-def test_parallel_scan_clamps_workers(monkeypatch, jobs, cpus, workers):
-    # at most one worker per core and per span; an inline pool stands in for
-    # processes so no large pool is ever started
-    import tradenet.oracle as oracle
-
-    started = []
-
-    class InlinePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    inst = generate_instance(2).instance
-    assert len(inst.contract_ids) == 8  # 256 outcomes: one span each at jobs >= 256
-    sequential = brute_force_stable(inst, "chain")
-    monkeypatch.setattr(oracle, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(oracle.os, "cpu_count", lambda: cpus)
-    assert brute_force_stable(inst, "chain", jobs=jobs) == sequential
-    assert started == [workers]
