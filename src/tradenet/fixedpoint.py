@@ -67,10 +67,18 @@ def bottom_pair(inst: Instance) -> OfferPair:
 
 
 def respond(inst: Instance, pair: OfferPair) -> OfferPair:
-    """One simultaneous response round of all agents."""
+    """One simultaneous response round of all agents.  Each agent is asked
+    once, for its seller-side sales and buyer-side purchases together; what
+    it rejects of either side leaves the other side."""
+    seller_rejects: set[str] = set()
+    buyer_rejects: set[str] = set()
+    for cf in inst.choice.values():
+        sells = pair.seller_side & cf.downstream
+        buys = pair.buyer_side & cf.upstream
+        kept = cf.choose(sells | buys)
+        seller_rejects |= sells - kept
+        buyer_rejects |= buys - kept
     everything = inst.contract_ids
-    seller_rejects = inst.rejected_by_sellers(pair.seller_side, pair.buyer_side)
-    buyer_rejects = inst.rejected_by_buyers(pair.buyer_side, pair.seller_side)
     return OfferPair(everything - seller_rejects, everything - buyer_rejects)
 
 
@@ -145,6 +153,41 @@ def seller_optimal(inst: Instance) -> FixedPointResult:
     return iterate_from(inst, bottom_pair(inst))
 
 
+def join_states(inst: Instance, rows) -> tuple[list[str], list[tuple[int, ...]]]:
+    """Every assignment of states to contracts that each agent admits.
+
+    `rows(cf, bits)` lists the agent's admissible rows: one state per
+    contract, in the order of `bits` (the contracts' bits in `cf`).  A hash
+    join keyed by the states of the contracts already assigned keeps the
+    assignments on which both agents of every contract agree.  Agents are
+    taken by falling domain size and then id, a variable-elimination order
+    (Dechter, "Bucket elimination", AIJ 113 (1999)).  Returns the contracts
+    in the order they were assigned and one state tuple per assignment.
+    """
+    order: list[str] = []
+    partials: list[tuple[int, ...]] = [()]
+    for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
+        at = {c: i for i, c in enumerate(order)}
+        own = sorted(cf.ids, key=lambda c: (c not in at, c))  # assigned ones first
+        k = sum(c in at for c in own)
+        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+        for st in rows(cf, [cf.bit[c] for c in own]):
+            table.setdefault(st[:k], []).append(st[k:])
+        key = [at[c] for c in own[:k]]
+        partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]
+        order += own[k:]
+    return order, partials
+
+
+def _side_states(cf, bits):
+    """One row per menu: buyer-only (0), seller-only (1) or both (2)."""
+    chosen = cf.menu_table()
+    for menu in submasks(cf.up_mask | cf.down_mask):
+        kept, seller_only = chosen[menu], menu ^ cf.up_mask
+        # not kept: 1 if offered downstream or unoffered upstream, else 0
+        yield tuple(2 if kept & b else int(bool(seller_only & b)) for b in bits)
+
+
 def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     """All fixed points, by joining one menu table per agent.
 
@@ -152,32 +195,15 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     it, and on the seller side exactly when its buyer does not, so the menu an
     agent faces fixes the state of each of its contracts: buyer-only (0),
     seller-only (1) or both (2).  Each agent's states are read off its menu
-    table; a hash join keyed by the states already assigned keeps the
-    assignments on which every seller and buyer agree, and one response round
-    confirms each.
+    table, `join_states` keeps the assignments on which every seller and
+    buyer agree, and one response round confirms each.
     """
     if len(inst.contract_ids) > ENUMERATION_GUARD:
         raise GuardExceededError(
             f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
             f"instance has {len(inst.contract_ids)}"
         )
-    order: list[str] = []  # contracts in the order their states were assigned
-    partials: list[tuple[int, ...]] = [()]
-    for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
-        at = {c: i for i, c in enumerate(order)}
-        own = sorted(cf.ids, key=lambda c: (c not in at, c))  # assigned ones first
-        k = sum(c in at for c in own)
-        own_bits = [cf.bit[c] for c in own]
-        chosen = cf.menu_table()
-        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for menu in submasks(cf.up_mask | cf.down_mask):
-            kept, seller_only = chosen[menu], menu ^ cf.up_mask
-            # not kept: 1 if offered downstream or unoffered upstream, else 0
-            st = tuple(2 if kept & b else int(bool(seller_only & b)) for b in own_bits)
-            table.setdefault(st[:k], []).append(st[k:])
-        key = [at[c] for c in own[:k]]
-        partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]
-        order += own[k:]
+    order, partials = join_states(inst, _side_states)
     out = []
     for states in partials:
         buyer = frozenset(c for c, a in zip(order, states) if a != 1)

@@ -19,6 +19,7 @@ from .choices import (
     SimpleIntensityChoice,
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
+from .fixedpoint import join_states
 from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
 
@@ -32,19 +33,35 @@ PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
 
 
 def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[frozenset[str]]:
-    """Every stable outcome of one notion, by scanning all 2^|X| candidates
-    through the literal definition checkers.  `jobs` is accepted and ignored:
-    at the guard's 12 contracts a second process costs more than it saves."""
+    """Every stable outcome of one notion, by running the literal definition
+    checkers on every acceptable outcome.
+
+    Each notion's checker calls an outcome that some agent will not keep in
+    full unstable, so no other outcome can be stable.  The acceptable ones
+    are joined from each agent's fixed menus (`menu_table()[m] == m`), which
+    finds every one of them without scanning all 2^|X| outcomes.  `jobs` is
+    accepted and ignored: at the guard's 12 contracts a second process costs
+    more than it saves."""
     n = len(inst.contract_ids)
     if n > BRUTE_GUARD:
         raise GuardExceededError(
             f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
         )
-    outcomes = [frozenset()]
-    for cid in sorted(inst.contract_ids):
-        outcomes += [outcome | {cid} for outcome in outcomes]
-    hits = [o for o in outcomes if stability.check_notion(inst, o, notion).stable]
+    hits = [o for o in acceptable_outcomes(inst) if stability.check_notion(inst, o, notion).stable]
     return sorted(hits, key=sorted_ids)
+
+
+def _fixed_menus(cf, bits):
+    """One row per menu the agent keeps in full: 1 for a contract in it."""
+    for menu, kept in enumerate(cf.menu_table()):
+        if kept == menu:
+            yield tuple(int(bool(menu & b)) for b in bits)
+
+
+def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
+    """Every outcome each agent keeps in full, in no particular order."""
+    order, partials = join_states(inst, _fixed_menus)
+    return [frozenset(c for c, a in zip(order, states) if a) for states in partials]
 
 
 # ---------------------------------------------------------------------------

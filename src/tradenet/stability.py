@@ -254,23 +254,31 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     return StabilityVerdict("set", True)
 
 
-def _kept_in_full(inst, block, outcome) -> bool:
-    return all(
-        is_rational(inst.choice[agent], block, outcome)
-        for agent in sorted(inst.network.agents_of(block))
-    )
-
-
 def find_blocking_strong_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Strong trail stability: no trail of fresh contracts kept in full by
     every involved agent.  Whole-trail conditions admit no prefix pruning,
-    so this enumerates trails within the guard."""
+    so this enumerates trails within the guard.
+
+    As in the set search, each agent holding a fresh contract carries its
+    outcome mask; a trail's share of the agent is the sum of its bits, and
+    involved agents are asked in id order until one turns its share down."""
     outcome, avail, short = _fresh(inst, outcome, "strong_trail")
     if short:
         return short
-    found = _shortest_trail(
-        inst, avail, _Budget(), lambda trail: _kept_in_full(inst, frozenset(trail), outcome)
-    )
+    agents = []
+    for agent in sorted(inst.network.agents):
+        cf = inst.choice[agent]
+        if any(c in cf.bit for c in avail):
+            agents.append((cf.choose_mask, cf.mask(outcome), cf.bit.get))
+
+    def kept_in_full(trail):
+        for choose_mask, base, bit in agents:
+            own = sum(bit(c, 0) for c in trail)
+            if own and own & ~choose_mask(own | base):
+                return False
+        return True
+
+    found = _shortest_trail(inst, avail, _Budget(), kept_in_full)
     if found:
         return StabilityVerdict("strong_trail", False, Witness("trail", found))
     return StabilityVerdict("strong_trail", True)

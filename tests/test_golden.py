@@ -2,9 +2,9 @@
 
 The sha256 of what `tradenet` prints (exit code, stdout and any trace file)
 on the bundled instances, on a few seeded priced economies and, for
-`check-axioms`, on seeded generated instances of every profile.  A refactor
-must leave these bytes alone; a deliberate output change updates a digest
-here and says why in CHANGES.md.
+`check-axioms` and `oracle brute`, on seeded generated instances of every
+profile.  A refactor must leave these bytes alone; a deliberate output
+change updates a digest here and says why in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ from tradenet.oracle import PROFILES, generate_instance, generate_priced_instanc
 BUNDLED_DIGEST = "9bd61734e192e5de53ce5332d0b4c2f1d098c5d462d83f32012c672d79327db8"
 EQUILIBRIUM_DIGEST = "31e8a019384b46b3fe6027e307372f41496530809c15acecef511ed1a717b53b"
 CHECK_AXIOMS_DIGEST = "f9cf83342d347976c6bbf9316323d02636640235525c4de0b4f1e690469e4adb"
+ORACLE_BRUTE_DIGEST = "5f86a2435d487252154311791ff5db3f94c366e95ee6ef9abb58a64de4abc79e"
+CLI_NOTIONS = ("acceptable", "trail", "full-trail", "chain", "set", "strong-trail")
 
 
 def _run(capsys, digest, argv, extra_file=None):
@@ -53,14 +55,27 @@ def test_equilibrium_cli_output_is_unchanged(capsys, tmp_path):
     assert digest.hexdigest() == EQUILIBRIUM_DIGEST
 
 
-def test_check_axioms_cli_output_is_unchanged(capsys, tmp_path):
-    digest = hashlib.sha256()
+def _bundled_and_generated(tmp_path) -> list[str]:
+    """The bundled files, then `generate_instance` seeds 0-9 of every profile."""
     paths = write_examples(tmp_path)
     for profile in PROFILES:
         for seed in range(10):
             path = tmp_path / f"{profile}{seed}.json"
             path.write_text(json.dumps(generate_instance(seed, profile).instance.to_json()))
             paths.append(str(path))
-    for path in paths:
+    return paths
+
+
+def test_check_axioms_cli_output_is_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for path in _bundled_and_generated(tmp_path):
         _run(capsys, digest, ["check-axioms", path])
     assert digest.hexdigest() == CHECK_AXIOMS_DIGEST
+
+
+def test_oracle_brute_cli_output_is_unchanged(capsys, tmp_path):
+    digest = hashlib.sha256()
+    for path in _bundled_and_generated(tmp_path):
+        for notion in CLI_NOTIONS:
+            _run(capsys, digest, ["oracle", "brute", path, "--notion", notion])
+    assert digest.hexdigest() == ORACLE_BRUTE_DIGEST

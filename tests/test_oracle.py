@@ -5,9 +5,14 @@ import json
 
 import pytest
 
+from tradenet import stability
 from tradenet.axioms import check_full_substitutability, check_irc
 from tradenet.errors import GuardExceededError
+from tradenet.instances import BUNDLED, bundled_instance
+from tradenet.network import sorted_ids
 from tradenet.oracle import (
+    PROFILES,
+    acceptable_outcomes,
     brute_force_stable,
     gadget_not_set_stable,
     generate_instance,
@@ -15,7 +20,7 @@ from tradenet.oracle import (
     partition_to_gs,
     solve_partition,
 )
-from tradenet.stability import find_blocking_set
+from tradenet.stability import NOTIONS, check_notion, find_blocking_set, is_acceptable
 
 
 def split_evenly_reference(weights) -> bool:
@@ -206,3 +211,82 @@ def test_parallel_scan_matches_sequential(example1):
         assert brute_force_stable(example1, notion, jobs=2) == brute_force_stable(
             example1, notion
         )
+
+
+# --- brute force over joined acceptable outcomes ----------------------------
+
+
+def every_outcome(inst):
+    """All 2^|X| outcomes, by doubling over the sorted contract ids."""
+    outcomes = [frozenset()]
+    for cid in sorted(inst.contract_ids):
+        outcomes += [outcome | {cid} for outcome in outcomes]
+    return outcomes
+
+
+def literal_scan(inst, notion):
+    """Every stable outcome by the definition: all 2^|X| outcomes through
+    the notion's checker."""
+    hits = [o for o in every_outcome(inst) if check_notion(inst, o, notion).stable]
+    return sorted(hits, key=sorted_ids)
+
+
+@pytest.fixture(scope="module")
+def brute_corpus(unrestricted_instance):
+    """Bundled and certified instances of up to 12 contracts, and random
+    preference-list instances on which most outcomes are not acceptable."""
+    return (
+        [bundled_instance(name) for name in BUNDLED]
+        + [
+            generate_instance(seed, profile, max_contracts=12).instance
+            for profile in PROFILES
+            for seed in range(10)
+        ]
+        + [unrestricted_instance(seed) for seed in range(100)]
+        + [unrestricted_instance(seed, "abcd", max_contracts=10) for seed in range(40)]
+    )
+
+
+def test_acceptable_join_matches_literal_filter(brute_corpus):
+    joined = filtered = 0
+    for inst in brute_corpus:
+        outcomes = acceptable_outcomes(inst)
+        assert len(outcomes) == len(set(outcomes))
+        literal = [o for o in every_outcome(inst) if is_acceptable(inst, o).stable]
+        assert sorted(outcomes, key=sorted_ids) == sorted(literal, key=sorted_ids)
+        joined += len(outcomes)
+        filtered += 2 ** len(inst.contract_ids)
+    assert 20 * joined < filtered  # the join skips most outcomes
+
+
+def test_brute_force_matches_literal_scan(brute_corpus):
+    sizes = set()
+    for inst in brute_corpus:
+        for notion in NOTIONS:
+            found = brute_force_stable(inst, notion)
+            assert found == literal_scan(inst, notion), notion
+            sizes.add(len(found))
+    assert 0 in sizes and max(sizes) >= 5  # both empty and crowded answers occur
+    assert max(len(inst.contract_ids) for inst in brute_corpus) == 12
+
+
+def test_brute_force_checks_only_acceptable_outcomes(monkeypatch, unrestricted_instance):
+    inst = unrestricted_instance(3, "abcd", max_contracts=10)
+    acceptable = {o for o in every_outcome(inst) if is_acceptable(inst, o).stable}
+    assert len(acceptable) < 2 ** len(inst.contract_ids) / 4
+    checked = []
+
+    def recording(inst, outcome, notion):
+        checked.append(frozenset(outcome))
+        return check_notion(inst, outcome, notion)
+
+    monkeypatch.setattr(stability, "check_notion", recording)
+    for notion in NOTIONS:
+        checked.clear()
+        brute_force_stable(inst, notion)
+        assert sorted(checked, key=sorted_ids) == sorted(acceptable, key=sorted_ids)
+
+
+def test_brute_force_unknown_notion(example1):
+    with pytest.raises(ValueError, match="unknown stability notion"):
+        brute_force_stable(example1, "mystery")

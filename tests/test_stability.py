@@ -360,3 +360,36 @@ def test_witnesses_are_first_blocking_trails_of_reference_enumeration(unrestrict
                 assert verdict.stable or verdict.witness.contracts == expected
             checked += 1
     assert checked > 1000
+
+
+def test_strong_trail_asks_the_menus_of_the_literal_check(unrestricted_instance):
+    # the literal check asks each involved agent, in id order and through the
+    # frozenset door, whether it keeps its share of the trail, and stops at
+    # the first refusal; the mask check must ask exactly the same menus
+    corpus = (
+        [bundled_instance(name) for name in BUNDLED]
+        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(8)]
+        + [unrestricted_instance(seed) for seed in range(100)]
+    )
+    checked = 0
+    for inst in corpus:
+        for outcome in _every_outcome(inst):
+            if not is_acceptable(inst, outcome).stable:
+                continue
+            fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
+            verdict = find_blocking_strong_trail(fresh, outcome)
+            assert is_acceptable(literal, outcome).stable
+            net = literal.network
+            for trail in _all_trails(net, literal.contract_ids - outcome):
+                if all(
+                    is_rational(literal.choice[agent], trail, outcome)
+                    for agent in sorted(net.agents_of(trail))
+                ):
+                    assert verdict.witness.contracts == trail
+                    break
+            else:
+                assert verdict.stable
+            for agent in net.agents:
+                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+            checked += 1
+    assert checked > 200
