@@ -445,22 +445,27 @@ class NeedleChoiceF(ChoiceFunction):
 
     def __init__(self, agent, weighted_ids: dict[int, str], down_id: str, n: int,
                  hidden=None):
-        if n < 1:
-            raise ChoiceFunctionError("n must be at least 1")
+        self.hidden = self.checked_hidden(n, hidden)
         if sorted(weighted_ids) != list(range(1, 2 * n + 1)):
             raise ChoiceFunctionError("hidden-subset gadget needs contracts indexed 1..2n")
         super().__init__(agent, weighted_ids.values(), [down_id])
         self.n = n
         self.weighted_ids = dict(weighted_ids)
         self.down_id = down_id
+        self._hidden = None if hidden is None else self.mask(weighted_ids[i] for i in self.hidden)
+
+    @staticmethod
+    def checked_hidden(n: int, hidden) -> frozenset[int] | None:
+        """The hidden index set (None when none is planted), refused unless n
+        is positive and it holds n of the indices 1..2n; needs no contracts."""
+        if n < 1:
+            raise ChoiceFunctionError("n must be at least 1")
         if hidden is None:
-            self.hidden = None
-        else:
-            hidden = frozenset(int(i) for i in hidden)
-            if len(hidden) != n or not hidden <= set(weighted_ids):
-                raise ChoiceFunctionError("hidden index set must contain exactly n valid indices")
-            self.hidden = hidden
-        self._hidden = None if hidden is None else self.mask(weighted_ids[i] for i in hidden)
+            return None
+        hidden = frozenset(int(i) for i in hidden)
+        if len(hidden) != n or not all(1 <= i <= 2 * n for i in hidden):
+            raise ChoiceFunctionError("hidden index set must contain exactly n valid indices")
+        return hidden
 
     def _select(self, menu):
         ups = menu & self.up_mask

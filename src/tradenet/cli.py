@@ -15,7 +15,7 @@ import os
 import sys
 
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
-from .choices import build_family
+from .choices import NeedleChoiceF, build_family
 from .errors import ChoiceFunctionError, InstanceFormatError, NetworkValidationError, TradenetError
 from .instances import Instance, load_instance, read_json, write_examples, write_json
 from .network import Contract, sorted_ids, validate_network
@@ -204,6 +204,9 @@ def _cmd_oracle(args) -> dict:
         try:
             if args.hidden:
                 hidden = [int(i) for i in args.hidden.split(",")]
+            NeedleChoiceF.checked_hidden(args.n, hidden)
+            # all 2n + 1 contracts are fresh against the empty outcome: refuse before building
+            stability.check_set_guard(2 * args.n + 1)
             inst = oracle.needle_family(args.n, hidden)
         except (ChoiceFunctionError, ValueError) as exc:
             raise InstanceFormatError(f"needle: {exc}") from exc

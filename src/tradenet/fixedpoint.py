@@ -18,10 +18,10 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .choices import is_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .instances import Instance
 from .network import sorted_ids, submasks
+from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
 ENUMERATION_GUARD = 12
 
@@ -239,37 +239,26 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     """
     outcome = frozenset(outcome)
     if check:
-        from .stability import find_locally_blocking_trail, is_acceptable
-
         verdict = is_acceptable(inst, outcome)
         if not verdict.stable:
             raise PreconditionError("outcome is not acceptable")
         verdict = find_locally_blocking_trail(inst, outcome)
         if not verdict.stable:
             raise PreconditionError("outcome has a locally blocking trail")
-    net = inst.network
-    rest = sorted(inst.contract_ids - outcome)
-    reached: set[str] = set()
-    frontier = [
-        cid
-        for cid in rest
-        if is_rational(inst.choice[net.contract(cid).seller], {cid}, outcome)
-    ]
-    reached.update(frontier)
+    view = FreshView(inst, outcome)
+    frontier = [i for i in range(len(view.ids)) if view.first_kept((i,))]
+    reached = set(frontier)
     while frontier:
         nxt = []
-        for cid in frontier:
-            link = net.contract(cid).buyer
-            cf = inst.choice[link]
-            for ext in rest:
-                if ext in reached or net.contract(ext).seller != link:
-                    continue
-                if is_rational(cf, {cid, ext}, outcome):
-                    reached.add(ext)
-                    nxt.append(ext)
+        for i in frontier:
+            link = view.buyer[i]
+            for j in view.sells.get(link, ()):
+                if j not in reached and view.keeps(link, (i, j)):
+                    reached.add(j)
+                    nxt.append(j)
         frontier = nxt
-    buyer_extra = frozenset(reached)
-    seller_extra = frozenset(rest) - buyer_extra
+    buyer_extra = frozenset(view.names(reached))
+    seller_extra = frozenset(view.ids) - buyer_extra
     return OfferPair(outcome | buyer_extra, outcome | seller_extra)
 
 

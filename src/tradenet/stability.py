@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .choices import is_rational
+from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
 from .errors import GuardExceededError, StabilityContradictionError
 from .instances import Instance
 from .network import sorted_ids
@@ -68,86 +68,131 @@ def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     return StabilityVerdict("acceptable", True)
 
 
+class FreshView:
+    """The fresh contracts of an outcome, the one object every walk reads.
+
+    Fresh contracts are those outside the outcome, numbered 0.. in id order,
+    so trails and blocks are index tuples whose lexicographic order is the
+    id order.  `seller[i]` and `buyer[i]` are contract i's agents, and
+    `sells[a]` and `buys[a]` agent a's fresh indices in id order.  Each agent
+    holding a fresh contract has one entry in `agents`, in id order: its
+    `choose_mask`, its outcome mask and its local bit per index (0 where the
+    contract is not its own).  Every condition of every notion is `keeps`.
+    """
+
+    __slots__ = ("ids", "seller", "buyer", "sells", "buys", "agents")
+
+    def __init__(self, inst: Instance, outcome: frozenset[str]):
+        net = inst.network
+        self.ids = sorted(inst.contract_ids - outcome)
+        self.seller = [net.contract(c).seller for c in self.ids]
+        self.buyer = [net.contract(c).buyer for c in self.ids]
+        self.sells, self.buys = {}, {}  # agent -> its fresh indices on that side
+        for i, (seller, buyer) in enumerate(zip(self.seller, self.buyer)):
+            self.sells.setdefault(seller, []).append(i)
+            self.buys.setdefault(buyer, []).append(i)
+        self.agents = {}
+        for agent in sorted(self.sells.keys() | self.buys.keys()):
+            cf = inst.choice[agent]
+            local = [cf.bit.get(c, 0) for c in self.ids]
+            self.agents[agent] = (cf.choose_mask, cf.mask(outcome), local.__getitem__)
+
+    def names(self, indices) -> tuple[str, ...]:
+        return tuple(self.ids[i] for i in indices)
+
+    def keeps(self, agent, indices) -> bool:
+        """The agent keeps its share (the sum of its local bits) of the indexed
+        contracts alongside the outcome; an agent with no share is not asked."""
+        choose_mask, base, local = self.agents[agent]
+        own = sum(map(local, indices))
+        return not own or not own & ~choose_mask(own | base)
+
+    def kept_by_all(self, indices) -> bool:
+        """`keeps` for every agent in id order, inlined for the set search."""
+        for choose_mask, base, local in self.agents.values():
+            own = sum(map(local, indices))
+            if own and own & ~choose_mask(own | base):
+                return False
+        return True
+
+    def first_kept(self, trail) -> bool:
+        """The trail's seller keeps its first contract."""
+        return self.keeps(self.seller[trail[0]], trail[:1])
+
+    def last_kept(self, trail) -> bool:
+        """The trail's buyer keeps its last contract."""
+        return self.keeps(self.buyer[trail[-1]], trail[-1:])
+
+    def keeps_pair(self, link, trail) -> bool:
+        """The link agent keeps the pair it joins, the grown trail's last two."""
+        return self.keeps(link, trail[-2:])
+
+
 def _fresh(inst, outcome, notion):
-    """The outcome as a frozenset, its fresh contracts in id order, and, when
-    the outcome is not even acceptable, the verdict every notion returns."""
+    """The outcome's fresh-contract view or, when the outcome is not even
+    acceptable, the verdict every notion returns."""
     outcome = frozenset(outcome)
     base = is_acceptable(inst, outcome)
     if not base.stable:
-        return outcome, None, StabilityVerdict(notion, False, base.witness)
-    return outcome, sorted(inst.contract_ids - outcome), None
+        return None, StabilityVerdict(notion, False, base.witness)
+    return FreshView(inst, outcome), None
+
+
+def check_set_guard(candidates: int) -> None:
+    """Refuse a set search over more than SET_GUARD fresh contracts."""
+    if candidates > SET_GUARD:
+        raise GuardExceededError(
+            f"set search guard is {SET_GUARD} candidate contracts, have {candidates}"
+        )
 
 
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, limit: int = TRAIL_GUARD):
-        self.left = limit
+    def __init__(self):
+        self.left = TRAIL_GUARD
 
-    def spend(self, n: int = 1) -> None:
-        self.left -= n
+    def spend(self) -> None:
+        self.left -= 1
         if self.left < 0:
-            raise GuardExceededError(
-                f"trail search exceeded the {TRAIL_GUARD} candidate guard"
-            )
+            raise GuardExceededError(f"trail search exceeded the {TRAIL_GUARD} candidate guard")
 
 
-def _shortest_trail(inst, avail, budget, done, seed=None, step=None, forward=True):
-    """First trail of `avail` contracts, shortest first and lexicographic by
+def _shortest_trail(view, budget, done, seed=None, step=None, forward=True):
+    """First trail of fresh contracts, shortest first and lexicographic by
     id sequence within a length, that `done(trail)` accepts.
 
-    Breadth-first over trails of distinct contracts: `seed` admits the
-    one-contract trails, and `step(trail, link)` admits each extension at
-    `link`, the agent joining the old end to the new contract.  Trails grow
-    rightwards when `forward`, leftwards otherwise.  Every seed candidate
-    and every extension that passes the link test costs one budget unit.
+    Breadth-first over index trails of distinct contracts: `seed` admits the
+    one-contract trails, and `step(link, trail)` admits each extension at
+    `link`, the agent joining the old end to the new contract, taken in id
+    order.  Trails grow rightwards when `forward`, leftwards otherwise.
+    Every seed candidate and every extension that passes the link test costs
+    one budget unit.
     """
-    net = inst.network
+    # the link is the buyer of the last contract and sells the next one, or
+    # the seller of the first contract and buys the one before it
+    end, link_of, exts_of = (-1, view.buyer, view.sells) if forward else (0, view.seller, view.buys)
     frontier = []
-    for cid in avail:
+    for i in range(len(view.ids)):
         budget.spend()
-        if seed is None or seed((cid,)):
-            frontier.append((cid,))
+        if seed is None or seed((i,)):
+            frontier.append((i,))
     while frontier:
         for trail in frontier:
             if done(trail):
                 return trail
         nxt = []
         for trail in frontier:
-            if forward:
-                link = net.contract(trail[-1]).buyer
-            else:
-                link = net.contract(trail[0]).seller
-            for ext in avail:
-                c = net.contract(ext)
-                if ext in trail or (c.seller if forward else c.buyer) != link:
+            link = link_of[trail[end]]
+            for ext in exts_of.get(link, ()):
+                if ext in trail:
                     continue
                 budget.spend()
                 extended = trail + (ext,) if forward else (ext,) + trail
-                if step is None or step(extended, link):
+                if step is None or step(link, extended):
                     nxt.append(extended)
         frontier = sorted(nxt)
     return None
-
-
-def _trail_ends(inst, outcome):
-    """Predicates on a trail: its seller keeps the first contract, and its
-    buyer keeps the last one, each offered alone alongside the outcome."""
-    net = inst.network
-
-    def first_kept(trail):
-        return is_rational(inst.choice[net.contract(trail[0]).seller], trail[:1], outcome)
-
-    def last_kept(trail):
-        return is_rational(inst.choice[net.contract(trail[-1]).buyer], trail[-1:], outcome)
-
-    return first_kept, last_kept
-
-
-def _keeps_pair(inst, outcome):
-    """Step predicate: the linking agent keeps the consecutive pair it joins
-    (the search grows forward, so that is the trail's last two contracts)."""
-    return lambda trail, link: is_rational(inst.choice[link], trail[-2:], outcome)
 
 
 def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
@@ -156,66 +201,54 @@ def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
     intermediate agent keep either all its prefix contracts (one global
     reading) or all its suffix contracts (the other).
 
-    The two readings are searched independently and the overall witness is
-    the shortest-lex one.
+    The two readings are searched independently, each extension asking the
+    link agent to keep all of the grown prefix (or suffix), and the overall
+    witness is the shortest-lex one.
     """
-    outcome, avail, short = _fresh(inst, outcome, "trail")
+    view, short = _fresh(inst, outcome, "trail")
     if short:
         return short
     budget = _Budget()
-    first_kept, last_kept = _trail_ends(inst, outcome)
-
-    def keeps_seen(trail, link):
-        # the grown trail is the prefix (or suffix) read so far; the agent
-        # must keep all of its own contracts on it
-        return is_rational(inst.choice[link], trail, outcome)
-
     found = []
     for option, seed, done, forward in (
-        ("prefix", first_kept, last_kept, True),
-        ("suffix", last_kept, first_kept, False),
+        ("prefix", view.first_kept, view.last_kept, True),
+        ("suffix", view.last_kept, view.first_kept, False),
     ):
-        trail = _shortest_trail(inst, avail, budget, done, seed, keeps_seen, forward)
+        trail = _shortest_trail(view, budget, done, seed, view.keeps, forward)
         if trail:
             found.append((len(trail), trail, option))
     if not found:
         return StabilityVerdict("trail", True)
     _, trail, option = min(found)
-    return StabilityVerdict("trail", False, Witness("trail", trail, option=option))
+    return StabilityVerdict("trail", False, Witness("trail", view.names(trail), option=option))
 
 
 def find_locally_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Full trail stability: like trail blocking, but each intermediate agent
     only needs to keep the consecutive pair it links.  Search is incremental;
     partial trails failing a pair condition are never extended."""
-    outcome, avail, short = _fresh(inst, outcome, "full_trail")
+    view, short = _fresh(inst, outcome, "full_trail")
     if short:
         return short
-    first_kept, last_kept = _trail_ends(inst, outcome)
-    found = _shortest_trail(
-        inst, avail, _Budget(), last_kept, first_kept, _keeps_pair(inst, outcome)
-    )
+    found = _shortest_trail(view, _Budget(), view.last_kept, view.first_kept, view.keeps_pair)
     if found:
-        return StabilityVerdict("full_trail", False, Witness("trail", found))
+        return StabilityVerdict("full_trail", False, Witness("trail", view.names(found)))
     return StabilityVerdict("full_trail", True)
 
 
 def find_blocking_chain(inst: Instance, outcome) -> StabilityVerdict:
     """Chain stability: locally blocking trails whose agents are all distinct."""
-    outcome, avail, short = _fresh(inst, outcome, "chain")
+    view, short = _fresh(inst, outcome, "chain")
     if short:
         return short
-    net = inst.network
-    first_kept, last_kept = _trail_ends(inst, outcome)
-    keeps_pair = _keeps_pair(inst, outcome)
 
-    def chain_step(trail, link):
-        walk = [net.contract(trail[0]).seller] + [net.contract(c).buyer for c in trail]
-        return len(set(walk)) == len(walk) and keeps_pair(trail, link)
+    def chain_step(link, trail):
+        walk = [view.seller[trail[0]], *map(view.buyer.__getitem__, trail)]
+        return len(set(walk)) == len(walk) and view.keeps_pair(link, trail)
 
-    found = _shortest_trail(inst, avail, _Budget(), last_kept, first_kept, chain_step)
+    found = _shortest_trail(view, _Budget(), view.last_kept, view.first_kept, chain_step)
     if found:
-        return StabilityVerdict("chain", False, Witness("chain", found))
+        return StabilityVerdict("chain", False, Witness("chain", view.names(found)))
     return StabilityVerdict("chain", True)
 
 
@@ -223,64 +256,31 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     """Set stability: no nonempty fresh contract set that every involved
     agent keeps in full alongside the outcome.
 
-    Blocks are index combinations of the fresh contracts in id order, which
-    is `network.subsets` order.  Each agent carries its outcome mask and one
-    local bit per fresh index (0 when the contract is not its own), so a
-    block's share of the agent is one OR per index; agents holding none of
-    the block are not involved.  Involved agents are asked in id order, and
-    the first that turns its share down ends the block."""
-    outcome, avail, short = _fresh(inst, outcome, "set")
+    Blocks are index combinations of the fresh contracts, which is
+    `network.subsets` order, and each is asked of the view's agents in id
+    order until one turns its share down."""
+    view, short = _fresh(inst, outcome, "set")
     if short:
         return short
-    if len(avail) > SET_GUARD:
-        raise GuardExceededError(
-            f"set search guard is {SET_GUARD} candidate contracts, have {len(avail)}"
-        )
-    agents = []
-    for agent in sorted(inst.network.agents):
-        cf = inst.choice[agent]
-        local = [cf.bit.get(c, 0) for c in avail]
-        if any(local):
-            agents.append((cf.choose_mask, cf.mask(outcome), local.__getitem__))
-    for size in range(1, len(avail) + 1):
-        for block in combinations(range(len(avail)), size):
-            for choose_mask, base, local in agents:
-                own = sum(map(local, block))
-                if own and own & ~choose_mask(own | base):
-                    break
-            else:
-                witness = Witness("set", tuple(avail[i] for i in block))
-                return StabilityVerdict("set", False, witness)
+    check_set_guard(len(view.ids))
+    for size in range(1, len(view.ids) + 1):
+        for block in combinations(range(len(view.ids)), size):
+            if view.kept_by_all(block):
+                return StabilityVerdict("set", False, Witness("set", view.names(block)))
     return StabilityVerdict("set", True)
 
 
 def find_blocking_strong_trail(inst: Instance, outcome) -> StabilityVerdict:
     """Strong trail stability: no trail of fresh contracts kept in full by
     every involved agent.  Whole-trail conditions admit no prefix pruning,
-    so this enumerates trails within the guard.
-
-    As in the set search, each agent holding a fresh contract carries its
-    outcome mask; a trail's share of the agent is the sum of its bits, and
-    involved agents are asked in id order until one turns its share down."""
-    outcome, avail, short = _fresh(inst, outcome, "strong_trail")
+    so this enumerates trails within the guard, each asked of the view's
+    agents as in the set search."""
+    view, short = _fresh(inst, outcome, "strong_trail")
     if short:
         return short
-    agents = []
-    for agent in sorted(inst.network.agents):
-        cf = inst.choice[agent]
-        if any(c in cf.bit for c in avail):
-            agents.append((cf.choose_mask, cf.mask(outcome), cf.bit.get))
-
-    def kept_in_full(trail):
-        for choose_mask, base, bit in agents:
-            own = sum(bit(c, 0) for c in trail)
-            if own and own & ~choose_mask(own | base):
-                return False
-        return True
-
-    found = _shortest_trail(inst, avail, _Budget(), kept_in_full)
+    found = _shortest_trail(view, _Budget(), view.kept_by_all)
     if found:
-        return StabilityVerdict("strong_trail", False, Witness("trail", found))
+        return StabilityVerdict("strong_trail", False, Witness("trail", view.names(found)))
     return StabilityVerdict("strong_trail", True)
 
 

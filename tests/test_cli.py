@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import jsonschema
@@ -259,6 +260,22 @@ def test_oracle_needle(capsys):
     assert payload["empty_outcome_set_stable"] is False
     assert payload["witness"]["contracts"] == ["x1", "x4", "y"]
     assert payload["oracle_queries"]["f"] > 0
+
+
+def test_oracle_needle_refuses_an_oversized_family_before_building_it(capsys):
+    # 2n + 1 = 2,000,000,001 contracts: building them would exhaust memory
+    started = time.perf_counter()
+    code, out, _ = run_cli(capsys, "oracle", "needle", "--n", "1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "GuardExceededError",
+        "message": "set search guard is 20 candidate contracts, have 2000000001",
+    }
+    # a malformed hidden set is still an input error, checked first
+    code, _, err = run_cli(capsys, "oracle", "needle", "--n", "1000000000", "--hidden", "1,2")
+    assert code == 2
+    assert err == "input error: needle: hidden index set must contain exactly n valid indices\n"
 
 
 def test_oracle_gen(capsys):

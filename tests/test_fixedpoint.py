@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from tradenet.choices import is_rational
 from tradenet.errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from tradenet.fixedpoint import (
     FixedPointResult,
@@ -274,6 +275,55 @@ def test_canonical_pair_round_trip_on_generated_instances():
             again = canonical_pair(inst, res.outcome, check=False)
             assert respond(inst, again) == again
             assert again.outcome == res.outcome
+
+
+def reference_canonical_pair(inst, outcome):
+    """The closure on ids: every extension scans all non-outcome contracts
+    and asks the linking agent through `is_rational`."""
+    net = inst.network
+    rest = sorted(inst.contract_ids - outcome)
+    reached = set()
+    frontier = [
+        cid for cid in rest if is_rational(inst.choice[net.contract(cid).seller], {cid}, outcome)
+    ]
+    reached.update(frontier)
+    while frontier:
+        nxt = []
+        for cid in frontier:
+            link = net.contract(cid).buyer
+            cf = inst.choice[link]
+            for ext in rest:
+                if ext in reached or net.contract(ext).seller != link:
+                    continue
+                if is_rational(cf, {cid, ext}, outcome):
+                    reached.add(ext)
+                    nxt.append(ext)
+        frontier = nxt
+    buyer_extra = frozenset(reached)
+    return OfferPair(outcome | buyer_extra, outcome | (frozenset(rest) - buyer_extra))
+
+
+def test_canonical_pair_matches_the_id_closure(unrestricted_instance):
+    # every full-trail-stable outcome (so acceptable) of the bundled,
+    # generated and unrestricted instances: the closure over the view gives
+    # the pair of the id closure and asks the same menus
+    corpus = (
+        [bundled_instance(name) for name in BUNDLED]
+        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(12)]
+        + [unrestricted_instance(seed) for seed in range(300)]
+    )
+    checked = 0
+    for inst in corpus:
+        for outcome in brute_force_stable(inst, "full_trail"):
+            fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
+            assert canonical_pair(fresh, outcome, check=False) == reference_canonical_pair(
+                literal, outcome
+            )
+            for agent in inst.network.agents:
+                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+            assert canonical_pair(inst, outcome) == reference_canonical_pair(inst, outcome)
+            checked += 1
+    assert checked > 500
 
 
 def test_fixed_points_closed_under_join_and_meet():

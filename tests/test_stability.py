@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import tradenet.stability as stability_module
 from tradenet.choices import is_rational
 from tradenet.errors import GuardExceededError, StabilityContradictionError
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
@@ -220,8 +221,6 @@ def test_classify_profiles(example2, example3):
 
 
 def test_classify_rejects_contradictory_checkers(example2, monkeypatch):
-    import tradenet.stability as stability_module
-
     def bogus(inst, outcome):
         from tradenet.stability import StabilityVerdict
 
@@ -393,3 +392,139 @@ def test_strong_trail_asks_the_menus_of_the_literal_check(unrestricted_instance)
                 assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
             checked += 1
     assert checked > 200
+
+
+# --- the fresh-contract view against the id-scan searches it replaced --------
+
+
+def reference_shortest_trail(inst, avail, budget, done, seed=None, step=None, forward=True):
+    """The id-scan trail search: every extension scans all `avail` contracts
+    in id order and looks each one up in the network.  `step(trail, link)`."""
+    net = inst.network
+    frontier = []
+    for cid in avail:
+        budget.spend()
+        if seed is None or seed((cid,)):
+            frontier.append((cid,))
+    while frontier:
+        for trail in frontier:
+            if done(trail):
+                return trail
+        nxt = []
+        for trail in frontier:
+            if forward:
+                link = net.contract(trail[-1]).buyer
+            else:
+                link = net.contract(trail[0]).seller
+            for ext in avail:
+                c = net.contract(ext)
+                if ext in trail or (c.seller if forward else c.buyer) != link:
+                    continue
+                budget.spend()
+                extended = trail + (ext,) if forward else (ext,) + trail
+                if step is None or step(extended, link):
+                    nxt.append(extended)
+        frontier = sorted(nxt)
+    return None
+
+
+def reference_witness(inst, outcome, notion, budget):
+    """The trail, full-trail, chain and strong-trail searches on ids, each
+    condition asked through `is_rational`; the witness contracts (and the
+    reading, for trail stability), or None when the outcome is stable."""
+    net = inst.network
+    avail = sorted(inst.contract_ids - outcome)
+
+    def first_kept(trail):
+        return is_rational(inst.choice[net.contract(trail[0]).seller], trail[:1], outcome)
+
+    def last_kept(trail):
+        return is_rational(inst.choice[net.contract(trail[-1]).buyer], trail[-1:], outcome)
+
+    def keeps_pair(trail, link):
+        return is_rational(inst.choice[link], trail[-2:], outcome)
+
+    def chain_step(trail, link):
+        walk = [net.contract(trail[0]).seller] + [net.contract(c).buyer for c in trail]
+        return len(set(walk)) == len(walk) and keeps_pair(trail, link)
+
+    def kept_in_full(trail):
+        agents = sorted(net.agents_of(trail))
+        return all(is_rational(inst.choice[agent], trail, outcome) for agent in agents)
+
+    if notion == "trail":
+        def keeps_seen(trail, link):
+            return is_rational(inst.choice[link], trail, outcome)
+
+        found = []
+        for option, seed, done, forward in (
+            ("prefix", first_kept, last_kept, True),
+            ("suffix", last_kept, first_kept, False),
+        ):
+            trail = reference_shortest_trail(inst, avail, budget, done, seed, keeps_seen, forward)
+            if trail:
+                found.append((len(trail), trail, option))
+        return min(found)[1:] if found else None
+    if notion == "strong_trail":
+        return reference_shortest_trail(inst, avail, budget, kept_in_full)
+    step = keeps_pair if notion == "full_trail" else chain_step
+    return reference_shortest_trail(inst, avail, budget, last_kept, first_kept, step)
+
+
+class CountingBudget(stability_module._Budget):
+    """A trail budget that counts the units it was asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.spent = 0
+
+    def spend(self):
+        self.spent += 1
+        super().spend()
+
+
+def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
+    unrestricted_instance, monkeypatch
+):
+    # on fresh copies of each instance, a search over the view and the
+    # id-scan reference must find the same witness, leave the same menus in
+    # every choice function's cache and spend the same budget units, so the
+    # trail guard trips at the same candidate in both
+    corpus = (
+        [bundled_instance(name) for name in BUNDLED]
+        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(8)]
+        + [unrestricted_instance(seed) for seed in range(300)]
+    )
+    checkers = {
+        "trail": find_blocking_trail,
+        "full_trail": find_locally_blocking_trail,
+        "chain": find_blocking_chain,
+        "strong_trail": find_blocking_strong_trail,
+    }
+    budgets = []
+    monkeypatch.setattr(
+        stability_module, "_Budget", lambda: budgets.append(CountingBudget()) or budgets[-1]
+    )
+    checked = 0
+    for inst in corpus:
+        for outcome in _every_outcome(inst):
+            if not is_acceptable(inst, outcome).stable:
+                continue
+            for notion, checker in checkers.items():
+                fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
+                budgets.clear()
+                verdict = checker(fresh, outcome)
+                assert is_acceptable(literal, outcome).stable
+                reference_budget = CountingBudget()
+                expected = reference_witness(literal, outcome, notion, reference_budget)
+                if expected is None:
+                    assert verdict.stable
+                elif notion == "trail":
+                    assert (verdict.witness.contracts, verdict.witness.option) == expected
+                else:
+                    assert verdict.witness.contracts == expected
+                assert [b.spent for b in budgets] == [reference_budget.spent]
+                for agent in inst.network.agents:
+                    assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+                checked += 1
+    assert checked > 4000
