@@ -40,6 +40,13 @@ class Instance:
                 raise InstanceFormatError(
                     f"{agent}: choice function sides disagree with the network"
                 )
+        # Exhaustive facts derived once per instance, outside the dataclass
+        # fields (so out of __eq__ and repr): the acceptable outcomes
+        # (`oracle.acceptable_outcomes`) and the fresh-contract view of each
+        # acceptable outcome checked so far (`stability._fresh`).  `choice`
+        # is not changed after construction, so neither goes stale.
+        object.__setattr__(self, "_acceptable", None)
+        object.__setattr__(self, "_views", {})
 
     @property
     def contract_ids(self) -> frozenset[str]:

@@ -38,15 +38,9 @@ def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[froze
 
     Each notion's checker calls an outcome that some agent will not keep in
     full unstable, so no other outcome can be stable.  The acceptable ones
-    are joined from each agent's fixed menus (`menu_table()[m] == m`), which
-    finds every one of them without scanning all 2^|X| outcomes.  `jobs` is
-    accepted and ignored: at the guard's 12 contracts a second process costs
-    more than it saves."""
-    n = len(inst.contract_ids)
-    if n > BRUTE_GUARD:
-        raise GuardExceededError(
-            f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
-        )
+    come from `acceptable_outcomes`, joined once per instance however many
+    notions are asked for.  `jobs` is accepted and ignored: at the guard's
+    12 contracts a second process costs more than it saves."""
     hits = [o for o in acceptable_outcomes(inst) if stability.check_notion(inst, o, notion).stable]
     return sorted(hits, key=sorted_ids)
 
@@ -59,9 +53,24 @@ def _fixed_menus(cf, bits):
 
 
 def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
-    """Every outcome each agent keeps in full, in no particular order."""
-    order, partials = join_states(inst, _fixed_menus)
-    return [frozenset(c for c, a in zip(order, states) if a) for states in partials]
+    """Every outcome each agent keeps in full, in no particular order.
+
+    The outcomes are joined from each agent's fixed menus
+    (`menu_table()[m] == m`), which finds every one of them without scanning
+    all 2^|X| outcomes.  The join runs on the instance's first call and its
+    outcomes are kept on the instance; every call returns a new list of
+    them.  Instances over BRUTE_GUARD contracts are refused before any menu
+    is asked."""
+    n = len(inst.contract_ids)
+    if n > BRUTE_GUARD:
+        raise GuardExceededError(
+            f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
+        )
+    if inst._acceptable is None:
+        order, partials = join_states(inst, _fixed_menus)
+        joined = tuple(frozenset(c for c, a in zip(order, states) if a) for states in partials)
+        object.__setattr__(inst, "_acceptable", joined)  # Instance is frozen
+    return list(inst._acceptable)
 
 
 # ---------------------------------------------------------------------------

@@ -130,12 +130,21 @@ class FreshView:
 
 def _fresh(inst, outcome, notion):
     """The outcome's fresh-contract view or, when the outcome is not even
-    acceptable, the verdict every notion returns."""
+    acceptable, the verdict every notion returns.
+
+    The view of an acceptable outcome is built once and kept on the instance,
+    so a later call for the same outcome (another notion, `classify`, brute
+    force) skips the acceptability check and reads it.  An unacceptable
+    outcome is checked on every call and never kept, so an instance keeps at
+    most one view per acceptable outcome."""
     outcome = frozenset(outcome)
-    base = is_acceptable(inst, outcome)
-    if not base.stable:
-        return None, StabilityVerdict(notion, False, base.witness)
-    return FreshView(inst, outcome), None
+    view = inst._views.get(outcome)
+    if view is None:
+        base = is_acceptable(inst, outcome)
+        if not base.stable:
+            return None, StabilityVerdict(notion, False, base.witness)
+        view = inst._views[outcome] = FreshView(inst, outcome)
+    return view, None
 
 
 def check_set_guard(candidates: int) -> None:

@@ -5,10 +5,10 @@ import json
 
 import pytest
 
-from tradenet import stability
+from tradenet import oracle, stability
 from tradenet.axioms import check_full_substitutability, check_irc
-from tradenet.errors import GuardExceededError
-from tradenet.instances import BUNDLED, bundled_instance
+from tradenet.errors import GuardExceededError, StabilityContradictionError
+from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.network import sorted_ids
 from tradenet.oracle import (
     PROFILES,
@@ -20,7 +20,13 @@ from tradenet.oracle import (
     partition_to_gs,
     solve_partition,
 )
-from tradenet.stability import NOTIONS, check_notion, find_blocking_set, is_acceptable
+from tradenet.stability import (
+    NOTIONS,
+    check_notion,
+    classify,
+    find_blocking_set,
+    is_acceptable,
+)
 
 
 def split_evenly_reference(weights) -> bool:
@@ -189,8 +195,6 @@ def test_generation_unknown_profile():
 
 
 def test_brute_force_guard():
-    from tradenet.instances import instance_from_json
-
     contracts = [{"id": f"c{i:02d}", "seller": "a", "buyer": "b"} for i in range(13)]
     inst = instance_from_json(
         {
@@ -202,8 +206,13 @@ def test_brute_force_guard():
             ],
         }
     )
-    with pytest.raises(GuardExceededError):
-        brute_force_stable(inst, "set")
+    message = "brute-force guard is 12 contracts, instance has 13"
+    with pytest.raises(GuardExceededError, match=message):
+        acceptable_outcomes(inst)
+    # refused before the notion is looked at or any menu is asked
+    with pytest.raises(GuardExceededError, match=message):
+        brute_force_stable(inst, "mystery")
+    assert all(cf.query_count == 0 for cf in inst.choice.values())
 
 
 def test_parallel_scan_matches_sequential(example1):
@@ -285,6 +294,75 @@ def test_brute_force_checks_only_acceptable_outcomes(monkeypatch, unrestricted_i
         checked.clear()
         brute_force_stable(inst, notion)
         assert sorted(checked, key=sorted_ids) == sorted(acceptable, key=sorted_ids)
+
+
+def test_brute_force_joins_once_and_builds_one_view_per_acceptable_outcome(
+    monkeypatch, unrestricted_instance
+):
+    joins, views = [], []
+    join, init = oracle.join_states, stability.FreshView.__init__
+
+    def counting_join(*args):
+        joins.append(args)
+        return join(*args)
+
+    def counting_init(self, *args):
+        views.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(oracle, "join_states", counting_join)
+    monkeypatch.setattr(stability.FreshView, "__init__", counting_init)
+    for inst in [bundled_instance(name) for name in BUNDLED] + [
+        unrestricted_instance(3, "abcd", max_contracts=10)
+    ]:
+        joins.clear()
+        views.clear()
+        for notion in NOTIONS:
+            brute_force_stable(inst, notion)
+        outcomes = acceptable_outcomes(inst)
+        for outcome in outcomes:
+            classify_or_contradiction(inst, outcome)
+        assert len(joins) == 1
+        assert len(views) == len(outcomes)
+
+
+def classify_or_contradiction(inst, outcome):
+    """`classify`'s verdicts or, on instances without substitutability, the
+    contradiction it reports together with every notion's verdict."""
+    try:
+        return classify(inst, outcome)
+    except StabilityContradictionError as exc:
+        return str(exc), {notion: check_notion(inst, outcome, notion) for notion in NOTIONS}
+
+
+def test_instance_memos_change_no_answer(brute_corpus):
+    # one instance asked everything against a new copy of it for each call:
+    # same verdicts, witnesses, stable sets and menus asked
+    for inst in brute_corpus:
+        raw = inst.to_json()
+        shared = instance_from_json(raw)
+        outcomes = sorted(acceptable_outcomes(instance_from_json(raw)), key=sorted_ids)
+        menus = {agent: set() for agent in shared.choice}
+        for outcome in outcomes:
+            fresh = instance_from_json(raw)
+            want = classify_or_contradiction(fresh, outcome)
+            for agent, cf in fresh.choice.items():
+                menus[agent] |= cf._cache.keys()
+            assert classify_or_contradiction(shared, outcome) == want
+            assert classify_or_contradiction(shared, outcome) == want  # from the kept view
+        assert {a: cf.query_count for a, cf in shared.choice.items()} == {
+            a: len(m) for a, m in menus.items()
+        }
+        for notion in NOTIONS:
+            found = brute_force_stable(shared, notion)
+            assert found == brute_force_stable(instance_from_json(raw), notion), notion
+        assert sorted(acceptable_outcomes(shared), key=sorted_ids) == outcomes
+        for outcome in every_outcome(shared):
+            check_notion(shared, outcome, "full_trail")
+        assert len(shared._views) <= len(outcomes)
+        returned = acceptable_outcomes(shared)
+        returned.clear()
+        assert sorted(acceptable_outcomes(shared), key=sorted_ids) == outcomes
 
 
 def test_brute_force_unknown_notion(example1):
