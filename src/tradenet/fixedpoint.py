@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .instances import Instance
 from .network import sorted_ids, submasks
-from .stability import FreshView, find_locally_blocking_trail
+from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
 ENUMERATION_GUARD = 12
 
@@ -239,14 +239,13 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     """
     outcome = frozenset(outcome)
     if check:
+        verdict = is_acceptable(inst, outcome)
+        if not verdict.stable:
+            raise PreconditionError("outcome is not acceptable")
         verdict = find_locally_blocking_trail(inst, outcome)
         if not verdict.stable:
-            if verdict.witness.kind == "not_acceptable":
-                raise PreconditionError("outcome is not acceptable")
             raise PreconditionError("outcome has a locally blocking trail")
-    # the check kept the view of the now acceptable outcome; an unchecked
-    # outcome gets a view of its own, which is not kept
-    view = inst._views[outcome] if check else FreshView(inst, outcome)
+    view = FreshView(inst, outcome)
     frontier = [i for i in range(len(view.ids)) if view.first_kept((i,))]
     reached = set(frontier)
     while frontier:

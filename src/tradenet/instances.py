@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Mapping
 from dataclasses import dataclass
 from importlib import resources
+from types import MappingProxyType
 
 from .choices import ChoiceFunction, build_family
 from .errors import ChoiceFunctionError, InstanceFormatError
@@ -21,10 +23,21 @@ INSTANCE_FIELDS = {"agents", "contracts", "choice_functions"}
 
 @dataclass(frozen=True)
 class Instance:
+    """A validated network with one choice function per agent.
+
+    `choice` is a read-only copy of the mapping given, so no agent's choice
+    function is swapped during the instance's life.  That is what lets the
+    instance keep facts derived from its choice functions: the acceptable
+    outcomes (`oracle.acceptable_outcomes`) and the fresh-contract view of
+    each acceptable outcome checked so far (`stability._fresh`).  Both live as
+    long as the instance, outside the dataclass fields (so out of `__eq__` and
+    `repr`); an instance rebuilt from its JSON starts without them."""
+
     network: ContractNetwork
-    choice: dict[str, ChoiceFunction]
+    choice: Mapping[str, ChoiceFunction]
 
     def __post_init__(self):
+        object.__setattr__(self, "choice", MappingProxyType(dict(self.choice)))
         missing = set(self.network.agents) - set(self.choice)
         if missing:
             raise InstanceFormatError(f"agents without a choice function: {sorted(missing)}")
@@ -40,11 +53,6 @@ class Instance:
                 raise InstanceFormatError(
                     f"{agent}: choice function sides disagree with the network"
                 )
-        # Exhaustive facts derived once per instance, outside the dataclass
-        # fields (so out of __eq__ and repr): the acceptable outcomes
-        # (`oracle.acceptable_outcomes`) and the fresh-contract view of each
-        # acceptable outcome checked so far (`stability._fresh`).  `choice`
-        # is not changed after construction, so neither goes stale.
         object.__setattr__(self, "_acceptable", None)
         object.__setattr__(self, "_views", {})
 

@@ -26,7 +26,6 @@ from tradenet.fixedpoint import (
 )
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
-from tradenet.stability import FreshView
 
 
 def test_respond_from_top_keeps_buyer_side_full(example1):
@@ -269,32 +268,12 @@ def test_canonical_pair_requires_full_trail_stability(example2):
         canonical_pair(example2, {"x"})
 
 
-def test_canonical_pair_keeps_a_view_only_after_its_check(monkeypatch):
-    built = []
-    init = FreshView.__init__
-
-    def counting_init(self, *args):
-        built.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(FreshView, "__init__", counting_init)
+def test_unchecked_canonical_pair_keeps_no_view():
     for name in BUNDLED:
         inst = bundled_instance(name)
         for outcome in fixed_point_outcomes(inst):
-            built.clear()
-            unchecked = canonical_pair(inst, outcome, check=False)
-            assert inst._views == {}
-            assert canonical_pair(inst, outcome) == unchecked
-            view = inst._views[outcome]
-            assert len(built) == 2  # one unkept, one kept by the check
-            assert canonical_pair(inst, outcome) == unchecked
-            assert inst._views[outcome] is view and len(built) == 2
-            assert canonical_pair(inst, outcome, check=False) == unchecked
-            inst._views.clear()
-    inst = bundled_instance("example2")
-    with pytest.raises(PreconditionError, match="acceptable"):
-        canonical_pair(inst, {"x"})
-    assert inst._views == {}
+            canonical_pair(inst, outcome, check=False)
+        assert inst._views == {}
 
 
 def test_canonical_pair_round_trip_on_generated_instances():

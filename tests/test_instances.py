@@ -28,6 +28,15 @@ def test_round_trip():
     assert instance_from_json(inst.to_json()).to_json() == inst.to_json()
 
 
+def test_choice_functions_cannot_be_swapped():
+    raw = minimal_raw()
+    inst = instance_from_json(raw)
+    other = instance_from_json(raw).choice["a"]
+    with pytest.raises(TypeError):
+        inst.choice["a"] = other
+    assert inst.choice["a"] is not other
+
+
 def test_missing_choice_functions():
     raw = minimal_raw()
     del raw["choice_functions"]

@@ -206,6 +206,8 @@ def test_brute_force_guard():
             ],
         }
     )
+    with pytest.raises(GuardExceededError):
+        brute_force_stable(inst, "set")
     message = "brute-force guard is 12 contracts, instance has 13"
     with pytest.raises(GuardExceededError, match=message):
         acceptable_outcomes(inst)
