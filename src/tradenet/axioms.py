@@ -11,12 +11,20 @@ mask of every menu mask.  Menus are visited in `network.subsets` order (by
 size, then by id), so the first witness is the one the literal definition
 meets first.
 
+IRC, full substitutability, LAD/LAS and w-contraction each reduce to
+one-contract steps from a menu m to m | {j}.  They first decide whether any
+step violates on whole-table menu slices (`_Slices`), with a few big-int
+operations per pair of contracts, and walk the menus only when one does, to
+find the first witness.
+
 All quantifiers are exponential in the agent's contract count, so every
 check carries an explicit size guard instead of silently truncating.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 from .choices import ChoiceFunction
@@ -66,6 +74,120 @@ def _names(cf: ChoiceFunction, mask: int) -> list[str]:
     return sorted_ids(cf.names(mask))
 
 
+# byte b translated through _BIT[j] is bit j of b, as a 0/1 byte
+_BIT = tuple(bytes(b >> j & 1 for b in range(256)) for j in range(8))
+
+
+@dataclass(frozen=True)
+class _Slices:
+    """An agent's menu table cut into one int per contract, one byte per menu.
+
+    Byte m of an int (its bits 8m..8m+7) describes menu mask m.  For the
+    contract j that is bit j of the menu masks, `chosen[j]` has byte m equal
+    to 1 when j is chosen from m, `rejected[j]` when j is in m but not
+    chosen, and `lacks[j]` when m lacks j.  `up_count` and `down_count` hold
+    each menu's chosen count on each side, and `up_mask` tells the sides
+    apart.  Menu m | {j} is menu m + 2^j for an m that lacks j, so shifting
+    a slice right by 2^j bytes (`8 << j` bits) puts the bigger menu's byte
+    on the smaller one; masking with `lacks[j]` keeps the menus where that
+    is a step.  Sums of slices stay byte-wise while no byte passes 255, and
+    every sum below stays under 160."""
+
+    up_mask: int
+    ones: int
+    chosen: list[int]
+    rejected: list[int]
+    lacks: list[int]
+    up_count: int
+    down_count: int
+
+    @classmethod
+    def of(cls, cf: ChoiceFunction) -> "_Slices":
+        table = cf.menu_table()
+        size = len(table)
+        raw = array("H", table).tobytes()  # masks of at most SIZE_GUARD bits fit
+        low, high = (raw[0::2], raw[1::2]) if sys.byteorder == "little" else (raw[1::2], raw[0::2])
+        chosen = [
+            int.from_bytes((low if j < 8 else high).translate(_BIT[j & 7]), "little")
+            for j in range(len(cf.ids))
+        ]
+        lacks = [
+            int.from_bytes((b"\1" * (1 << j) + bytes(1 << j)) * (size >> (j + 1)), "little")
+            for j in range(len(cf.ids))
+        ]
+        ones = int.from_bytes(b"\1" * size, "little")
+        rejected = [ones ^ lack ^ c for lack, c in zip(lacks, chosen)]
+        up = sum(c for j, c in enumerate(chosen) if cf.up_mask >> j & 1)
+        down = sum(c for j, c in enumerate(chosen) if cf.down_mask >> j & 1)
+        return cls(cf.up_mask, ones, chosen, rejected, lacks, up, down)
+
+    def irc_step_fails(self) -> bool:
+        """Some menu's choice changes when one rejected contract is dropped.
+
+        No `lacks` mask is needed: on a menu m holding j, menu m + 2^j lacks
+        j, so the shifted `rejected[j]` is 0 there."""
+        for j, rejected in enumerate(self.rejected):
+            shift = 8 << j
+            differs = 0
+            for c in self.chosen:
+                differs |= c ^ (c >> shift)
+            if differs & (rejected >> shift):
+                return True
+        return False
+
+    def substitutes_step_fails(self) -> bool:
+        """Some step m -> m | {e} un-rejects a contract on e's side or
+        rejects one chosen on the other side."""
+        for e, lacks in enumerate(self.lacks):
+            shift, side = 8 << e, self.up_mask >> e & 1
+            bad = 0
+            for k, (c, r) in enumerate(zip(self.chosen, self.rejected)):
+                if self.up_mask >> k & 1 == side:
+                    bad |= r & (c >> shift)
+                else:
+                    bad |= c & (r >> shift)
+            if bad & lacks:
+                return True
+        return False
+
+    def lad_las_step_fails(self) -> bool:
+        """Some step m -> m | {e} widens the count gap against e's side.
+
+        Byte m of `gap` is 64 plus the gap change in e's side's favour: at
+        least 32 and at most 96, so no carry or borrow crosses bytes, and the
+        change is negative exactly when bit 6 is clear."""
+        up, down, offset = self.up_count, self.down_count, 64 * self.ones
+        for e, lacks in enumerate(self.lacks):
+            shift = 8 << e
+            # byte m: n_up(m) + n_down(m | e) and n_down(m) + n_up(m | e)
+            up_small_down_big, down_small_up_big = up + (down >> shift), down + (up >> shift)
+            if self.up_mask >> e & 1:
+                gap = offset + down_small_up_big - up_small_down_big
+            else:
+                gap = offset + up_small_down_big - down_small_up_big
+            if ~gap & lacks << 6:
+                return True
+        return False
+
+    def w_contraction_step_expands(self) -> bool:
+        """Some one-contract step has rejection distance over 1: dropping an
+        upstream contract or adding a downstream one.
+
+        Byte m of `total` is 126 plus the distance of the step m -> m | {c},
+        a byte-wise sum of 0/1 indicators, so bit 7 is set exactly when the
+        distance is over 1."""
+        for c, lacks in enumerate(self.lacks):
+            shift, side = 8 << c, self.up_mask >> c & 1
+            total = 126 * self.ones
+            for k, r in enumerate(self.rejected):
+                big = r >> shift
+                # rejections the step adds on c's side, and drops on the other
+                total += big & ~r if self.up_mask >> k & 1 == side else r & ~big
+            if total & lacks << 7:
+                return True
+        return False
+
+
 def check_irc(cf: ChoiceFunction) -> AxiomReport:
     """Removing rejected contracts from the offer must not change the choice.
 
@@ -74,6 +196,8 @@ def check_irc(cf: ChoiceFunction) -> AxiomReport:
     the remaining contracts rejected, so checking single removals on every
     menu is exactly equivalent to checking every intermediate menu."""
     _guard(cf, "irc")
+    if not _Slices.of(cf).irc_step_fails():
+        return AxiomReport("irc", cf.agent, True)
     table = cf.menu_table()
     for menu in submasks(cf.up_mask | cf.down_mask):
         chosen = table[menu]
@@ -99,6 +223,8 @@ def check_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
     one-contract step is exactly equivalent to checking every nested pair.
     """
     _guard(cf, "full_substitutability")
+    if not _Slices.of(cf).substitutes_step_fails():
+        return AxiomReport("full_substitutability", cf.agent, True)
     table = cf.menu_table()
     U, D = cf.up_mask, cf.down_mask
     # (condition, grown side, side compared), in checking order: a same-side
@@ -131,6 +257,8 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     along chains of single-contract insertions, so per-step checking is
     exactly equivalent to checking every nested pair."""
     _guard(cf, "lad_las")
+    if not _Slices.of(cf).lad_las_step_fails():
+        return AxiomReport("lad_las", cf.agent, True)
     table = cf.menu_table()
     U, D = cf.up_mask, cf.down_mask
     laws = (("aggregate_demand", U, D, "up", "down"), ("aggregate_supply", D, U, "down", "up"))
@@ -242,22 +370,14 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     pairs directly, 3^|up| * 3^|down| of them: the supersets of a set, in
     `subsets` order, are the set joined with each subset of the rest."""
     _guard(cf, "w_contraction")
+    if not _Slices.of(cf).w_contraction_step_expands():
+        return AxiomReport("w_contraction", cf.agent, True)
     U, D = cf.up_mask, cf.down_mask
     rej = [m & ~c for m, c in enumerate(cf.menu_table())]
 
     def distance(big, small):
         return ((rej[big] & ~rej[small] & U) | (rej[small] & ~rej[big] & D)).bit_count()
 
-    def some_step_expands():
-        # a step drops one upstream contract or adds one downstream contract
-        for c in mask_bits(U | D):
-            for m in range(len(rej)):
-                if not m & c and (distance(m | c, m) if c & U else distance(m, m | c)) > 1:
-                    return True
-        return False
-
-    if not some_step_expands():
-        return AxiomReport("w_contraction", cf.agent, True)
     ups, downs = submasks(U), submasks(D)
     up_supersets = {s: [s | x for x in submasks(U & ~s)] for s in ups}
     down_supersets = {s: [s | x for x in submasks(D & ~s)] for s in downs}

@@ -10,6 +10,7 @@ preconditions), 2 input errors (bad files, bad flags).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -306,6 +307,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every `main` call in the
+    process: parsing reads it and never changes it."""
+    return build_parser()
+
+
 _COMMANDS = {
     "validate": _cmd_validate,
     "check-axioms": _cmd_check_axioms,
@@ -320,7 +328,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)

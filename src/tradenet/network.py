@@ -202,9 +202,15 @@ def subsets(items):
 def submasks(mask: int) -> list[int]:
     """Every submask of `mask` in `subsets` order, when bit i stands for the
     i-th contract in id order."""
-    return [sum(s) for s in subsets(mask_bits(mask))]
+    bits = mask_bits(mask)
+    return [sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size)]
 
 
 def mask_bits(mask: int) -> list[int]:
     """The single-bit masks of `mask`, lowest (first id) first."""
-    return [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low)
+        mask ^= low
+    return out

@@ -2,12 +2,16 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+from collections import Counter
 
 import pytest
 
 from tradenet.axioms import (
     _CHECKS,
     AxiomReport,
+    _names,
+    _Slices,
     check_full_substitutability,
     check_instance,
     check_irc,
@@ -28,7 +32,7 @@ from tradenet.choices import (
 )
 from tradenet.errors import GuardExceededError
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
-from tradenet.network import sorted_ids, subsets
+from tradenet.network import mask_bits, sorted_ids, submasks, subsets
 from tradenet.oracle import PROFILES, generate_instance
 
 
@@ -594,6 +598,23 @@ def _random_table(rng, n):
     return TableChoice("f", up, set(ids) - up, table)
 
 
+def _near_miss_table(rng, n):
+    """A matched-orders or quota table (both pass IRC, substitutability,
+    LAD/LAS and w-contraction) with one menu's choice redrawn at random, so
+    that a violation, when there is one, sits on a few steps of one menu."""
+    ids = [f"c{i}" for i in range(n)]
+    cut = rng.randint(0, n)
+    ups, downs = ids[:cut], ids[cut:]
+    if ups and downs:
+        base = SeparableIntensityChoice("f", rng.sample(ups, cut), rng.sample(downs, n - cut))
+    else:
+        base = QuotaChoice("f", ups, downs, rng.sample(ids, n), rng.randint(1, n))
+    table = [(m, base.choose(m)) for m in subsets(ids)]
+    i = rng.randrange(len(table))
+    table[i] = (table[i][0], [c for c in sorted(table[i][0]) if rng.random() < 0.5])
+    return TableChoice("f", set(ups), set(downs), table)
+
+
 def _comparison_corpus(unrestricted_instance):
     """(choice function, intensity map or None) pairs."""
     for name in BUNDLED:
@@ -612,9 +633,11 @@ def _comparison_corpus(unrestricted_instance):
     for seed in range(200):
         inst = unrestricted_instance(seed)
         yield from ((inst.choice[a], None) for a in sorted(inst.network.agents))
-    for n in range(1, 6):
+    for n in range(1, 7):
         for _ in range(12):
             yield _random_table(rng, n), None
+        for _ in range(16):
+            yield _near_miss_table(rng, n), None
     # hand-built violators: IRC, substitutability, LAD/LAS and separability
     yield TableChoice("f", {"a", "b"}, set(), [(("a",), ("a",))]), None
     irc_table = [(("a", "b", "c"), ("a", "b")), (("a", "b"), ("a",))]
@@ -625,16 +648,34 @@ def _comparison_corpus(unrestricted_instance):
     yield QuotaChoice("b", {"u1"}, set(), ["u1"], quota=1), None
 
 
+def _step_fails(cf):
+    """The slice tests' verdicts: whether some one-contract step violates."""
+    slices = _Slices.of(cf)
+    return {
+        "irc": slices.irc_step_fails(),
+        "full_substitutability": slices.substitutes_step_fails(),
+        "lad_las": slices.lad_las_step_fails(),
+        "w_contraction": slices.w_contraction_step_expands(),
+    }
+
+
 def test_validators_match_literal_definitions(unrestricted_instance):
     rng = random.Random(11)
     failing = set()
+    table_verdicts = Counter()
     for cf, intensity in _comparison_corpus(unrestricted_instance):
         where = (cf.family, sorted(cf.upstream), sorted(cf.downstream))
+        step_fails = _step_fails(cf)
         for name, check in _CHECKS.items():
             report = check(cf).to_json()
             assert report == LITERAL[name](cf).to_json(), (name, where)
             if not report["holds"]:
                 failing.add(name)
+            if name in step_fails:
+                # a slice test that cries wolf would only cost a walk, so pin it
+                assert step_fails[name] == (not report["holds"]), (name, where)
+                if cf.family == "table":
+                    table_verdicts[name, report["holds"]] += 1
         if intensity is None:
             # ties included: a tie out-ranks nothing
             intensity = {c: rng.choice((1.0, 2.0, 3.0)) for c in sorted(cf.domain)}
@@ -643,3 +684,164 @@ def test_validators_match_literal_definitions(unrestricted_instance):
         if not report["holds"]:
             failing.add("simplicity")
     assert failing == set(_CHECKS) | {"simplicity"}
+    # the random tables make each slice test both pass and fail many times
+    counts = [table_verdicts[name, holds] for name in WALK for holds in (True, False)]
+    assert min(counts) >= 30, table_verdicts
+
+
+# ---------------------------------------------------------------------------
+# the slice tests against the menu walks they front
+#
+# The walks below are the validators as they were before the slice tests:
+# each walks every menu of the agent's table and every one-contract step.
+# On agents of 13-16 contracts the validators must give the same report.
+# ---------------------------------------------------------------------------
+
+
+def walk_irc(cf: ChoiceFunction) -> AxiomReport:
+    table = cf.menu_table()
+    for menu in submasks(cf.up_mask | cf.down_mask):
+        chosen = table[menu]
+        for dropped in mask_bits(menu & ~chosen):
+            trimmed = menu ^ dropped
+            if table[trimmed] != chosen:
+                return AxiomReport("irc", cf.agent, False, {
+                    "offer": _names(cf, menu),
+                    "trimmed_offer": _names(cf, trimmed),
+                    "choice_from_offer": _names(cf, chosen),
+                    "choice_from_trimmed": _names(cf, table[trimmed]),
+                })
+    return AxiomReport("irc", cf.agent, True)
+
+
+def walk_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
+    table = cf.menu_table()
+    U, D = cf.up_mask, cf.down_mask
+    conditions = (("same_side_upstream", U, U), ("cross_side_upstream", D, U),
+                  ("same_side_downstream", D, D), ("cross_side_downstream", U, D))
+    for down in submasks(D):
+        for up in submasks(U):
+            menu = up | down
+            rej = menu & ~table[menu]
+            for condition, grown, side in conditions:
+                for extra in mask_bits(grown & ~menu):
+                    rej_big = (menu | extra) & ~table[menu | extra]
+                    bad = (rej & ~rej_big if grown == side else rej_big & ~rej) & side
+                    if bad:
+                        key, other = ("up", "down") if grown == U else ("down", "up")
+                        return AxiomReport("full_substitutability", cf.agent, False, {
+                            "condition": condition,
+                            "contract": _names(cf, bad & -bad)[0],
+                            key: _names(cf, (menu | extra) & grown),
+                            f"{key}_smaller": _names(cf, menu & grown),
+                            other: _names(cf, menu & ~grown),
+                        })
+    return AxiomReport("full_substitutability", cf.agent, True)
+
+
+def walk_lad_las(cf: ChoiceFunction) -> AxiomReport:
+    table = cf.menu_table()
+    U, D = cf.up_mask, cf.down_mask
+    laws = (("aggregate_demand", U, D, "up", "down"), ("aggregate_supply", D, U, "down", "up"))
+    for down in submasks(D):
+        for up in submasks(U):
+            menu = up | down
+            chosen = table[menu]
+            for law, side, other, key, other_key in laws:
+                n, n_other = (chosen & side).bit_count(), (chosen & other).bit_count()
+                for extra in mask_bits(side & ~menu):
+                    big = table[menu | extra]
+                    n_big, n_other_big = (big & side).bit_count(), (big & other).bit_count()
+                    if n_big - n < n_other_big - n_other:
+                        return AxiomReport("lad_las", cf.agent, False, {
+                            "law": law,
+                            key: _names(cf, (menu | extra) & side),
+                            f"{key}_smaller": _names(cf, menu & side),
+                            other_key: _names(cf, menu & other),
+                            "chosen_counts": [n_big, n, n_other_big, n_other],
+                        })
+    return AxiomReport("lad_las", cf.agent, True)
+
+
+def walk_w_contraction(cf: ChoiceFunction) -> AxiomReport:
+    U, D = cf.up_mask, cf.down_mask
+    rej = [m & ~c for m, c in enumerate(cf.menu_table())]
+
+    def distance(big, small):
+        return ((rej[big] & ~rej[small] & U) | (rej[small] & ~rej[big] & D)).bit_count()
+
+    def some_step_expands():
+        for c in mask_bits(U | D):
+            for m in range(len(rej)):
+                if not m & c and (distance(m | c, m) if c & U else distance(m, m | c)) > 1:
+                    return True
+        return False
+
+    if not some_step_expands():
+        return AxiomReport("w_contraction", cf.agent, True)
+    ups, downs = submasks(U), submasks(D)
+    up_supersets = {s: [s | x for x in submasks(U & ~s)] for s in ups}
+    down_supersets = {s: [s | x for x in submasks(D & ~s)] for s in downs}
+    for up_small in ups:
+        for up in up_supersets[up_small]:
+            for down in downs:
+                for down_big in down_supersets[down]:
+                    big, small = up | down, up_small | down_big
+                    lhs, rhs = distance(big, small), (big ^ small).bit_count()
+                    if lhs > rhs:
+                        return AxiomReport("w_contraction", cf.agent, False, {
+                            "up": _names(cf, up),
+                            "up_smaller": _names(cf, up_small),
+                            "down": _names(cf, down),
+                            "down_bigger": _names(cf, down_big),
+                            "weights": [lhs - D.bit_count(), rhs - D.bit_count()],
+                        })
+    return AxiomReport("w_contraction", cf.agent, True)
+
+
+WALK = {
+    "irc": walk_irc,
+    "full_substitutability": walk_full_substitutability,
+    "lad_las": walk_lad_las,
+    "w_contraction": walk_w_contraction,
+}
+
+
+def _large_agents():
+    """Agents of 13-16 contracts: a matched-orders hub, a quota seller, a
+    random preference list, a near-miss table and two generated agents."""
+    rng = random.Random(16)
+    ups, downs = [f"u{i:02d}" for i in range(8)], [f"d{i:02d}" for i in range(8)]
+    yield SeparableIntensityChoice("h", rng.sample(ups, 8), rng.sample(downs, 8))
+    yield QuotaChoice("s", [], ups + downs, rng.sample(ups + downs, 16), quota=5)
+    ids = [f"c{i:02d}" for i in range(13)]
+    ranking = {frozenset(rng.sample(ids, rng.randint(1, 4))) for _ in range(60)}
+    yield PreferenceListChoice("p", ids[:6], ids[6:], sorted(ranking, key=sorted))
+    near = TableChoice("n", ups[:7], downs, [])
+    near.table = dict(enumerate(SeparableIntensityChoice("n", ups[:7], downs).menu_table()))
+    menu = rng.randrange(1 << 15)
+    near.table[menu] &= rng.randrange(1 << 15)
+    yield near
+    gen = generate_instance(5, "simple", max_agents=8, max_contracts=16).instance
+    for agent in ("a1", "a2"):
+        yield gen.choice[agent]
+
+
+def test_slice_tests_match_the_walks_on_13_to_16_contracts():
+    budget_s = 3.0
+    spent = 0.0
+    verdicts = Counter()
+    for cf in _large_agents():
+        assert 13 <= len(cf.domain) <= 16, cf.agent
+        cf.menu_table()
+        step_fails = _step_fails(cf)
+        for name, walk in WALK.items():
+            start = time.perf_counter()
+            report = _CHECKS[name](cf)
+            spent += time.perf_counter() - start
+            assert report == walk(cf), (name, cf.agent)
+            assert step_fails[name] == (not report.holds), (name, cf.agent)
+            verdicts[name, report.holds] += 1
+    assert min(verdicts[name, holds] for name in WALK for holds in (True, False)) >= 1, verdicts
+    print(f"validators on 13-16 contracts: {spent:.2f}s, verdicts {dict(verdicts)}")
+    assert spent <= budget_s, f"validators on 13-16 contracts took {spent:.2f}s, budget {budget_s}s"

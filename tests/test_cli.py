@@ -497,3 +497,38 @@ def test_closed_pipe_ends_quietly(tmp_path):
     assert proc.returncode == 0
     assert b"Traceback" not in err
     assert err == b""
+
+
+def test_shared_parser_prints_what_a_fresh_one_prints(capsys, example_dir):
+    """`main` builds its parser once per process. Interleaved calls (a
+    success, an input error, an argparse error, a bare usage, a help, another
+    success) each print what they print as the first call of a process."""
+    from tradenet import cli
+
+    example2 = str(example_dir / "example2.json")
+    calls = [
+        ["check-axioms", example2],
+        ["check-axioms", example2, "--agent", "nobody"],
+        ["check", example2, "--outcome", "[]", "--notion", "stable"],
+        [],
+        ["oracle", "--help"],
+        ["--human", "enumerate", example2],
+        ["check-axioms", example2],
+    ]
+
+    def run(argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    first = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [0, 2, ("exit", 2), 2, ("exit", 0), 0, 0]
+    assert "invalid choice: 'stable'" in first[2][2]
+    for _ in range(2):
+        assert [run(argv) for argv in calls] == first

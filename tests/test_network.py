@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tradenet.errors import NetworkValidationError
-from tradenet.network import subsets, validate_network
+from tradenet.network import mask_bits, submasks, subsets, validate_network
 
 
 def test_ring4_validates(ring4):
@@ -62,6 +62,18 @@ def test_subsets_by_size_then_lexicographic():
         frozenset(s) for s in ((), "a", "b", "c", "ab", "ac", "bc", "abc")
     ]
     assert list(subsets([])) == [frozenset()]
+
+
+def reference_submasks(mask):
+    """The frozenset route `submasks` replaced: every subset of the mask's
+    bits through `subsets`, summed back into a mask."""
+    return [sum(s) for s in subsets(1 << i for i in range(mask.bit_length()) if mask >> i & 1)]
+
+
+def test_submasks_match_the_subsets_order():
+    for mask in range(1 << 11):
+        assert mask_bits(mask) == [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert submasks(mask) == reference_submasks(mask), mask
 
 
 def test_terminal_partition(ring4):
