@@ -4,11 +4,12 @@ Every family maps an offered set of the agent's own contracts to a chosen
 subset.  Contracts that do not involve the agent are silently dropped before
 evaluation.  Inside, a menu is an int mask: each choice function numbers its
 domain in sorted-id order, contract i is bit i, and every family's selector
-takes and returns masks (`choose_mask`); `choose` is the frozenset boundary.
-Evaluation is pure and memoized per menu (the cache never changes an
-observable result, it only speeds up the exhaustive searches that hammer the
-same menus).  `menu_table` is the one tabulation of every menu, read by each
-layer that quantifies over all of an agent's menus.
+takes and returns masks (`choose_mask`); `choose` is the frozenset boundary,
+a conversion around `choose_mask`.  Evaluation is pure and memoized in one
+cache keyed by menu mask (the cache never changes an observable result, it
+only speeds up the exhaustive searches that hammer the same menus).
+`menu_table` is the one tabulation of every menu, read by each layer that
+quantifies over all of an agent's menus.
 
 Side conventions follow the rest of the library: *upstream* contracts are the
 ones the agent buys, *downstream* the ones it sells.
@@ -42,8 +43,6 @@ class ChoiceFunction:
         self.down_mask = self.mask(self.downstream)
         self._cache: dict[int, int] = {}
         self._menu_table: list[int] | None = None
-        # the same menus as `_cache`, answered at the frozenset boundary
-        self._answers: dict[frozenset[str], frozenset[str]] = {}
 
     def mask(self, contracts) -> int:
         """The mask of the agent's own contracts among `contracts`."""
@@ -61,11 +60,7 @@ class ChoiceFunction:
     # -- evaluation ---------------------------------------------------------
 
     def choose(self, offered) -> frozenset[str]:
-        menu = frozenset(offered) & self.domain
-        hit = self._answers.get(menu)
-        if hit is None:
-            hit = self._answers[menu] = self.names(self.choose_mask(self.mask(menu)))
-        return hit
+        return self.names(self.choose_mask(self.mask(offered)))
 
     def choose_mask(self, menu: int) -> int:
         """The chosen mask from a menu mask over the agent's domain."""

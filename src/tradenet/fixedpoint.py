@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .instances import Instance
 from .network import sorted_ids, submasks
@@ -68,16 +69,15 @@ def bottom_pair(inst: Instance) -> OfferPair:
 
 def respond(inst: Instance, pair: OfferPair) -> OfferPair:
     """One simultaneous response round of all agents.  Each agent is asked
-    once, for its seller-side sales and buyer-side purchases together; what
-    it rejects of either side leaves the other side."""
+    once, for its seller-side sales and buyer-side purchases together, as a
+    menu mask; what it rejects of either side leaves the other side."""
     seller_rejects: set[str] = set()
     buyer_rejects: set[str] = set()
     for cf in inst.choice.values():
-        sells = pair.seller_side & cf.downstream
-        buys = pair.buyer_side & cf.upstream
-        kept = cf.choose(sells | buys)
-        seller_rejects |= sells - kept
-        buyer_rejects |= buys - kept
+        menu = cf.mask(pair.seller_side & cf.downstream | pair.buyer_side & cf.upstream)
+        rejected = cf.names(menu & ~cf.choose_mask(menu))
+        seller_rejects |= rejected & cf.downstream
+        buyer_rejects |= rejected & cf.upstream
     everything = inst.contract_ids
     return OfferPair(everything - seller_rejects, everything - buyer_rejects)
 
@@ -295,10 +295,8 @@ def compare_terminal_superiority(inst: Instance, first, second) -> SuperiorityVe
     first, second = frozenset(first), frozenset(second)
     part = inst.network.terminal_partition()
     for agent in sorted(part.terminal_agents):
-        cf = inst.choice[agent]
         for outcome in (first, second):
-            own = outcome & cf.domain
-            if cf.choose(own) != own:
+            if not is_individually_rational(inst.choice[agent], outcome):
                 raise PreconditionError(
                     f"outcome is not individually rational for terminal agent {agent}"
                 )

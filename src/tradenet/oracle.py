@@ -39,9 +39,13 @@ def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[froze
     Each notion's checker calls an outcome that some agent will not keep in
     full unstable, so no other outcome can be stable.  The acceptable ones
     come from `acceptable_outcomes`, joined once per instance however many
-    notions are asked for.  `jobs` is accepted and ignored: at the guard's
-    12 contracts a second process costs more than it saves."""
-    hits = [o for o in acceptable_outcomes(inst) if stability.check_notion(inst, o, notion).stable]
+    notions are asked for, and are themselves the `acceptable` notion's
+    answer.  `jobs` is accepted and ignored: at the guard's 12 contracts a
+    second process costs more than it saves."""
+    outcomes = acceptable_outcomes(inst)
+    if notion == "acceptable":
+        return sorted(outcomes, key=sorted_ids)
+    hits = [o for o in outcomes if stability.check_notion(inst, o, notion).stable]
     return sorted(hits, key=sorted_ids)
 
 
@@ -192,15 +196,13 @@ def _draw_network(rng: random.Random, profile: str, max_agents: int, max_contrac
     contracts = []
     if profile == "simple":
         # every agent needs both sides, so lay a ring first
-        if n_agents < 2:
-            n_agents = 2
         ring = agents + [agents[0]]
         for i in range(n_agents):
             contracts.append((ring[i], ring[i + 1]))
         while len(contracts) < max(n_contracts, n_agents):
             s, b = rng.sample(agents, 2)
             contracts.append((s, b))
-    elif rng.random() < 0.35 and n_agents >= 2:
+    elif rng.random() < 0.35:
         # two-sided market: left agents sell, right agents buy; crossed
         # orders downstream make the optimal outcomes pull apart
         cut = n_agents // 2 if n_agents >= 4 else rng.randint(1, n_agents - 1)
@@ -281,6 +283,8 @@ def generate_instance(
     rng = random.Random(("instance", profile, seed).__repr__())
     for _ in range(attempts):
         net = _draw_network(rng, profile, max_agents, max_contracts)
+        if any(len(net.upstream[a] | net.downstream[a]) > axioms.SIZE_GUARD for a in net.agents):
+            continue
         intensity = {
             cid: round(rng.uniform(0, 100), 3) for cid in sorted(net.contract_ids)
         }

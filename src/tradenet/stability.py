@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
+from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
 from .errors import GuardExceededError, StabilityContradictionError
 from .instances import Instance
@@ -58,12 +59,11 @@ def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     outcome = frozenset(outcome)
     for agent in sorted(inst.network.agents):
         cf = inst.choice[agent]
-        own = outcome & cf.domain
-        if cf.choose(own) != own:
+        if not is_individually_rational(cf, outcome):
             return StabilityVerdict(
                 "acceptable",
                 False,
-                Witness("not_acceptable", tuple(sorted_ids(own)), agent=agent),
+                Witness("not_acceptable", tuple(sorted_ids(outcome & cf.domain)), agent=agent),
             )
     return StabilityVerdict("acceptable", True)
 

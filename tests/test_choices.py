@@ -421,6 +421,19 @@ def test_mask_selectors_match_literal_selectors(unrestricted_instance):
     assert families == set(LITERAL)
 
 
+def test_choose_is_a_conversion_around_choose_mask(unrestricted_instance):
+    # one memo: a menu asked again, through either door or with foreign
+    # contracts alongside, evaluates nothing new
+    for cf in _selector_corpus(unrestricted_instance):
+        for menu in subsets(cf.domain):
+            chosen = cf.choose(menu)
+            assert chosen == cf.names(cf.choose_mask(cf.mask(menu))), (cf.to_json(), menu)
+            asked = cf.query_count
+            assert cf.choose(menu) == chosen
+            assert cf.choose(set(menu) | {"foreign"}) == chosen
+            assert cf.query_count == asked
+
+
 class Overreach(ChoiceFunction):
     """Keeps every offered contract, and `extra` besides."""
 

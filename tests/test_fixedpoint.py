@@ -5,11 +5,12 @@ import random
 
 import pytest
 
-from tradenet.choices import is_rational
+from tradenet.choices import ChoiceFunction, is_rational
 from tradenet.errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from tradenet.fixedpoint import (
     FixedPointResult,
     OfferPair,
+    bottom_pair,
     buyer_optimal,
     canonical_pair,
     compare_terminal_superiority,
@@ -172,9 +173,9 @@ def test_enumeration_matches_literal_scan(unrestricted_instance):
 
 
 def test_enumeration_diagnoses_a_fickle_choice_function():
-    # b's menu table keeps c, but its frozenset door (which the response round
-    # asks) turns everything down, so the joined tables name a pair that the
-    # confirming response round moves
+    # b's menu table keeps c, but afterwards its choose_mask (which the
+    # response round asks) turns everything down, so the joined tables name a
+    # pair that the confirming response round moves
     inst = instance_from_json(
         {
             "agents": ["a", "b"],
@@ -185,9 +186,99 @@ def test_enumeration_diagnoses_a_fickle_choice_function():
             ],
         }
     )
-    inst.choice["b"].choose = lambda offered: frozenset()
+    inst.choice["b"].menu_table()
+    inst.choice["b"].choose_mask = lambda menu: 0
     with pytest.raises(IterationDiagnosisError, match="not a fixed point"):
         enumerate_fixed_points(inst)
+
+
+def literal_respond(inst, pair):
+    """The response round on frozensets, each agent asked through `choose`:
+    the reference for `respond`, which asks menu masks."""
+    seller_rejects: set[str] = set()
+    buyer_rejects: set[str] = set()
+    for cf in inst.choice.values():
+        sells = pair.seller_side & cf.downstream
+        buys = pair.buyer_side & cf.upstream
+        kept = cf.choose(sells | buys)
+        seller_rejects |= sells - kept
+        buyer_rejects |= buys - kept
+    everything = inst.contract_ids
+    return OfferPair(everything - seller_rejects, everything - buyer_rejects)
+
+
+def literal_walk(inst, start):
+    """The pairs `literal_respond` visits from `start`, until a round repeats
+    its pair or 2|X| + 2 rounds have passed."""
+    walk = [start]
+    for _ in range(2 * len(inst.contract_ids) + 2):
+        nxt = literal_respond(inst, walk[-1])
+        if nxt == walk[-1]:
+            break
+        walk.append(nxt)
+    return walk
+
+
+def _respond_corpus(unrestricted_instance):
+    return (
+        [bundled_instance(name) for name in BUNDLED]
+        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(10)]
+        + [unrestricted_instance(seed) for seed in range(30)]
+        + [unrestricted_instance(seed, "abcd", max_contracts=8) for seed in range(10)]
+    )
+
+
+def _random_pairs(inst, rng, count=20):
+    ids = sorted(inst.contract_ids)
+    return [
+        OfferPair(
+            frozenset(c for c in ids if rng.random() < 0.5),
+            frozenset(c for c in ids if rng.random() < 0.5),
+        )
+        for _ in range(count)
+    ]
+
+
+def test_respond_matches_the_frozenset_round(unrestricted_instance):
+    # fixed points, both extremes, every round of both optima's traces (the
+    # literal walk where the rounds leave the monotone path) and random pairs
+    rng = random.Random(11)
+    random_fixed = random_total = 0
+    for inst in _respond_corpus(unrestricted_instance):
+        pairs = [r.pair for r in enumerate_fixed_points(inst)]
+        for optimum, start in ((buyer_optimal, top_pair(inst)), (seller_optimal, bottom_pair(inst))):
+            walk = literal_walk(inst, start)
+            try:
+                assert list(optimum(inst).trace) == walk
+            except IterationDiagnosisError:
+                pass  # not substitutable: the walk is still compared round by round
+            pairs += walk
+        sampled = _random_pairs(inst, rng)
+        for pair in pairs + sampled:
+            assert respond(inst, pair) == literal_respond(inst, pair), (inst.to_json(), pair)
+        random_fixed += sum(respond(inst, pair) == pair for pair in sampled)
+        random_total += len(sampled)
+    assert random_fixed < random_total / 2  # most random pairs are not fixed
+
+
+def test_respond_asks_no_frozenset_menu(monkeypatch, unrestricted_instance):
+    rng = random.Random(12)
+    corpus = _respond_corpus(unrestricted_instance)
+    asked = [(inst, _random_pairs(inst, rng, 5)) for inst in corpus]
+
+    def refuse(self, offered):
+        raise AssertionError(f"{self.agent} was asked a frozenset menu")
+
+    monkeypatch.setattr(ChoiceFunction, "choose", refuse)
+    for inst, pairs in asked:
+        for pair in pairs + [top_pair(inst), bottom_pair(inst)]:
+            respond(inst, pair)
+        enumerate_fixed_points(inst)
+        for optimum in (buyer_optimal, seller_optimal):
+            try:
+                optimum(inst)
+            except IterationDiagnosisError:
+                pass  # the rounds left the monotone path, asking masks all the way
 
 
 def test_enumeration_covers_contracts_and_contains_optima(example1):

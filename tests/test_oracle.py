@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 
 import pytest
 
 from tradenet import oracle, stability
-from tradenet.axioms import check_full_substitutability, check_irc
+from tradenet.axioms import SIZE_GUARD, check_full_substitutability, check_instance, check_irc
 from tradenet.errors import GuardExceededError, StabilityContradictionError
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.network import sorted_ids
@@ -189,6 +190,62 @@ def test_generation_certificates_are_real():
     assert all(r.holds for r in reports)
 
 
+def _generated_digest(draws):
+    digest = hashlib.sha256()
+    for seed, profile, sizes in draws:
+        gen = generate_instance(seed, profile, **sizes)
+        record = [gen.instance.to_json(), gen.certificates, gen.intensities]
+        digest.update(json.dumps(record, sort_keys=True).encode())
+    return digest.hexdigest()
+
+
+# seeds whose first draw at max_agents=8, max_contracts=20 gives an agent
+# more than SIZE_GUARD contracts
+OVERSIZE_DRAWS = (("fsirc", 10), ("separable", 19), ("acyclic", 13), ("acyclic", 23), ("ladlas", 22))
+
+
+def test_generation_redraws_networks_over_the_size_guard(monkeypatch):
+    drawn = []
+    draw = oracle._draw_network
+
+    def recording(*args):
+        net = draw(*args)
+        drawn.append(max(len(net.upstream[a] | net.downstream[a]) for a in net.agents))
+        return net
+
+    monkeypatch.setattr(oracle, "_draw_network", recording)
+    for profile, seed in OVERSIZE_DRAWS:
+        drawn.clear()
+        gen = generate_instance(seed, profile, max_agents=8, max_contracts=20)
+        assert max(drawn) > SIZE_GUARD, (profile, seed)  # the redraw was needed
+        inst = gen.instance
+        assert all(len(cf.domain) <= SIZE_GUARD for cf in inst.choice.values())
+        axioms = [c for c in gen.certificates if c not in ("acyclic", "simplicity")]
+        assert axioms and all(r.holds for r in check_instance(inst, axioms))
+        assert "acyclic" not in gen.certificates or inst.network.is_acyclic()
+
+
+def test_generation_is_pinned_where_no_agent_can_pass_the_size_guard():
+    # at most 16 contracts (or 20 on seeds that never draw an agent over the
+    # guard) the redraw never fires, so these corpora keep their instances
+    plan = (("fsirc", 80), ("separable", 50), ("simple", 35), ("acyclic", 35), ("ladlas", 40))
+    at_8 = [(seed, profile, {}) for profile, count in plan for seed in range(count)]
+    at_16 = [
+        (seed, profile, {"max_agents": 8, "max_contracts": 16})
+        for profile in PROFILES
+        for seed in range(25)
+    ]
+    at_20 = [
+        (seed, profile, {"max_agents": 8, "max_contracts": 20})
+        for profile in PROFILES
+        for seed in range(25)
+        if (profile, seed) not in OVERSIZE_DRAWS
+    ]
+    assert _generated_digest(at_8).startswith("d5b25338520838b6")
+    assert _generated_digest(at_16).startswith("1f6474fdfdd12d6b")
+    assert _generated_digest(at_20).startswith("a17fd4368d7037c7")
+
+
 def test_generation_unknown_profile():
     with pytest.raises(ValueError):
         generate_instance(0, "mystery")
@@ -294,8 +351,13 @@ def test_brute_force_checks_only_acceptable_outcomes(monkeypatch, unrestricted_i
     monkeypatch.setattr(stability, "check_notion", recording)
     for notion in NOTIONS:
         checked.clear()
-        brute_force_stable(inst, notion)
-        assert sorted(checked, key=sorted_ids) == sorted(acceptable, key=sorted_ids)
+        answer = brute_force_stable(inst, notion)
+        if notion == "acceptable":
+            # the joined outcomes are the answer, so none is checked again
+            assert checked == []
+            assert answer == sorted(acceptable, key=sorted_ids)
+        else:
+            assert sorted(checked, key=sorted_ids) == sorted(acceptable, key=sorted_ids)
 
 
 def test_brute_force_joins_once_and_builds_one_view_per_acceptable_outcome(
