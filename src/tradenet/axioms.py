@@ -29,10 +29,9 @@ from dataclasses import dataclass
 
 from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
+from .guards import SIZE_GUARD
 from .instances import Instance
 from .network import mask_bits, sorted_ids, submasks
-
-SIZE_GUARD = 16
 
 AXIOM_NAMES = (
     "irc",
@@ -62,10 +61,12 @@ class AxiomReport:
         }
 
 
-def _guard(cf: ChoiceFunction, axiom: str) -> None:
+def check_size(cf: ChoiceFunction, what: str) -> None:
+    """Refuse a walk over the menus of an agent with more than SIZE_GUARD
+    contracts; `what` names the check that would walk them."""
     if len(cf.domain) > SIZE_GUARD:
         raise GuardExceededError(
-            f"{axiom}: agent {cf.agent} has {len(cf.domain)} contracts, "
+            f"{what}: agent {cf.agent} has {len(cf.domain)} contracts, "
             f"guard is {SIZE_GUARD}"
         )
 
@@ -195,7 +196,7 @@ def check_irc(cf: ChoiceFunction) -> AxiomReport:
     contracts one at a time, and each drop that preserves the choice keeps
     the remaining contracts rejected, so checking single removals on every
     menu is exactly equivalent to checking every intermediate menu."""
-    _guard(cf, "irc")
+    check_size(cf, "irc")
     if not _Slices.of(cf).irc_step_fails():
         return AxiomReport("irc", cf.agent, True)
     table = cf.menu_table()
@@ -222,7 +223,7 @@ def check_full_substitutability(cf: ChoiceFunction) -> AxiomReport:
     insertions and the containments compose along a chain, so checking every
     one-contract step is exactly equivalent to checking every nested pair.
     """
-    _guard(cf, "full_substitutability")
+    check_size(cf, "full_substitutability")
     if not _Slices.of(cf).substitutes_step_fails():
         return AxiomReport("full_substitutability", cf.agent, True)
     table = cf.menu_table()
@@ -256,7 +257,7 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     the count gap in the other side's favor.  The count differences telescope
     along chains of single-contract insertions, so per-step checking is
     exactly equivalent to checking every nested pair."""
-    _guard(cf, "lad_las")
+    check_size(cf, "lad_las")
     if not _Slices.of(cf).lad_las_step_fails():
         return AxiomReport("lad_las", cf.agent, True)
     table = cf.menu_table()
@@ -289,7 +290,7 @@ def check_separability(cf: ChoiceFunction) -> AxiomReport:
     A set is kept alongside `given` when the choice from their union keeps
     all of it.  The pairs kept only together depend on `given` alone, so they
     are listed once per `given`, in (upstream id, downstream id) order."""
-    _guard(cf, "separability")
+    check_size(cf, "separability")
     table = cf.menu_table()
     full = cf.up_mask | cf.down_mask
     menus = submasks(full)
@@ -334,7 +335,7 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
     emptiness; that situation is flagged in the notes because it is what any
     accepting one-sided agent produces.
     """
-    _guard(cf, "simplicity")
+    check_size(cf, "simplicity")
     missing = cf.domain - set(intensity)
     if missing:
         witness = {"missing_intensity": sorted_ids(missing)}
@@ -369,7 +370,7 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     the verdict.  A violator's first witness is found by walking the nested
     pairs directly, 3^|up| * 3^|down| of them: the supersets of a set, in
     `subsets` order, are the set joined with each subset of the rest."""
-    _guard(cf, "w_contraction")
+    check_size(cf, "w_contraction")
     if not _Slices.of(cf).w_contraction_step_expands():
         return AxiomReport("w_contraction", cf.agent, True)
     U, D = cf.up_mask, cf.down_mask

@@ -511,11 +511,19 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
         if extra:
             raise ChoiceFunctionError(f"{agent}/{kind}: unknown parameters {sorted(extra)}")
 
+    def id_list(value, what):  # a JSON list of contract ids, never a string read as one
+        if not isinstance(value, list) or not all(isinstance(c, str) for c in value):
+            raise ChoiceFunctionError(f"{agent}/{kind}: {what} must be a list of contract ids")
+        return value
+
     if kind == "preference_list":
         need("ranking")
-        return PreferenceListChoice(agent, up, down, params["ranking"])
+        ranking = [id_list(entry, "ranking entry") for entry in params["ranking"]]
+        return PreferenceListChoice(agent, up, down, ranking)
     if kind == "separable_intensity":
         need("upstream_order", "downstream_order")
+        id_list(params["upstream_order"], "upstream_order")
+        id_list(params["downstream_order"], "downstream_order")
         _check_cover(agent, params["upstream_order"], up, "upstream")
         _check_cover(agent, params["downstream_order"], down, "downstream")
         return SeparableIntensityChoice(
@@ -527,9 +535,12 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
     if kind in ("quota", "unit_demand"):
         if kind == "unit_demand":
             need("order")
-            return QuotaChoice(agent, up, down, params["order"], 1)
+            return QuotaChoice(agent, up, down, id_list(params["order"], "order"), 1)
         need("order", "quota")
-        return QuotaChoice(agent, up, down, params["order"], params["quota"])
+        quota = params["quota"]
+        if not isinstance(quota, int) or isinstance(quota, bool):
+            raise ChoiceFunctionError(f"{agent}/{kind}: quota must be an integer")
+        return QuotaChoice(agent, up, down, id_list(params["order"], "order"), quota)
     if kind == "partition_f":
         need("weights")
         ids, down_id = _gadget_wiring(net, agent, up, down, len(params["weights"]))

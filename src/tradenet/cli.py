@@ -16,9 +16,9 @@ import os
 import sys
 
 from . import axioms, dynamics, equilibrium, fixedpoint, oracle, stability
-from .choices import NeedleChoiceF, build_family
+from .choices import NeedleChoiceF
 from .errors import ChoiceFunctionError, InstanceFormatError, NetworkValidationError, TradenetError
-from .instances import Instance, load_instance, read_json, write_examples, write_json
+from .instances import Instance, build_choices, load_instance, read_json, write_examples, write_json
 from .network import Contract, sorted_ids, validate_network
 
 
@@ -146,19 +146,8 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
         "agents": list(inst.network.agents) + [raw["agent"]],
         "contracts": [c.to_json() for c in inst.network.contracts] + raw["contracts"],
     }
-    new_net = validate_network(trial)
-    descs = raw["choice_functions"]
-    entrant_cf = None
-    updated = {}
-    for desc in descs:
-        try:
-            cf = build_family(new_net, desc)
-        except ChoiceFunctionError as exc:
-            raise InstanceFormatError(f"entry file choice function: {exc}") from exc
-        if cf.agent == raw["agent"]:
-            entrant_cf = cf
-        else:
-            updated[cf.agent] = cf
+    updated = build_choices(validate_network(trial), raw["choice_functions"], "entry file: ")
+    entrant_cf = updated.pop(raw["agent"], None)
     if entrant_cf is None:
         raise InstanceFormatError("entry file lacks a choice function for the entrant")
     contracts = tuple(
@@ -246,6 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("json", "human"), default="json")
     parser.add_argument("--human", action="store_true", help="shorthand for --format human")
     sub = parser.add_subparsers(dest="command")
+    notions = tuple(n.replace("_", "-") for n in stability.NOTIONS)
 
     p = sub.add_parser("validate", help="validate an instance file")
     p.add_argument("instance")
@@ -266,11 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="stability verdicts for an outcome")
     p.add_argument("instance")
     p.add_argument("--outcome", required=True)
-    p.add_argument(
-        "--notion",
-        default="all",
-        choices=("all", "acceptable", "trail", "full-trail", "chain", "set", "strong-trail"),
-    )
+    p.add_argument("--notion", default="all", choices=("all", *notions))
     p.add_argument("--quiet", action="store_true", help="suppress witnesses")
 
     p = sub.add_parser("equilibrium", help="price adjustment plus completion")
@@ -287,11 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     osub = p.add_subparsers(dest="oracle_cmd")
     q = osub.add_parser("brute")
     q.add_argument("instance")
-    q.add_argument(
-        "--notion",
-        required=True,
-        choices=("acceptable", "trail", "full-trail", "chain", "set", "strong-trail"),
-    )
+    q.add_argument("--notion", required=True, choices=notions)
     q.add_argument("--jobs", type=int, default=1)
     q = osub.add_parser("partition")
     q.add_argument("--weights", required=True, help="comma-separated positive integers")

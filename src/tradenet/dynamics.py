@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import axioms
 from .choices import ChoiceFunction
-from .errors import GuardExceededError, PreconditionError
+from .errors import PreconditionError
 from .fixedpoint import (
     FixedPointResult,
     OfferPair,
@@ -24,9 +24,7 @@ from .fixedpoint import (
     seller_optimal,
 )
 from .instances import Instance
-from .network import Contract, sorted_ids, subsets, validate_network
-
-CONSISTENCY_GUARD = 12
+from .network import Contract, sorted_ids, submasks, validate_network
 
 
 @dataclass(frozen=True)
@@ -42,17 +40,23 @@ class EntryEvent:
 
 
 def _check_consistent(old: ChoiceFunction, new: ChoiceFunction) -> None:
-    """Replacement functions must restrict to the originals on old menus."""
-    if len(old.domain) > CONSISTENCY_GUARD:
-        raise GuardExceededError(
-            f"{old.agent}: consistency check guard is {CONSISTENCY_GUARD} contracts"
-        )
+    """Replacement functions must restrict to the originals on old menus.
+
+    Old menus are walked as masks in `subsets` order and lifted into the
+    replacement's numbering, so each function is asked only the menus up to
+    the first disagreement."""
+    axioms.check_size(old, "consistency")
     if not old.domain <= new.domain:
         raise PreconditionError(f"{new.agent}: replacement lost old contracts")
-    for menu in subsets(old.domain):
-        if old.choose(menu) != new.choose(menu):
+    lifted = [0]  # the replacement's mask of each old menu mask, by doubling
+    for cid in old.ids:
+        b = new.bit[cid]
+        lifted += [m | b for m in lifted]
+    for menu in submasks(old.up_mask | old.down_mask):
+        if lifted[old.choose_mask(menu)] != new.choose_mask(lifted[menu]):
             raise PreconditionError(
-                f"{new.agent}: replacement choice disagrees on old menu {sorted_ids(menu)}"
+                f"{new.agent}: replacement choice disagrees on old menu "
+                f"{sorted_ids(old.names(menu))}"
             )
 
 

@@ -23,6 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
+from .guards import SIZE_GUARD
 from .instances import Instance
 from .network import mask_bits, sorted_ids, submasks, validate_network
 
@@ -235,7 +236,7 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
     out = []
     for agent in sorted(priced.instance.network.agents):
         cf = priced.instance.choice[agent]
-        axioms._guard(cf, "feasibility")
+        axioms.check_size(cf, "feasibility")
         table = cf.menu_table()
         trade_of = {cf.bit[cid]: priced.split(cid)[0] for cid in cf.ids}
         witness = None
@@ -282,8 +283,8 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
     for t in priced.trades:
         buyer_cf = inst.choice[t.buyer]
         seller_cf = inst.choice[t.seller]
-        axioms._guard(buyer_cf, "complete_prices")
-        axioms._guard(seller_cf, "complete_prices")
+        axioms.check_size(buyer_cf, "complete_prices")
+        axioms.check_size(seller_cf, "complete_prices")
         grid = [contract_id(t.id, p) for p in t.prices()]
         if not any(_always_kept(buyer_cf, cid) for cid in grid):
             witness = {"condition": "buyer_floor_missing", "trade": t.id}
@@ -305,9 +306,9 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
     pool menu, listed once for every pool menu."""
     grid = {contract_id(t.id, p) for p in t.prices()}
     pool = sorted_ids((buyer_cf.domain | seller_cf.domain) - grid)
-    if len(pool) > axioms.SIZE_GUARD:
+    if len(pool) > SIZE_GUARD:
         raise GuardExceededError(
-            f"complete_prices: joint menu guard is {axioms.SIZE_GUARD}, "
+            f"complete_prices: joint menu guard is {SIZE_GUARD}, "
             f"trade {t.id} has {len(pool)}"
         )
 
@@ -360,7 +361,7 @@ def _pm_witness(inst: Instance, t: Trade):
     subset order."""
     for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
         cf = inst.choice[agent]
-        axioms._guard(cf, "price_monotonicity")
+        axioms.check_size(cf, "price_monotonicity")
         table = cf.menu_table()
         for low, high in itertools.combinations(t.prices(), 2):
             cheap = cf.bit[contract_id(t.id, low)]

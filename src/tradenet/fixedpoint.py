@@ -20,11 +20,10 @@ from dataclasses import dataclass
 
 from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
+from .guards import ENUMERATION_GUARD
 from .instances import Instance
 from .network import sorted_ids, submasks
 from .stability import FreshView, find_locally_blocking_trail, is_acceptable
-
-ENUMERATION_GUARD = 12
 
 
 @dataclass(frozen=True)

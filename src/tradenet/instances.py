@@ -92,16 +92,22 @@ def instance_from_json(raw: dict) -> Instance:
     descs = raw["choice_functions"]
     if not isinstance(descs, list):
         raise InstanceFormatError("'choice_functions' must be a list")
+    return Instance(net, build_choices(net, descs))
+
+
+def build_choices(net: ContractNetwork, descs: list, where: str = "") -> dict[str, ChoiceFunction]:
+    """One choice function per agent described; a bad description, or a
+    second one for the same agent, is an input error `where` names."""
     choice: dict[str, ChoiceFunction] = {}
     for desc in descs:
         try:
             cf = build_family(net, desc)
         except ChoiceFunctionError as exc:
-            raise InstanceFormatError(f"choice function: {exc}") from exc
+            raise InstanceFormatError(f"{where}choice function: {exc}") from exc
         if cf.agent in choice:
-            raise InstanceFormatError(f"two choice functions for agent {cf.agent!r}")
+            raise InstanceFormatError(f"{where}two choice functions for agent {cf.agent!r}")
         choice[cf.agent] = cf
-    return Instance(net, choice)
+    return choice
 
 
 def read_json(path, what: str):

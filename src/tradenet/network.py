@@ -170,6 +170,8 @@ def validate_network(raw: dict) -> ContractNetwork:
         if not all(isinstance(v, str) and v for v in (cid, seller, buyer)):
             issues.append(f"contract {cid!r}: id, seller, buyer must be nonempty strings")
             continue
+        if not isinstance(item.get("label"), (str, type(None))):
+            issues.append(f"contract {cid!r}: label must be a string or null")
         if cid in seen_ids:
             issues.append(f"duplicate contract id {cid!r}")
         seen_ids.add(cid)

@@ -20,10 +20,10 @@ from .choices import (
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .fixedpoint import join_states
+from .guards import BRUTE_GUARD, SIZE_GUARD
 from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
 
-BRUTE_GUARD = 12
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
 
 
@@ -283,7 +283,7 @@ def generate_instance(
     rng = random.Random(("instance", profile, seed).__repr__())
     for _ in range(attempts):
         net = _draw_network(rng, profile, max_agents, max_contracts)
-        if any(len(net.upstream[a] | net.downstream[a]) > axioms.SIZE_GUARD for a in net.agents):
+        if any(len(net.upstream[a] | net.downstream[a]) > SIZE_GUARD for a in net.agents):
             continue
         intensity = {
             cid: round(rng.uniform(0, 100), 3) for cid in sorted(net.contract_ids)

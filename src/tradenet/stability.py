@@ -15,11 +15,9 @@ from itertools import combinations
 from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
 from .errors import GuardExceededError, StabilityContradictionError
+from .guards import SET_GUARD, TRAIL_GUARD
 from .instances import Instance
 from .network import sorted_ids
-
-TRAIL_GUARD = 10**6
-SET_GUARD = 20
 
 NOTIONS = ("acceptable", "trail", "full_trail", "chain", "set", "strong_trail")
 

@@ -354,8 +354,36 @@ def _malformed_files(tmp_path):
             },
         ],
     }
+    # an entry file that gives one agent two choice functions, in either order
+    j_swapped = {
+        "agent": "j",
+        "type": "preference_list",
+        "ranking": [["w", "z"], ["z", "y"], ["y", "x"], ["n1", "z"]],
+    }
+    entry_twice = dict(entry_ok, choice_functions=entry_ok["choice_functions"] + [j_swapped])
+    entry_twice_swapped_first = dict(
+        entry_ok, choice_functions=[j_swapped] + entry_ok["choice_functions"]
+    )
+    # a string where a list of ids belongs, or a quota that is not an int: with
+    # one-letter ids the string would read as a list of them
+    retyped = {}
+    for name, desc in (
+        ("ranking_chars", {"agent": "j", "type": "preference_list", "ranking": "xyw"}),
+        ("entry_chars", {"agent": "j", "type": "preference_list", "ranking": [["x"], "zy"]}),
+        ("order_chars", {"agent": "i", "type": "unit_demand", "order": "x"}),
+        ("quota_float", {"agent": "i", "type": "quota", "order": ["x"], "quota": 1.5}),
+        ("quota_bool", {"agent": "i", "type": "quota", "order": ["x"], "quota": True}),
+        ("side_order_chars", {"agent": "j", "type": "separable_intensity",
+                              "upstream_order": "yw", "downstream_order": ["x", "z"]}),
+    ):
+        retyped[name] = bundled_json("example1")
+        slot = 0 if desc["agent"] == "i" else 1
+        retyped[name]["choice_functions"][slot] = desc
     paths = {}
     for name, raw in (
+        *retyped.items(),
+        ("entry_twice", entry_twice),
+        ("entry_twice_swapped_first", entry_twice_swapped_first),
         ("ranking", ranking),
         ("quota", quota),
         ("family", family),
@@ -395,6 +423,14 @@ def _malformed_files(tmp_path):
         ["equilibrium", "{priced_ok}", "--trace", "{example2}/t.json"],
         ["dynamics", "{example2}", "--entry", "{entry_ok}", "--readjust-from", "y"],
         ["check-axioms", "{example2}", "--agent", "zzz"],
+        ["dynamics", "{example2}", "--entry", "{entry_twice}"],
+        ["dynamics", "{example2}", "--entry", "{entry_twice_swapped_first}"],
+        ["validate", "{ranking_chars}"],
+        ["validate", "{entry_chars}"],
+        ["validate", "{order_chars}"],
+        ["validate", "{quota_float}"],
+        ["validate", "{quota_bool}"],
+        ["validate", "{side_order_chars}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from tradenet.choices import PreferenceListChoice, QuotaChoice
 from tradenet.dynamics import (
     EntryEvent,
+    _check_consistent,
     apply_entry,
     apply_exit,
     entry_comparative_statics,
@@ -15,6 +18,7 @@ from tradenet.dynamics import (
 from tradenet.errors import GuardExceededError, PreconditionError
 from tradenet.fixedpoint import buyer_optimal, pair_leq, seller_optimal
 from tradenet.instances import instance_from_json
+from tradenet.network import sorted_ids, subsets
 from tradenet.oracle import generate_entry_scenario, generate_instance
 
 
@@ -89,10 +93,12 @@ def test_entry_rejects_inconsistent_replacement(example2):
         apply_entry(example2, bad)
 
 
-def test_consistency_guard_is_a_guard_error():
+def _entry_beside(size):
+    """An instance where a sells `size` contracts to b, and an entry event
+    selling b one more, with a consistent replacement for b."""
     from tradenet.network import Contract
 
-    contracts = [{"id": f"c{i:02d}", "seller": "a", "buyer": "b"} for i in range(13)]
+    contracts = [{"id": f"c{i:02d}", "seller": "a", "buyer": "b"} for i in range(size)]
     inst = instance_from_json(
         {
             "agents": ["a", "b"],
@@ -111,8 +117,109 @@ def test_consistency_guard_is_a_guard_error():
         choice=QuotaChoice("f2", frozenset(), {"n1"}, ["n1"], 1),
         updated_choices={"b": b_new},
     )
-    with pytest.raises(GuardExceededError, match="consistency check guard is 12"):
+    return inst, event
+
+
+def test_consistency_guard_is_a_guard_error():
+    # the check walks masks under the per-agent guard: 13 contracts get an answer
+    inst, event = _entry_beside(13)
+    assert "n1" in apply_entry(inst, event).contract_ids
+    inst, event = _entry_beside(17)
+    message = "consistency: agent b has 17 contracts, guard is 16$"
+    with pytest.raises(GuardExceededError, match=message):
         apply_entry(inst, event)
+
+
+def literal_check_consistent(old, new) -> None:
+    """The consistency check read off its definition: every old menu as a
+    frozenset, in `subsets` order, asked of both functions through `choose`."""
+    if not old.domain <= new.domain:
+        raise PreconditionError(f"{new.agent}: replacement lost old contracts")
+    for menu in subsets(old.domain):
+        if old.choose(menu) != new.choose(menu):
+            raise PreconditionError(
+                f"{new.agent}: replacement choice disagrees on old menu {sorted_ids(menu)}"
+            )
+
+
+def _replacement_pair(seed, size, consistent):
+    """A builder of fresh (old, new) preference lists of agent b: old over
+    `size` contracts, new over those plus c00 (upstream) and c04
+    (downstream), which sort among them, so an old contract's bit moves.
+    New ranks old's sets in old's order with sets holding c00 or c04 mixed
+    in, so it agrees on every old menu, unless `consistent` is false: then
+    two old sets swap, an old set is dropped or one is added, or new loses
+    an old contract."""
+    rng = random.Random(seed)
+    ids = [f"c{2 * i + 1:02d}" for i in range(size)]
+    cut = rng.randint(0, size)
+    up, down = ids[:cut], ids[cut:]
+
+    def some(pool):
+        while True:
+            picked = frozenset(c for c in pool if rng.random() < 0.5)
+            if picked:
+                return picked
+
+    ranking = list(dict.fromkeys(some(ids) for _ in range(rng.randint(1, 6))))
+    new_ranking = list(ranking)
+    for _ in range(rng.randint(0, 3)):
+        extra = some(ids) | {rng.choice(["c00", "c04"])}
+        if extra not in new_ranking:
+            new_ranking.insert(rng.randint(0, len(new_ranking)), extra)
+    new_up, new_down = set(up) | {"c00"}, set(down) | {"c04"}
+    if not consistent:
+        kind = rng.choice(["swap", "drop", "add", "lose"])
+        olds = [i for i, s in enumerate(new_ranking) if s in ranking]
+        if kind == "swap" and len(olds) > 1:
+            i, j = rng.sample(olds, 2)
+            new_ranking[i], new_ranking[j] = new_ranking[j], new_ranking[i]
+        elif kind in ("swap", "drop"):
+            del new_ranking[rng.choice(olds)]
+        elif kind == "add":
+            extra = some(ids)
+            if extra not in new_ranking:
+                new_ranking.insert(rng.randint(0, len(new_ranking)), extra)
+        else:
+            lost = rng.choice(ids)
+            new_up.discard(lost)
+            new_down.discard(lost)
+            new_ranking = [s for s in new_ranking if lost not in s]
+
+    def build():
+        return (
+            PreferenceListChoice("b", up, down, ranking),
+            PreferenceListChoice("b", new_up, new_down, new_ranking),
+        )
+
+    return build
+
+
+def _verdict(check, build):
+    """(message or None, old's query count, new's query count) of one check
+    on a fresh pair."""
+    old, new = build()
+    try:
+        check(old, new)
+    except PreconditionError as exc:
+        message = str(exc)
+    else:
+        message = None
+    return message, old.query_count, new.query_count
+
+
+def test_consistency_check_matches_the_literal_loop():
+    cases = [(seed, 1 + seed % 8, seed % 2 == 0) for seed in range(400)]
+    cases += [(1000 + n, n, consistent) for n in range(13, 17) for consistent in (True, False)]
+    disagreeing = 0
+    for seed, size, consistent in cases:
+        build = _replacement_pair(seed, size, consistent)
+        want = _verdict(literal_check_consistent, build)
+        assert _verdict(_check_consistent, build) == want, (seed, size, consistent)
+        disagreeing += want[0] is not None
+        if consistent:
+            assert want[0] is None and want[1] == 2**size, (seed, size)
+    assert 150 < disagreeing < 250
 
 
 def test_entry_rejects_non_substitutable_entrant(example2):

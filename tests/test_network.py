@@ -57,6 +57,18 @@ def test_unknown_contract_field_rejected():
         )
 
 
+def test_labels_are_strings_or_null():
+    def network(label):
+        contract = {"id": "c", "seller": "a", "buyer": "b", "label": label}
+        return validate_network({"agents": ["a", "b"], "contracts": [contract]})
+
+    assert network("steel").contracts[0].label == "steel"
+    assert network(None).contracts[0].to_json() == {"id": "c", "seller": "a", "buyer": "b"}
+    for label in ([1], {"a": 1}, 3, True):
+        with pytest.raises(NetworkValidationError, match="label must be a string or null"):
+            network(label)
+
+
 def test_subsets_by_size_then_lexicographic():
     assert list(subsets({"b", "a", "c"})) == [
         frozenset(s) for s in ((), "a", "b", "c", "ab", "ac", "bc", "abc")
