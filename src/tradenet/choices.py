@@ -48,6 +48,15 @@ class ChoiceFunction:
         """The mask of the agent's own contracts among `contracts`."""
         return sum(map(self.bit.__getitem__, self.domain.intersection(contracts)))
 
+    def lift(self, ids) -> list[int]:
+        """This function's mask of each submask of `ids` (contract i of `ids` is
+        bit i), by doubling; contracts outside the domain add nothing."""
+        masks = [0]
+        for cid in ids:
+            b = self.bit.get(cid, 0)
+            masks += [m | b for m in masks]
+        return masks
+
     def names(self, mask: int) -> frozenset[str]:
         """The contracts of a mask, peeled off lowest bit first."""
         out = []
@@ -267,6 +276,8 @@ class SimpleIntensityChoice(ChoiceFunction):
             raise ChoiceFunctionError(
                 f"{agent}: intensity missing for contracts {sorted(missing)}"
             )
+        if not all(type(intensity[c]) in (int, float) for c in self.domain):  # bool is no number
+            raise ChoiceFunctionError(f"{agent}: intensities must be numbers")
         own = {c: float(intensity[c]) for c in self.domain}
         if len(set(own.values())) != len(own):
             raise ChoiceFunctionError(f"{agent}: intensities must be pairwise distinct")
@@ -320,10 +331,8 @@ class QuotaChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: order repeats a contract")
         if not set(order) <= self.domain:
             raise ChoiceFunctionError(f"{agent}: order lists foreign contracts")
-        if quota < 1:
-            raise ChoiceFunctionError(f"{agent}: quota must be at least 1")
         self.order = tuple(order)
-        self.quota = int(quota)
+        self.quota = read_int(quota, f"{agent}: quota", 1)
         self._order_bits = tuple(map(self.bit.__getitem__, self.order))
 
     def _select(self, menu):
@@ -350,9 +359,9 @@ def _weighted_bits(cf, weighted_ids, weights) -> tuple[tuple[int, int], ...]:
 
 def _gadget_weights(weights) -> tuple[int, ...]:
     """The subset-sum gadget's weights: positive integers, ascending."""
-    weights = tuple(int(w) for w in weights)
-    if not weights or any(w <= 0 for w in weights):
-        raise ChoiceFunctionError("weights must be positive integers")
+    weights = tuple(read_int(w, "each weight", 1) for w in weights)
+    if not weights:
+        raise ChoiceFunctionError("weights must be a non-empty list")
     if list(weights) != sorted(weights):
         raise ChoiceFunctionError("weights must be sorted ascending")
     return weights
@@ -453,11 +462,10 @@ class NeedleChoiceF(ChoiceFunction):
     def checked_hidden(n: int, hidden) -> frozenset[int] | None:
         """The hidden index set (None when none is planted), refused unless n
         is positive and it holds n of the indices 1..2n; needs no contracts."""
-        if n < 1:
-            raise ChoiceFunctionError("n must be at least 1")
+        read_int(n, "n", 1)
         if hidden is None:
             return None
-        hidden = frozenset(int(i) for i in hidden)
+        hidden = frozenset(read_int(i, "each hidden index") for i in hidden)
         if len(hidden) != n or not all(1 <= i <= 2 * n for i in hidden):
             raise ChoiceFunctionError("hidden index set must contain exactly n valid indices")
         return hidden
@@ -479,6 +487,16 @@ class NeedleChoiceF(ChoiceFunction):
 # ---------------------------------------------------------------------------
 # constructors from JSON descriptions
 # ---------------------------------------------------------------------------
+
+
+def read_int(value, what: str, minimum: int | None = None) -> int:
+    """An integer parameter: an int that is not a bool and, when `minimum` is
+    given, at least that.  Anything else is refused, never coerced."""
+    if type(value) is not int:  # a bool is an int subclass, and refused
+        raise ChoiceFunctionError(f"{what} must be an integer")
+    if minimum is not None and value < minimum:
+        raise ChoiceFunctionError(f"{what} must be at least {minimum}")
+    return value
 
 
 def build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
@@ -532,15 +550,10 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
     if kind == "simple_intensity":
         need("intensity")
         return SimpleIntensityChoice(agent, up, down, params["intensity"])
-    if kind in ("quota", "unit_demand"):
-        if kind == "unit_demand":
-            need("order")
-            return QuotaChoice(agent, up, down, id_list(params["order"], "order"), 1)
-        need("order", "quota")
-        quota = params["quota"]
-        if not isinstance(quota, int) or isinstance(quota, bool):
-            raise ChoiceFunctionError(f"{agent}/{kind}: quota must be an integer")
-        return QuotaChoice(agent, up, down, id_list(params["order"], "order"), quota)
+    if kind in ("quota", "unit_demand"):  # unit_demand is quota 1, and may not name it
+        need("order", *(["quota"] if kind == "quota" else []))
+        order = id_list(params["order"], "order")
+        return QuotaChoice(agent, up, down, order, params.get("quota", 1))
     if kind == "partition_f":
         need("weights")
         ids, down_id = _gadget_wiring(net, agent, up, down, len(params["weights"]))
@@ -551,9 +564,19 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
         return PartitionChoiceG(agent, up_id, ids, params["weights"])
     if kind == "needle_f":
         need("n", optional=("hidden",))
-        n = int(params["n"])
+        n = read_int(params["n"], "n", 1)
         ids, down_id = _gadget_wiring(net, agent, up, down, 2 * n)
         return NeedleChoiceF(agent, ids, down_id, n, params.get("hidden"))
+    if kind == "reservation":
+        from .equilibrium import ReservationChoice
+
+        need(optional=("values", "costs", "capacity_buy", "capacity_sell"))
+        books = [params.get("values", {}), params.get("costs", {})]
+        if not all(isinstance(book, dict) for book in books):
+            raise ChoiceFunctionError(f"{agent}/{kind}: values and costs must be objects")
+        return ReservationChoice(
+            agent, up, down, *books, params.get("capacity_buy"), params.get("capacity_sell")
+        )
     raise ChoiceFunctionError(f"unknown choice family {kind!r}")
 
 

@@ -48,10 +48,7 @@ def _check_consistent(old: ChoiceFunction, new: ChoiceFunction) -> None:
     axioms.check_size(old, "consistency")
     if not old.domain <= new.domain:
         raise PreconditionError(f"{new.agent}: replacement lost old contracts")
-    lifted = [0]  # the replacement's mask of each old menu mask, by doubling
-    for cid in old.ids:
-        b = new.bit[cid]
-        lifted += [m | b for m in lifted]
+    lifted = new.lift(old.ids)  # the replacement's mask of each old menu mask
     for menu in submasks(old.up_mask | old.down_mask):
         if lifted[old.choose_mask(menu)] != new.choose_mask(lifted[menu]):
             raise PreconditionError(
@@ -89,11 +86,10 @@ def apply_entry(inst: Instance, event: EntryEvent) -> Instance:
             + [c.to_json() for c in event.contracts],
         }
     )
-    entrant_reports = [
-        axioms.check_full_substitutability(event.choice),
-        axioms.check_irc(event.choice),
+    bad = [
+        r for r in axioms.check_agent(event.choice, ("full_substitutability", "irc"))
+        if not r.holds
     ]
-    bad = [r for r in entrant_reports if not r.holds]
     if bad:
         raise PreconditionError(
             f"entrant {event.agent!r} fails {', '.join(r.axiom for r in bad)}", bad
@@ -169,8 +165,13 @@ def entry_comparative_statics(inst: Instance, event: EntryEvent) -> EntryStatics
     network: seller entry favors terminal buyers and hurts terminal sellers,
     buyer entry the reverse."""
     extended = apply_entry(inst, event)
-    for which in (inst, extended):
-        reports = axioms.check_instance(which, ("full_substitutability", "irc"))
+    # the entrant was checked by apply_entry, and every other agent of
+    # `extended` but the replaced incumbents is the same function as in `inst`
+    checks = [(inst, None)]
+    if event.updated_choices:
+        checks.append((extended, sorted(event.updated_choices)))
+    for which, agents in checks:
+        reports = axioms.check_instance(which, ("full_substitutability", "irc"), agents)
         bad = [r for r in reports if not r.holds]
         if bad:
             raise PreconditionError("entry statics need full substitutability and IRC", bad)

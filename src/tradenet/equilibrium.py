@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import axioms
-from .choices import ChoiceFunction
+from .choices import ChoiceFunction, is_rational, read_int
 from .errors import (
     ChoiceFunctionError,
     GuardExceededError,
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
 from .guards import SIZE_GUARD
-from .instances import Instance
+from .instances import Instance, build_choices
 from .network import mask_bits, sorted_ids, submasks, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
@@ -110,18 +110,22 @@ class ReservationChoice(ChoiceFunction):
     def __init__(self, agent, upstream, downstream, values, costs,
                  capacity_buy=None, capacity_sell=None):
         super().__init__(agent, upstream, downstream)
-        self.values = {str(t): int(v) for t, v in values.items()}
-        self.costs = {str(t): int(v) for t, v in costs.items()}
-        self.capacity_buy = None if capacity_buy is None else int(capacity_buy)
-        self.capacity_sell = None if capacity_sell is None else int(capacity_sell)
+        self.values = {t: read_int(v, f"{agent}: value of {t}") for t, v in values.items()}
+        self.costs = {t: read_int(v, f"{agent}: cost of {t}") for t, v in costs.items()}
+        self.capacity_buy, self.capacity_sell = (
+            None if cap is None else read_int(cap, f"{agent}: {name}", 1)
+            for name, cap in (("capacity_buy", capacity_buy), ("capacity_sell", capacity_sell))
+        )
         buy_trades = {PricedInstance.split(c)[0] for c in self.upstream}
         sell_trades = {PricedInstance.split(c)[0] for c in self.downstream}
         if buy_trades - set(self.values):
             raise ChoiceFunctionError(f"{agent}: missing buyer values")
         if sell_trades - set(self.costs):
             raise ChoiceFunctionError(f"{agent}: missing seller costs")
-        # (bit, trade, price) of each own contract
+        # (bit, trade, price) of each own contract, whose id must be its grid id
         self._priced = tuple((self.bit[c], *PricedInstance.split(c)) for c in self.ids)
+        if any(contract_id(t, p) != c for c, (_, t, p) in zip(self.ids, self._priced)):
+            raise ChoiceFunctionError(f"{agent}: contract ids must read trade@price")
 
     def _side_pick(self, offers, book, cap, buying: bool):
         best: dict[str, tuple[int, int]] = {}  # trade -> best offered (price, bit)
@@ -165,7 +169,7 @@ def build_priced(raw: dict) -> PricedInstance:
     inconsistent choice parameters are input errors."""
     try:
         return _build_priced(raw)
-    except (AttributeError, ChoiceFunctionError, TypeError, ValueError) as exc:
+    except (ChoiceFunctionError, TypeError, ValueError) as exc:
         raise InstanceFormatError(f"malformed priced instance: {exc}") from exc
 
 
@@ -183,8 +187,9 @@ def _build_priced(raw: dict) -> PricedInstance:
     for item in trades_raw:
         if not isinstance(item, dict) or set(item) != TRADE_FIELDS:
             raise InstanceFormatError(f"trade entries need exactly fields {sorted(TRADE_FIELDS)}")
-        t = Trade(item["id"], item["seller"], item["buyer"],
-                  int(item["price_min"]), int(item["price_max"]))
+        t = Trade(item["id"], item["seller"], item["buyer"], *(
+            read_int(item[k], f"trade {item['id']!r}: {k}") for k in ("price_min", "price_max")
+        ))
         if t.price_min > t.price_max:
             raise InstanceFormatError(f"trade {t.id!r}: empty price window")
         if t.seller == t.buyer:
@@ -201,28 +206,9 @@ def _build_priced(raw: dict) -> PricedInstance:
         for p in t.prices()
     ]
     net = validate_network({"agents": agents, "contracts": contracts})
-    choice: dict[str, ChoiceFunction] = {}
-    for desc in descs:
-        if not isinstance(desc, dict) or desc.get("type") != "reservation":
-            raise InstanceFormatError("priced choice functions must have type 'reservation'")
-        allowed = {"agent", "type", "values", "costs", "capacity_buy", "capacity_sell"}
-        unknown = set(desc) - allowed
-        if unknown:
-            raise InstanceFormatError(f"unknown reservation fields: {sorted(unknown)}")
-        agent = desc.get("agent")
-        if agent not in net.upstream:
-            raise InstanceFormatError(f"choice function for unknown agent {agent!r}")
-        if agent in choice:
-            raise InstanceFormatError(f"two choice functions for agent {agent!r}")
-        choice[agent] = ReservationChoice(
-            agent,
-            net.upstream[agent],
-            net.downstream[agent],
-            desc.get("values", {}),
-            desc.get("costs", {}),
-            desc.get("capacity_buy"),
-            desc.get("capacity_sell"),
-        )
+    choice = build_choices(net, descs)
+    if any(cf.family != "reservation" for cf in choice.values()):
+        raise InstanceFormatError("priced choice functions must have type 'reservation'")
     return PricedInstance(tuple(trades), Instance(net, choice))
 
 
@@ -257,10 +243,6 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
                 break
         out.append(axioms.AxiomReport("feasibility", agent, witness is None, witness))
     return out
-
-
-def _rejects(cf: ChoiceFunction, cid: str, menu) -> bool:
-    return cid not in cf.choose(frozenset(menu) | {cid})
 
 
 def _always_kept(cf: ChoiceFunction, cid: str) -> bool:
@@ -312,14 +294,7 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
             f"trade {t.id} has {len(pool)}"
         )
 
-    def own_menus(cf):  # the firm's menu mask of each pool menu, by doubling
-        menus = [0]
-        for cid in pool:
-            b = cf.bit.get(cid, 0)
-            menus += [m | b for m in menus]
-        return menus
-
-    buyer_menus, seller_menus = own_menus(buyer_cf), own_menus(seller_cf)
+    buyer_menus, seller_menus = buyer_cf.lift(pool), seller_cf.lift(pool)
     buyer_table, seller_table = buyer_cf.menu_table(), seller_cf.menu_table()
     pool_menus = submasks((1 << len(pool)) - 1)
     for p in range(t.price_min, t.price_max):
@@ -527,8 +502,8 @@ def complete_prices(
             cid = contract_id(t.id, p)
             buyer_cf = inst.choice[t.buyer]
             seller_cf = inst.choice[t.seller]
-            if _rejects(buyer_cf, cid, outcome & buyer_cf.domain) and _rejects(
-                seller_cf, cid, outcome & seller_cf.domain
+            if not is_rational(buyer_cf, {cid}, outcome) and not is_rational(
+                seller_cf, {cid}, outcome
             ):
                 assigned = p
                 break

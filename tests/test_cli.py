@@ -13,6 +13,7 @@ import pytest
 import tradenet
 from tradenet.cli import main
 from tradenet.instances import BUNDLED, bundled_json
+from tradenet.oracle import generate_priced_instance, needle_family, partition_to_gs
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +65,16 @@ def test_validate_bundled_files(capsys, example_dir):
         payload = json.loads(out)
         assert payload["valid"]
         jsonschema.validate(bundled_json(name), schema("instance.schema.json"))
+
+
+def test_priced_grid_is_an_instance_file(capsys, tmp_path):
+    grid = generate_priced_instance(3).instance.to_json()
+    jsonschema.validate(grid, schema("instance.schema.json"))
+    path = tmp_path / "grid.json"
+    path.write_text(json.dumps(grid))
+    for command in ("validate", "enumerate"):
+        code, _, err = run_cli(capsys, command, str(path))
+        assert code == 0, (command, err)
 
 
 def test_validate_rejects_bad_file(capsys, tmp_path):
@@ -379,6 +390,43 @@ def _malformed_files(tmp_path):
         retyped[name] = bundled_json("example1")
         slot = 0 if desc["agent"] == "i" else 1
         retyped[name]["choice_functions"][slot] = desc
+    # numbers that are not JSON integers (or, for intensities, not numbers):
+    # each is refused, never truncated or coerced
+    weights = partition_to_gs((1, 2, 3)).instance.to_json()
+    for cf in weights["choice_functions"]:
+        cf["weights"] = [1.5, 2.5, 3]
+    needle_n = needle_family(2).to_json()
+    needle_n["choice_functions"][0]["n"] = 2.7
+    needle_hidden = needle_family(2, hidden=(1, 2)).to_json()
+    needle_hidden["choice_functions"][0]["hidden"] = [1.9, 2]
+    price_text = json.loads(json.dumps(priced_ok))
+    price_text["trades"][0]["price_min"] = "1"
+    cost_float = json.loads(json.dumps(priced_ok))
+    cost_float["choice_functions"][0]["costs"]["t1"] = 2.5
+    value_bool = json.loads(json.dumps(priced_ok))
+    value_bool["choice_functions"][1]["values"]["t1"] = True
+    capacity_zero = json.loads(json.dumps(priced_ok))
+    capacity_zero["choice_functions"][1]["capacity_buy"] = 0
+    # a reservation function reads each contract id as trade@price
+    grid_alias = {
+        "agents": ["a", "b"],
+        "contracts": [{"id": "t@1", "seller": "a", "buyer": "b"},
+                      {"id": "t@01", "seller": "a", "buyer": "b"}],
+        "choice_functions": [
+            {"agent": "a", "type": "reservation", "costs": {"t": 0}},
+            {"agent": "b", "type": "reservation", "values": {"t": 5}},
+        ],
+    }
+    intensity_bool = {
+        "agents": ["a", "f", "b"],
+        "contracts": [{"id": "u", "seller": "a", "buyer": "f"},
+                      {"id": "d", "seller": "f", "buyer": "b"}],
+        "choice_functions": [
+            {"agent": "a", "type": "unit_demand", "order": ["u"]},
+            {"agent": "f", "type": "simple_intensity", "intensity": {"u": True, "d": 0.5}},
+            {"agent": "b", "type": "unit_demand", "order": ["d"]},
+        ],
+    }
     paths = {}
     for name, raw in (
         *retyped.items(),
@@ -395,6 +443,15 @@ def _malformed_files(tmp_path):
         ("priced_ok", priced_ok),
         ("entry_ok", entry_ok),
         ("example2", bundled_json("example2")),
+        ("weights_float", weights),
+        ("needle_n_float", needle_n),
+        ("needle_hidden_float", needle_hidden),
+        ("price_text", price_text),
+        ("cost_float", cost_float),
+        ("value_bool", value_bool),
+        ("capacity_zero", capacity_zero),
+        ("intensity_bool", intensity_bool),
+        ("grid_alias", grid_alias),
     ):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(raw))
@@ -431,6 +488,15 @@ def _malformed_files(tmp_path):
         ["validate", "{quota_float}"],
         ["validate", "{quota_bool}"],
         ["validate", "{side_order_chars}"],
+        ["validate", "{weights_float}"],
+        ["validate", "{needle_n_float}"],
+        ["validate", "{needle_hidden_float}"],
+        ["equilibrium", "{price_text}"],
+        ["equilibrium", "{cost_float}"],
+        ["equilibrium", "{value_bool}"],
+        ["equilibrium", "{capacity_zero}"],
+        ["validate", "{intensity_bool}"],
+        ["validate", "{grid_alias}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):

@@ -93,6 +93,42 @@ def test_entry_rejects_inconsistent_replacement(example2):
         apply_entry(example2, bad)
 
 
+def test_statics_name_a_replaced_incumbent_that_fails_substitutability(example2):
+    """j takes the entrant's n1 only together with w.  Only the replaced j is
+    checked on the extended market, and the refusal carries the reports a
+    check of every agent there finds."""
+    from tradenet import axioms
+
+    event = _example2_entry(example2)
+    j_old = example2.choice["j"]
+    j_new = PreferenceListChoice(
+        "j", j_old.upstream | {"n1"}, j_old.downstream,
+        [frozenset({"n1", "w"})] + list(j_old.ranking),
+    )
+    event = EntryEvent(event.agent, event.side, event.contracts, event.choice, {"j": j_new})
+    with pytest.raises(PreconditionError, match="need full substitutability and IRC") as info:
+        entry_comparative_statics(example2, event)
+    payload = [r.to_json() for r in info.value.reports]
+    assert payload == [
+        {
+            "agent": "j",
+            "axiom": "full_substitutability",
+            "holds": False,
+            "notes": [],
+            "witness": {
+                "condition": "same_side_upstream",
+                "contract": "n1",
+                "down": [],
+                "up": ["n1", "w"],
+                "up_smaller": ["n1"],
+            },
+        }
+    ]
+    extended = apply_entry(example2, event)
+    everyone = axioms.check_instance(extended, ("full_substitutability", "irc"))
+    assert payload == [r.to_json() for r in everyone if not r.holds]
+
+
 def _entry_beside(size):
     """An instance where a sells `size` contracts to b, and an entry event
     selling b one more, with a consistent replacement for b."""

@@ -22,10 +22,38 @@ def minimal_raw():
     }
 
 
+def _every_kind_of_instance():
+    """(label, instance) for every way the library builds one."""
+    from tradenet.dynamics import apply_entry
+    from tradenet.oracle import (
+        PROFILES,
+        generate_entry_scenario,
+        generate_instance,
+        generate_priced_instance,
+        needle_family,
+        partition_to_gs,
+    )
+
+    yield "minimal", instance_from_json(minimal_raw())
+    for name in BUNDLED:
+        yield name, bundled_instance(name)
+    for profile in PROFILES:
+        for seed in range(4):
+            yield f"{profile}/{seed}", generate_instance(seed, profile).instance
+    yield "partition", partition_to_gs((1, 2, 3, 4)).instance
+    yield "needle", needle_family(2)
+    yield "needle/hidden", needle_family(2, hidden=(1, 3))
+    for seed in range(10):
+        # a priced economy's contract grid is an ordinary instance
+        yield f"priced/{seed}", generate_priced_instance(seed).instance
+    gen, event = generate_entry_scenario(0)
+    yield "entry", apply_entry(gen.instance, event)
+
+
 def test_round_trip():
-    raw = minimal_raw()
-    inst = instance_from_json(raw)
-    assert instance_from_json(inst.to_json()).to_json() == inst.to_json()
+    for label, inst in _every_kind_of_instance():
+        raw = inst.to_json()
+        assert instance_from_json(raw).to_json() == raw, label
 
 
 def test_choice_functions_cannot_be_swapped():
