@@ -9,6 +9,7 @@ from .choices import (
     PartitionChoiceG,
     PreferenceListChoice,
     QuotaChoice,
+    ReservationChoice,
     SeparableIntensityChoice,
     SimpleIntensityChoice,
     build_family,

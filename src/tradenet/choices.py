@@ -18,7 +18,7 @@ ones the agent buys, *downstream* the ones it sells.
 from __future__ import annotations
 
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, sorted_ids
+from .network import ContractNetwork, mask_bits, sorted_ids
 
 
 class ChoiceFunction:
@@ -352,11 +352,6 @@ class QuotaChoice(ChoiceFunction):
         return {"order": list(self.order), "quota": self.quota}
 
 
-def _weighted_bits(cf, weighted_ids, weights) -> tuple[tuple[int, int], ...]:
-    """(bit, weight) of a gadget's weighted contracts, in index order."""
-    return tuple((cf.bit[weighted_ids[i]], w) for i, w in enumerate(weights, 1))
-
-
 def _gadget_weights(weights) -> tuple[int, ...]:
     """The subset-sum gadget's weights: positive integers, ascending."""
     weights = tuple(read_int(w, "each weight", 1) for w in weights)
@@ -367,25 +362,49 @@ def _gadget_weights(weights) -> tuple[int, ...]:
     return weights
 
 
-class PartitionChoiceF(ChoiceFunction):
+def _parallel_bits(cf, many: int, lone: int, k: int) -> tuple[int, ...]:
+    """The bits of a gadget agent's k parallel contracts, in id order (the
+    i-th of them is the gadget's i-th), once its other side is one lone
+    contract."""
+    if lone.bit_count() != 1:
+        raise ChoiceFunctionError(f"{cf.agent}: gadget agent needs exactly one lone-side contract")
+    bits = tuple(mask_bits(many))
+    if len(bits) != k:
+        raise ChoiceFunctionError(
+            f"{cf.agent}: gadget agent needs exactly {k} parallel contracts, got {len(bits)}"
+        )
+    return bits
+
+
+class _SubsetSumGadget(ChoiceFunction):
+    """One firm of the subset-sum gadget: k parallel contracts on one side,
+    the i-th in id order carrying the i-th weight, and one lone contract on
+    the other."""
+
+    buys_parallel: bool
+
+    def __init__(self, agent, upstream, downstream, weights):
+        super().__init__(agent, upstream, downstream)
+        sides = (self.up_mask, self.down_mask)
+        many, lone = sides if self.buys_parallel else sides[::-1]
+        parallel = _parallel_bits(self, many, lone, len(weights))
+        self.weights = _gadget_weights(weights)
+        self.double_threshold = sum(self.weights)  # compare 2*sum(offered) against this
+        self._weighted = tuple(zip(parallel, self.weights))
+
+    def params_json(self):
+        return {"weights": list(self.weights)}
+
+
+class PartitionChoiceF(_SubsetSumGadget):
     """Buyer of the weighted contracts in the subset-sum gadget.
 
-    Keeps every weighted contract offered; keeps the single downstream
+    Keeps every weighted contract offered; keeps the lone downstream
     contract exactly when the offered weights reach half the total.
     """
 
     family = "partition_f"
-
-    def __init__(self, agent, weighted_ids: dict[int, str], down_id: str, weights):
-        weights = _gadget_weights(weights)
-        if sorted(weighted_ids) != list(range(1, len(weights) + 1)):
-            raise ChoiceFunctionError("weighted contracts must be indexed 1..k")
-        super().__init__(agent, weighted_ids.values(), [down_id])
-        self.weights = weights
-        self.weighted_ids = dict(weighted_ids)
-        self.down_id = down_id
-        self.double_threshold = sum(weights)  # compare 2*sum(offered) against this
-        self._weighted = _weighted_bits(self, weighted_ids, weights)
+    buys_parallel = True
 
     def _select(self, menu):
         ups = menu & self.up_mask
@@ -397,28 +416,17 @@ class PartitionChoiceF(ChoiceFunction):
             return ups | self.down_mask
         return ups
 
-    def params_json(self):
-        return {"weights": list(self.weights)}
 
-
-class PartitionChoiceG(ChoiceFunction):
+class PartitionChoiceG(_SubsetSumGadget):
     """Seller of the weighted contracts in the subset-sum gadget.
 
-    Inactive without its single upstream contract.  With it, keeps the
-    longest index-prefix of the offered weighted contracts whose weight stays
-    within half the total (so everything, when the offer is light enough).
+    Inactive without its lone upstream contract.  With it, keeps the longest
+    index-prefix of the offered weighted contracts whose weight stays within
+    half the total (so everything, when the offer is light enough).
     """
 
     family = "partition_g"
-
-    def __init__(self, agent, up_id: str, weighted_ids: dict[int, str], weights):
-        weights = _gadget_weights(weights)
-        super().__init__(agent, [up_id], weighted_ids.values())
-        self.weights = weights
-        self.weighted_ids = dict(weighted_ids)
-        self.up_id = up_id
-        self.double_threshold = sum(weights)
-        self._weighted = _weighted_bits(self, weighted_ids, weights)
+    buys_parallel = False
 
     def _select(self, menu):
         if not menu & self.up_mask:
@@ -433,30 +441,25 @@ class PartitionChoiceG(ChoiceFunction):
                 kept |= b
         return kept
 
-    def params_json(self):
-        return {"weights": list(self.weights)}
-
 
 class NeedleChoiceF(ChoiceFunction):
     """Buyer side of the hidden-subset gadget on 2n parallel contracts.
 
-    Keeps every offered upstream contract; keeps the downstream contract when
-    more than half of the upstream contracts are offered, or when the offer
-    is exactly the hidden n-subset (if one was planted).
+    Buys the 2n parallel contracts (index i is the i-th in id order) and
+    sells one lone contract.  Keeps every offered upstream contract; keeps
+    the lone contract when more than half of the upstream contracts are
+    offered, or when the offer is exactly the hidden n-subset (if one was
+    planted).
     """
 
     family = "needle_f"
 
-    def __init__(self, agent, weighted_ids: dict[int, str], down_id: str, n: int,
-                 hidden=None):
+    def __init__(self, agent, upstream, downstream, n: int, hidden=None):
+        super().__init__(agent, upstream, downstream)
+        parallel = _parallel_bits(self, self.up_mask, self.down_mask, 2 * read_int(n, "n", 1))
         self.hidden = self.checked_hidden(n, hidden)
-        if sorted(weighted_ids) != list(range(1, 2 * n + 1)):
-            raise ChoiceFunctionError("hidden-subset gadget needs contracts indexed 1..2n")
-        super().__init__(agent, weighted_ids.values(), [down_id])
         self.n = n
-        self.weighted_ids = dict(weighted_ids)
-        self.down_id = down_id
-        self._hidden = None if hidden is None else self.mask(weighted_ids[i] for i in self.hidden)
+        self._hidden = None if hidden is None else sum(parallel[i - 1] for i in self.hidden)
 
     @staticmethod
     def checked_hidden(n: int, hidden) -> frozenset[int] | None:
@@ -481,6 +484,91 @@ class NeedleChoiceF(ChoiceFunction):
         out = {"n": self.n}
         if self.hidden is not None:
             out["hidden"] = sorted(self.hidden)
+        return out
+
+
+def contract_id(trade_id: str, price: int) -> str:
+    """The grid id of a trade at a price: trade@price."""
+    return f"{trade_id}@{price}"
+
+
+def split_contract_id(cid: str) -> tuple[str, int]:
+    """Trade id and price of a grid contract id, the inverse of `contract_id`;
+    any other id is refused."""
+    trade_id, _, price = cid.rpartition("@")
+    try:
+        if contract_id(trade_id, int(price)) == cid:
+            return trade_id, int(price)
+    except ValueError:
+        pass
+    raise ChoiceFunctionError(f"contract id {cid!r} must read trade@price")
+
+
+class ReservationChoice(ChoiceFunction):
+    """Integer reservation values with optional per-side capacities.
+
+    Each contract id is a grid id, trade@price.  As a buyer the firm looks at
+    the cheapest offered price of each trade and takes the trades whose value
+    covers that price, best margins first, up to its buy capacity; as a
+    seller, dually, the dearest offered price against its cost.  The two
+    sides never interact, which is what makes the family a clean, fully
+    substitutable baseline for priced economies.
+    """
+
+    family = "reservation"
+
+    def __init__(self, agent, upstream, downstream, values, costs,
+                 capacity_buy=None, capacity_sell=None):
+        super().__init__(agent, upstream, downstream)
+        self.values = {t: read_int(v, f"{agent}: value of {t}") for t, v in values.items()}
+        self.costs = {t: read_int(v, f"{agent}: cost of {t}") for t, v in costs.items()}
+        self.capacity_buy, self.capacity_sell = (
+            None if cap is None else read_int(cap, f"{agent}: {name}", 1)
+            for name, cap in (("capacity_buy", capacity_buy), ("capacity_sell", capacity_sell))
+        )
+        try:  # (bit, trade, price) of each own contract
+            self._priced = tuple((self.bit[c], *split_contract_id(c)) for c in self.ids)
+        except ChoiceFunctionError:
+            raise ChoiceFunctionError(f"{agent}: contract ids must read trade@price") from None
+        if {t for b, t, _ in self._priced if b & self.up_mask} - set(self.values):
+            raise ChoiceFunctionError(f"{agent}: missing buyer values")
+        if {t for b, t, _ in self._priced if b & self.down_mask} - set(self.costs):
+            raise ChoiceFunctionError(f"{agent}: missing seller costs")
+
+    def _side_pick(self, offers, book, cap, buying: bool):
+        best: dict[str, tuple[int, int]] = {}  # trade -> best offered (price, bit)
+        for b, trade, price in self._priced:
+            if not offers & b:
+                continue
+            held = best.get(trade)
+            if held is None or (price < held[0] if buying else price > held[0]):
+                best[trade] = (price, b)
+        scored = []
+        for trade, (price, b) in best.items():
+            margin = book[trade] - price if buying else price - book[trade]
+            if margin >= 0:
+                scored.append((-margin, trade, b))
+        scored.sort()
+        if cap is not None:
+            scored = scored[:cap]
+        return sum(b for _, _, b in scored)
+
+    def _select(self, menu):
+        return self._side_pick(
+            menu & self.up_mask, self.values, self.capacity_buy, True
+        ) | self._side_pick(
+            menu & self.down_mask, self.costs, self.capacity_sell, False
+        )
+
+    def params_json(self):
+        out = {
+            "values": {t: self.values[t] for t in sorted(self.values)},
+            "costs": {t: self.costs[t] for t in sorted(self.costs)},
+        }
+        if self.capacity_buy is not None:
+            out["capacity_buy"] = self.capacity_buy
+        if self.capacity_sell is not None:
+            out["capacity_sell"] = self.capacity_sell
         return out
 
 
@@ -554,22 +642,14 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
         need("order", *(["quota"] if kind == "quota" else []))
         order = id_list(params["order"], "order")
         return QuotaChoice(agent, up, down, order, params.get("quota", 1))
-    if kind == "partition_f":
+    if kind in ("partition_f", "partition_g"):
         need("weights")
-        ids, down_id = _gadget_wiring(net, agent, up, down, len(params["weights"]))
-        return PartitionChoiceF(agent, ids, down_id, params["weights"])
-    if kind == "partition_g":
-        need("weights")
-        ids, up_id = _gadget_wiring(net, agent, down, up, len(params["weights"]))
-        return PartitionChoiceG(agent, up_id, ids, params["weights"])
+        gadget = PartitionChoiceF if kind == "partition_f" else PartitionChoiceG
+        return gadget(agent, up, down, params["weights"])
     if kind == "needle_f":
         need("n", optional=("hidden",))
-        n = read_int(params["n"], "n", 1)
-        ids, down_id = _gadget_wiring(net, agent, up, down, 2 * n)
-        return NeedleChoiceF(agent, ids, down_id, n, params.get("hidden"))
+        return NeedleChoiceF(agent, up, down, params["n"], params.get("hidden"))
     if kind == "reservation":
-        from .equilibrium import ReservationChoice
-
         need(optional=("values", "costs", "capacity_buy", "capacity_sell"))
         books = [params.get("values", {}), params.get("costs", {})]
         if not all(isinstance(book, dict) for book in books):
@@ -586,15 +666,3 @@ def _check_cover(agent, order, side, name):
             f"{agent}: {name} order must cover exactly {sorted(side)}"
         )
 
-
-def _gadget_wiring(net, agent, many_side, single_side, k):
-    """Map a gadget agent's parallel contracts to indices 1..k by id order."""
-    if len(single_side) != 1:
-        raise ChoiceFunctionError(f"{agent}: gadget agent needs exactly one lone-side contract")
-    if len(many_side) != k:
-        raise ChoiceFunctionError(
-            f"{agent}: gadget agent needs exactly {k} parallel contracts, got {len(many_side)}"
-        )
-    ids = {i + 1: cid for i, cid in enumerate(sorted(many_side))}
-    (single,) = single_side
-    return ids, single

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import axioms
-from .choices import ChoiceFunction, is_rational, read_int
+from .choices import ChoiceFunction, contract_id, is_rational, read_int, split_contract_id
 from .errors import (
     ChoiceFunctionError,
     GuardExceededError,
@@ -52,10 +52,6 @@ class Trade:
         }
 
 
-def contract_id(trade_id: str, price: int) -> str:
-    return f"{trade_id}@{price}"
-
-
 @dataclass(frozen=True)
 class PricedInstance:
     trades: tuple[Trade, ...]
@@ -64,12 +60,6 @@ class PricedInstance:
     @property
     def trade_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.trades)
-
-    @staticmethod
-    def split(cid: str) -> tuple[str, int]:
-        """Trade id and price of a grid contract id."""
-        trade_id, _, price = cid.rpartition("@")
-        return trade_id, int(price)
 
     def to_json(self) -> dict:
         return {
@@ -95,75 +85,6 @@ class Arrangement:
         }
 
 
-class ReservationChoice(ChoiceFunction):
-    """Integer reservation values with optional per-side capacities.
-
-    As a buyer the firm looks at the cheapest offered price of each trade and
-    takes the trades whose value covers that price, best margins first, up to
-    its buy capacity; as a seller, dually, the dearest offered price against
-    its cost.  The two sides never interact, which is what makes the family
-    a clean, fully substitutable baseline for priced economies.
-    """
-
-    family = "reservation"
-
-    def __init__(self, agent, upstream, downstream, values, costs,
-                 capacity_buy=None, capacity_sell=None):
-        super().__init__(agent, upstream, downstream)
-        self.values = {t: read_int(v, f"{agent}: value of {t}") for t, v in values.items()}
-        self.costs = {t: read_int(v, f"{agent}: cost of {t}") for t, v in costs.items()}
-        self.capacity_buy, self.capacity_sell = (
-            None if cap is None else read_int(cap, f"{agent}: {name}", 1)
-            for name, cap in (("capacity_buy", capacity_buy), ("capacity_sell", capacity_sell))
-        )
-        buy_trades = {PricedInstance.split(c)[0] for c in self.upstream}
-        sell_trades = {PricedInstance.split(c)[0] for c in self.downstream}
-        if buy_trades - set(self.values):
-            raise ChoiceFunctionError(f"{agent}: missing buyer values")
-        if sell_trades - set(self.costs):
-            raise ChoiceFunctionError(f"{agent}: missing seller costs")
-        # (bit, trade, price) of each own contract, whose id must be its grid id
-        self._priced = tuple((self.bit[c], *PricedInstance.split(c)) for c in self.ids)
-        if any(contract_id(t, p) != c for c, (_, t, p) in zip(self.ids, self._priced)):
-            raise ChoiceFunctionError(f"{agent}: contract ids must read trade@price")
-
-    def _side_pick(self, offers, book, cap, buying: bool):
-        best: dict[str, tuple[int, int]] = {}  # trade -> best offered (price, bit)
-        for b, trade, price in self._priced:
-            if not offers & b:
-                continue
-            held = best.get(trade)
-            if held is None or (price < held[0] if buying else price > held[0]):
-                best[trade] = (price, b)
-        scored = []
-        for trade, (price, b) in best.items():
-            margin = book[trade] - price if buying else price - book[trade]
-            if margin >= 0:
-                scored.append((-margin, trade, b))
-        scored.sort()
-        if cap is not None:
-            scored = scored[:cap]
-        return sum(b for _, _, b in scored)
-
-    def _select(self, menu):
-        return self._side_pick(
-            menu & self.up_mask, self.values, self.capacity_buy, True
-        ) | self._side_pick(
-            menu & self.down_mask, self.costs, self.capacity_sell, False
-        )
-
-    def params_json(self):
-        out = {
-            "values": {t: self.values[t] for t in sorted(self.values)},
-            "costs": {t: self.costs[t] for t in sorted(self.costs)},
-        }
-        if self.capacity_buy is not None:
-            out["capacity_buy"] = self.capacity_buy
-        if self.capacity_sell is not None:
-            out["capacity_sell"] = self.capacity_sell
-        return out
-
-
 def build_priced(raw: dict) -> PricedInstance:
     """Priced economy from its JSON description; values of the wrong type and
     inconsistent choice parameters are input errors."""
@@ -187,6 +108,9 @@ def _build_priced(raw: dict) -> PricedInstance:
     for item in trades_raw:
         if not isinstance(item, dict) or set(item) != TRADE_FIELDS:
             raise InstanceFormatError(f"trade entries need exactly fields {sorted(TRADE_FIELDS)}")
+        for k in ("id", "seller", "buyer"):
+            if not isinstance(item[k], str) or not item[k]:
+                raise InstanceFormatError(f"trade {item['id']!r}: {k} must be a non-empty string")
         t = Trade(item["id"], item["seller"], item["buyer"], *(
             read_int(item[k], f"trade {item['id']!r}: {k}") for k in ("price_min", "price_max")
         ))
@@ -224,7 +148,7 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
         cf = priced.instance.choice[agent]
         axioms.check_size(cf, "feasibility")
         table = cf.menu_table()
-        trade_of = {cf.bit[cid]: priced.split(cid)[0] for cid in cf.ids}
+        trade_of = {cf.bit[cid]: split_contract_id(cid)[0] for cid in cf.ids}
         witness = None
         for menu in submasks(cf.up_mask | cf.down_mask):
             seen: dict[str, int] = {}
@@ -442,12 +366,12 @@ def price_adjustment(
         offers, keeps = own & other_next, other & own_next
         rejects = inst.contract_ids - own_next
         for cid in sorted(prev_offers & rejects):
-            trade, price = priced.split(cid)
+            trade, price = split_contract_id(cid)
             last_rejected[trade] = price
         prices: dict[str, int] = {}
         offered_now: dict[str, int] = {}
         for cid in sorted(offers):
-            trade, price = priced.split(cid)
+            trade, price = split_contract_id(cid)
             if trade in offered_now:
                 raise PreconditionError(
                     f"two prices offered for trade {trade!r}; feasibility violated"
@@ -482,7 +406,7 @@ def complete_prices(
     inst = priced.instance
     realized: dict[str, int] = {}
     for cid in sorted(outcome):
-        trade, price = priced.split(cid)
+        trade, price = split_contract_id(cid)
         if trade in realized:
             raise PreconditionError(f"outcome carries two prices for trade {trade!r}")
         realized[trade] = price

@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import axioms
 from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .guards import ENUMERATION_GUARD
@@ -360,11 +361,9 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
     the construction is refused rather than computed on bad footing.
     """
     if validate:
-        from .axioms import check_instance
-
         reports = [
             r
-            for r in check_instance(inst, ("full_substitutability", "lad_las"))
+            for r in axioms.check_instance(inst, ("full_substitutability", "lad_las"))
             if not r.holds
         ]
         if reports:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from . import axioms, stability
+from . import axioms, dynamics, equilibrium, stability
 from .choices import (
     NeedleChoiceF,
     PartitionChoiceF,
@@ -25,6 +25,8 @@ from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
 
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
+CERTIFY_ATTEMPTS = 200  # candidates `generate_instance` draws before giving up
+MAX_TRADES = 3  # trades in a `generate_priced_instance` economy, at most
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +114,16 @@ class GadgetInstance:
 
 def _two_firm_network(k: int):
     """Firm g sells k parallel contracts x1..xk (ids zero-padded to one
-    width) to firm f, which sells the return contract y back."""
+    width, so that id order is index order) to firm f, which sells the
+    return contract y back."""
     pad = len(str(k))
-    xs = {i: f"x{i:0{pad}d}" for i in range(1, k + 1)}
-    net = validate_network(
+    return validate_network(
         {
             "agents": ["f", "g"],
             "contracts": [{"id": "y", "seller": "f", "buyer": "g"}]
-            + [{"id": xs[i], "seller": "g", "buyer": "f"} for i in sorted(xs)],
+            + [{"id": f"x{i:0{pad}d}", "seller": "g", "buyer": "f"} for i in range(1, k + 1)],
         }
     )
-    return net, xs
 
 
 def partition_to_gs(weights) -> GadgetInstance:
@@ -130,11 +131,11 @@ def partition_to_gs(weights) -> GadgetInstance:
     the empty outcome has a blocking set exactly when the weights split
     evenly.  Choice functions are the closed-form case splits, not tables."""
     weights = tuple(weights)
-    net, xs = _two_firm_network(len(weights))
+    net = _two_firm_network(len(weights))
     try:
         choice = {
-            "f": PartitionChoiceF("f", xs, "y", weights),
-            "g": PartitionChoiceG("g", "y", xs, weights),
+            "f": PartitionChoiceF("f", net.upstream["f"], net.downstream["f"], weights),
+            "g": PartitionChoiceG("g", net.upstream["g"], net.downstream["g"], weights),
         }
     except ChoiceFunctionError as exc:
         raise ValueError(str(exc)) from exc
@@ -158,10 +159,10 @@ def needle_family(n: int, hidden=None) -> Instance:
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    net, xs = _two_firm_network(2 * n)
+    net = _two_firm_network(2 * n)
     choice = {
-        "f": NeedleChoiceF("f", xs, "y", n, hidden),
-        "g": PartitionChoiceG("g", "y", xs, (1,) * (2 * n)),
+        "f": NeedleChoiceF("f", net.upstream["f"], net.downstream["f"], n, hidden),
+        "g": PartitionChoiceG("g", net.upstream["g"], net.downstream["g"], (1,) * (2 * n)),
     }
     return Instance(net, choice)
 
@@ -270,7 +271,6 @@ def generate_instance(
     profile: str = "fsirc",
     max_agents: int = 5,
     max_contracts: int = 8,
-    attempts: int = 200,
 ) -> GeneratedInstance:
     """Deterministic, certified random instance for the given profile.
 
@@ -281,7 +281,7 @@ def generate_instance(
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; choose from {PROFILES}")
     rng = random.Random(("instance", profile, seed).__repr__())
-    for _ in range(attempts):
+    for _ in range(CERTIFY_ATTEMPTS):
         net = _draw_network(rng, profile, max_agents, max_contracts)
         if any(len(net.upstream[a] | net.downstream[a]) > SIZE_GUARD for a in net.agents):
             continue
@@ -324,7 +324,7 @@ def generate_instance(
         )
     raise PreconditionError(
         f"could not certify a {profile!r} instance for seed {seed} "
-        f"within {attempts} attempts"
+        f"within {CERTIFY_ATTEMPTS} attempts"
     )
 
 
@@ -363,8 +363,6 @@ def generate_entry_scenario(seed: int, profile: str = "ladlas"):
     """A certified base instance plus a terminal-agent entry event whose
     extended instance is also certified for full substitutability and
     consistency.  Deterministic per seed."""
-    from .dynamics import EntryEvent, apply_entry
-
     rng = random.Random(("entry", profile, seed).__repr__())
     for attempt in range(60):
         gen = generate_instance(rng.randrange(10**9), profile)
@@ -404,8 +402,8 @@ def generate_entry_scenario(seed: int, profile: str = "ladlas"):
             for other in targets:
                 fresh = [c.id for c in contracts if (c.buyer if as_seller else c.seller) == other]
                 updated[other] = _extended_choice(rng, inst.choice[other], fresh, as_seller)
-            event = EntryEvent(entrant, side, tuple(contracts), entrant_cf, updated)
-            extended = apply_entry(inst, event)
+            event = dynamics.EntryEvent(entrant, side, tuple(contracts), entrant_cf, updated)
+            extended = dynamics.apply_entry(inst, event)
         except (ChoiceFunctionError, PreconditionError):
             continue
         reports = axioms.check_instance(extended, ("full_substitutability", "irc"))
@@ -415,17 +413,15 @@ def generate_entry_scenario(seed: int, profile: str = "ladlas"):
     raise PreconditionError(f"no certified entry scenario for seed {seed}")
 
 
-def generate_priced_instance(seed: int, max_trades: int = 3, max_grid: int = 12):
+def generate_priced_instance(seed: int, max_grid: int = 12):
     """A certified priced economy for the reservation family: every instance
     returned passes full substitutability, consistency, feasibility, complete
     prices and price monotonicity.  Deterministic per seed."""
-    from .equilibrium import build_priced, check_priced_axioms
-
     rng = random.Random(("priced", seed).__repr__())
     for attempt in range(80):
         n_firms = rng.randint(2, 3)
         firms = [f"f{i}" for i in range(1, n_firms + 1)]
-        n_trades = rng.randint(1, max_trades)
+        n_trades = rng.randint(1, MAX_TRADES)
         trades = []
         grid_total = 0
         for i in range(n_trades):
@@ -465,7 +461,7 @@ def generate_priced_instance(seed: int, max_trades: int = 3, max_grid: int = 12)
                 for f in active
             ],
         }
-        priced = build_priced(raw)
-        if all(r.holds for r in check_priced_axioms(priced)):
+        priced = equilibrium.build_priced(raw)
+        if all(r.holds for r in equilibrium.check_priced_axioms(priced)):
             return priced
     raise PreconditionError(f"no certified priced instance for seed {seed}")

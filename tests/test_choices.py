@@ -11,16 +11,17 @@ from tradenet.choices import (
     PartitionChoiceG,
     PreferenceListChoice,
     QuotaChoice,
+    ReservationChoice,
     SeparableIntensityChoice,
     SimpleIntensityChoice,
     build_family,
     is_individually_rational,
     is_rational,
     is_rational_pair,
+    split_contract_id,
 )
-from tradenet.equilibrium import PricedInstance, ReservationChoice
 from tradenet.errors import ChoiceFunctionError
-from tradenet.instances import BUNDLED, bundled_instance
+from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.network import subsets
 from tradenet.oracle import (
     PROFILES,
@@ -105,23 +106,67 @@ def test_quota_choice():
 
 
 def test_partition_f_threshold():
-    ids = {1: "x1", 2: "x2"}
-    cf = PartitionChoiceF("f", ids, "y", (1, 1))
+    ids = {"x1", "x2"}
+    cf = PartitionChoiceF("f", ids, {"y"}, (1, 1))
     assert cf.choose({"x1", "y"}) == {"x1", "y"}  # weight 1 reaches half of 2
     assert cf.choose({"y"}) == frozenset()
     assert cf.choose({"x1", "x2", "y"}) == {"x1", "x2", "y"}
-    heavy = PartitionChoiceF("f", ids, "y", (1, 3))
+    heavy = PartitionChoiceF("f", ids, {"y"}, (1, 3))
     assert heavy.choose({"x1", "y"}) == {"x1"}  # weight 1 below half of 4
 
 
 def test_partition_g_prefix():
-    ids = {1: "x1", 2: "x2", 3: "x3"}
-    cf = PartitionChoiceG("g", "y", ids, (1, 2, 3))
+    ids = {"x1", "x2", "x3"}
+    cf = PartitionChoiceG("g", {"y"}, ids, (1, 2, 3))
     assert cf.choose({"x1", "x2", "x3"}) == frozenset()  # inactive without y
     assert cf.choose({"y", "x1", "x2"}) == {"y", "x1", "x2"}  # weight 3 <= half of 6
     # prefix stops once the running weight would pass half
     assert cf.choose({"y", "x1", "x2", "x3"}) == {"y", "x1", "x2"}
     assert cf.choose({"y", "x3"}) == {"y", "x3"}
+
+
+def _unpadded_gadget(f_desc, g_weights):
+    """Firm g sells x1..x12 to f, which sells y back: ids whose id order
+    (x1, x10, x11, x12, x2, ..., x9) is not the order of their suffixes."""
+    xs = [f"x{i}" for i in range(1, 13)]
+    return instance_from_json({
+        "agents": ["f", "g"],
+        "contracts": [{"id": "y", "seller": "f", "buyer": "g"}]
+        + [{"id": x, "seller": "g", "buyer": "f"} for x in xs],
+        "choice_functions": [dict(f_desc, agent="f"),
+                             {"agent": "g", "type": "partition_g", "weights": g_weights}],
+    })
+
+
+def test_gadget_files_index_parallel_contracts_in_id_order():
+    weights = list(range(1, 13))  # the i-th weight goes to the i-th id: x10 weighs 2
+    inst = _unpadded_gadget({"type": "partition_f", "weights": weights}, weights)
+    f, g = inst.choice["f"], inst.choice["g"]
+    # x6..x9 weigh 9 + 10 + 11 + 12 = 42 of 78 by id order (30 by suffix)
+    assert f.choose({"y", "x6", "x7", "x8", "x9"}) == {"y", "x6", "x7", "x8", "x9"}
+    assert f.choose({"y", "x3", "x4", "x5", "x6"}) == {"x3", "x4", "x5", "x6"}  # 6+7+8+9
+    # g's prefix runs x1, x10, x11, x12, x2, ..., x5 (weights 1..8, 36 of 78)
+    # and stops at x6, whose weight 9 would pass half
+    everything = inst.contract_ids
+    assert g.choose(everything) == {"y", "x1", "x10", "x11", "x12", "x2", "x3", "x4", "x5"}
+    assert inst.to_json()["choice_functions"][1]["weights"] == weights
+
+    hidden = [2, 3, 4, 5, 6, 7]  # x10, x11, x12, x2, x3, x4
+    needle = _unpadded_gadget({"type": "needle_f", "n": 6, "hidden": hidden}, [1] * 12)
+    f = needle.choice["f"]
+    planted = {"x10", "x11", "x12", "x2", "x3", "x4"}
+    assert f.choose(planted | {"y"}) == planted | {"y"}
+    by_suffix = {"x2", "x3", "x4", "x5", "x6", "x7"}
+    assert f.choose(by_suffix | {"y"}) == by_suffix
+    assert f.to_json()["hidden"] == hidden
+
+
+def test_grid_ids_read_trade_at_price():
+    assert split_contract_id("t1@4") == ("t1", 4)
+    assert split_contract_id("a@b@-2") == ("a@b", -2)
+    for cid in ("x", "t@x", "t@01", "t@+1", "t@ 1", "t@"):
+        with pytest.raises(ChoiceFunctionError, match="must read trade@price"):
+            split_contract_id(cid)
 
 
 def test_build_family_from_json(example1):
@@ -304,45 +349,51 @@ def literal_quota(cf, menu):
     return frozenset([c for c in cf.order if c in menu][: cf.quota])
 
 
-def _indexed(cf, menu):
-    return sorted(i for i, cid in cf.weighted_ids.items() if cid in menu)
+def _indexed(parallel, menu):
+    """(index, id) of each offered parallel contract; index i is the i-th id
+    of the side in sorted order."""
+    return [(i, cid) for i, cid in enumerate(sorted(parallel), 1) if cid in menu]
 
 
 def literal_partition_f(cf, menu):
-    idx = _indexed(cf, menu)
-    ups = frozenset(cf.weighted_ids[i] for i in idx)
-    offered_weight = sum(cf.weights[i - 1] for i in idx)
-    if cf.down_id in menu and 2 * offered_weight >= cf.double_threshold:
-        return ups | {cf.down_id}
+    (lone,) = cf.downstream
+    idx = _indexed(cf.upstream, menu)
+    ups = frozenset(cid for _, cid in idx)
+    offered_weight = sum(cf.weights[i - 1] for i, _ in idx)
+    if lone in menu and 2 * offered_weight >= cf.double_threshold:
+        return ups | {lone}
     return ups
 
 
 def literal_partition_g(cf, menu):
-    if cf.up_id not in menu:
+    (lone,) = cf.upstream
+    if lone not in menu:
         return frozenset()
     kept = []
     running = 0
-    for i in _indexed(cf, menu):
+    for i, cid in _indexed(cf.downstream, menu):
         running += cf.weights[i - 1]
         if 2 * running > cf.double_threshold:
             break
-        kept.append(cf.weighted_ids[i])
-    return frozenset(kept) | {cf.up_id}
+        kept.append(cid)
+    return frozenset(kept) | {lone}
 
 
 def literal_needle_f(cf, menu):
-    idx = frozenset(_indexed(cf, menu))
-    ups = frozenset(cf.weighted_ids[i] for i in idx)
-    take_down = len(idx) >= cf.n + 1 or (cf.hidden is not None and idx == cf.hidden)
-    if cf.down_id in menu and take_down:
-        return ups | {cf.down_id}
+    (lone,) = cf.downstream
+    idx = _indexed(cf.upstream, menu)
+    ups = frozenset(cid for _, cid in idx)
+    offered = frozenset(i for i, _ in idx)
+    take_down = len(idx) >= cf.n + 1 or (cf.hidden is not None and offered == cf.hidden)
+    if lone in menu and take_down:
+        return ups | {lone}
     return ups
 
 
 def _literal_side_pick(offers, book, cap, buying):
     best = {}  # trade -> best offered (price, id)
     for cid in offers:
-        trade, price = PricedInstance.split(cid)
+        trade, price = split_contract_id(cid)
         held = best.get(trade)
         if held is None or (price < held[0] if buying else price > held[0]):
             best[trade] = (price, cid)

@@ -417,6 +417,15 @@ def _malformed_files(tmp_path):
             {"agent": "b", "type": "reservation", "values": {"t": 5}},
         ],
     }
+    # a trade's id, seller and buyer are non-empty strings, and an ordinary
+    # file's reservation function reads its contract ids as trade@price
+    trade_fields = {}
+    for name, field, value in (("seller_int", "seller", 7), ("id_int", "id", 7),
+                               ("buyer_null", "buyer", None), ("id_empty", "id", "")):
+        trade_fields[f"trade_{name}"] = json.loads(json.dumps(priced_ok))
+        trade_fields[f"trade_{name}"]["trades"][0][field] = value
+    for name, cid in (("grid_bare", "x"), ("grid_text", "t@x")):
+        trade_fields[name] = dict(grid_alias, contracts=[{"id": cid, "seller": "a", "buyer": "b"}])
     intensity_bool = {
         "agents": ["a", "f", "b"],
         "contracts": [{"id": "u", "seller": "a", "buyer": "f"},
@@ -430,6 +439,7 @@ def _malformed_files(tmp_path):
     paths = {}
     for name, raw in (
         *retyped.items(),
+        *trade_fields.items(),
         ("entry_twice", entry_twice),
         ("entry_twice_swapped_first", entry_twice_swapped_first),
         ("ranking", ranking),
@@ -497,6 +507,12 @@ def _malformed_files(tmp_path):
         ["equilibrium", "{capacity_zero}"],
         ["validate", "{intensity_bool}"],
         ["validate", "{grid_alias}"],
+        ["equilibrium", "{trade_seller_int}"],
+        ["equilibrium", "{trade_id_int}"],
+        ["equilibrium", "{trade_buyer_null}"],
+        ["equilibrium", "{trade_id_empty}"],
+        ["validate", "{grid_bare}"],
+        ["validate", "{grid_text}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
@@ -509,6 +525,19 @@ def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
     if argv[-2:] == ["--readjust-from", "y"]:
         # the message names the flag the command was given
         assert err.startswith("input error: --readjust-from must be a JSON list")
+    if argv[-1] in NAMED_FIELD:
+        assert err == f"input error: {NAMED_FIELD[argv[-1]]}\n"
+
+
+# the message of a file whose one bad field is named, not left to Python's text
+NAMED_FIELD = {
+    "{trade_seller_int}": "trade 't1': seller must be a non-empty string",
+    "{trade_id_int}": "trade 7: id must be a non-empty string",
+    "{trade_buyer_null}": "trade 't1': buyer must be a non-empty string",
+    "{trade_id_empty}": "trade '': id must be a non-empty string",
+    "{grid_bare}": "choice function: a: contract ids must read trade@price",
+    "{grid_text}": "choice function: a: contract ids must read trade@price",
+}
 
 
 def _field_mutations(raw):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from tradenet import axioms
-from tradenet.choices import ChoiceFunction, PreferenceListChoice
+from tradenet.choices import ChoiceFunction, PreferenceListChoice, contract_id, split_contract_id
 from tradenet.equilibrium import (
     Arrangement,
     PricedInstance,
@@ -19,7 +19,6 @@ from tradenet.equilibrium import (
     check_pm,
     check_priced_axioms,
     complete_prices,
-    contract_id,
     price_adjustment,
     trace_offers_remain_open,
     trace_prices_monotone,
@@ -371,7 +370,7 @@ def literal_feasibility(priced):
             chosen = cf.choose(menu)
             seen: dict[str, str] = {}
             for cid in sorted(chosen):
-                trade, _ = priced.split(cid)
+                trade, _ = split_contract_id(cid)
                 if trade in seen:
                     witness = {
                         "menu": sorted_ids(menu),
