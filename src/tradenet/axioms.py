@@ -15,7 +15,10 @@ IRC, full substitutability, LAD/LAS and w-contraction each reduce to
 one-contract steps from a menu m to m | {j}.  They first decide whether any
 step violates on whole-table menu slices (`_Slices`), with a few big-int
 operations per pair of contracts, and walk the menus only when one does, to
-find the first witness.
+find the first witness.  Separability decides on the same slices which
+givens some kept set and pair violate alongside (`_Slices.inseparable`),
+and walks the kept sets only alongside the first of them.  The slices are
+cut once per choice function and kept on it, as its menu table is.
 
 All quantifiers are exponential in the agent's contract count, so every
 check carries an explicit size guard instead of silently truncating.
@@ -31,7 +34,7 @@ from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .guards import SIZE_GUARD
 from .instances import Instance
-from .network import mask_bits, sorted_ids, submasks
+from .network import iter_submasks, mask_bits, sorted_ids, submasks
 
 AXIOM_NAMES = (
     "irc",
@@ -104,23 +107,27 @@ class _Slices:
 
     @classmethod
     def of(cls, cf: ChoiceFunction) -> "_Slices":
-        table = cf.menu_table()
-        size = len(table)
-        raw = array("H", table).tobytes()  # masks of at most SIZE_GUARD bits fit
-        low, high = (raw[0::2], raw[1::2]) if sys.byteorder == "little" else (raw[1::2], raw[0::2])
-        chosen = [
-            int.from_bytes((low if j < 8 else high).translate(_BIT[j & 7]), "little")
-            for j in range(len(cf.ids))
-        ]
-        lacks = [
-            int.from_bytes((b"\1" * (1 << j) + bytes(1 << j)) * (size >> (j + 1)), "little")
-            for j in range(len(cf.ids))
-        ]
-        ones = int.from_bytes(b"\1" * size, "little")
-        rejected = [ones ^ lack ^ c for lack, c in zip(lacks, chosen)]
-        up = sum(c for j, c in enumerate(chosen) if cf.up_mask >> j & 1)
-        down = sum(c for j, c in enumerate(chosen) if cf.down_mask >> j & 1)
-        return cls(cf.up_mask, ones, chosen, rejected, lacks, up, down)
+        """The slices of `cf`'s menu table, cut on the first call and kept on
+        `cf`, as the table is."""
+        if cf._slices is None:
+            table = cf.menu_table()
+            size = len(table)
+            raw = array("H", table).tobytes()  # masks of at most SIZE_GUARD bits fit
+            low, high = (raw[0::2], raw[1::2]) if sys.byteorder == "little" else (raw[1::2], raw[0::2])
+            chosen = [
+                int.from_bytes((low if j < 8 else high).translate(_BIT[j & 7]), "little")
+                for j in range(len(cf.ids))
+            ]
+            lacks = [
+                int.from_bytes((b"\1" * (1 << j) + bytes(1 << j)) * (size >> (j + 1)), "little")
+                for j in range(len(cf.ids))
+            ]
+            ones = int.from_bytes(b"\1" * size, "little")
+            rejected = [ones ^ lack ^ c for lack, c in zip(lacks, chosen)]
+            up = sum(c for j, c in enumerate(chosen) if cf.up_mask >> j & 1)
+            down = sum(c for j, c in enumerate(chosen) if cf.down_mask >> j & 1)
+            cf._slices = cls(cf.up_mask, ones, chosen, rejected, lacks, up, down)
+        return cf._slices
 
     def irc_step_fails(self) -> bool:
         """Some menu's choice changes when one rejected contract is dropped.
@@ -187,6 +194,74 @@ class _Slices:
             if total & lacks << 7:
                 return True
         return False
+
+    def inseparable(self, table: list[int]):
+        """Yield, in `subsets` order, each `given` alongside which some kept
+        set and some pair kept only together are not kept at once, with the
+        pairs kept only together there (as `_pairs_kept_together` lists them).
+
+        Contract b is kept alone alongside g when byte g of
+        `chosen[b] | (chosen[b] >> (8 << b)) & lacks[b]` is set: the byte of
+        g | {b}.  Lifting `chosen[u] & chosen[d]` over u and then d the same
+        way marks the givens alongside which the pair is kept together, so
+        an agent with one side has no pair and yields nothing.
+
+        Alongside g, some kept set K missing a pair P is not kept with P
+        added exactly when some menu M holds g, chooses every contract of M
+        outside g, misses P - g, and has C(M) | P not within C(M | P): take
+        M = K | g one way and K = C(M) - P the other.  M | P is M + s for
+        s = P - g, fixed for the given, so `_breaks` marks the last test for
+        every M at once, and one whole-int test per given settles it."""
+        chosen, rejected, lacks = self.chosen, self.rejected, self.lacks
+        n = len(chosen)
+        ups = [j for j in range(n) if self.up_mask >> j & 1]
+        downs = [j for j in range(n) if not self.up_mask >> j & 1]
+        if not ups or not downs:
+            return
+        # byte g: j is not kept alone alongside g
+        not_alone = [self.ones ^ (c | (c >> (8 << j)) & lacks[j]) for j, c in enumerate(chosen)]
+        paired = 0
+        for u in ups:
+            with_u = 0
+            for d in downs:
+                together = chosen[u] & chosen[d]
+                together |= together >> (8 << u) & lacks[u]
+                together |= together >> (8 << d) & lacks[d]
+                with_u |= together & not_alone[d]
+            paired |= with_u & not_alone[u]
+        if not paired:
+            return
+        full = (1 << n) - 1
+        flags = paired.to_bytes(1 << n, "little")
+        broken: dict[tuple[int, int], int] = {}
+        for given in iter_submasks(full):
+            if not flags[given]:
+                continue
+            pairs = _pairs_kept_together(table, given, self.up_mask, full ^ self.up_mask)
+            reach = 0
+            for up, down in pairs:
+                pair = up | down
+                key = (pair, pair & given)
+                if key not in broken:
+                    broken[key] = self._breaks(pair, pair & ~given)
+                reach |= broken[key]
+            # the menus K | given: bytes that hold `given` and reject nothing outside it
+            outside = 0
+            for j in range(n):
+                outside |= lacks[j] if given >> j & 1 else rejected[j]
+            if reach & ~outside:
+                yield given, pairs
+
+    def _breaks(self, pair: int, step: int) -> int:
+        """Byte m is set when m lacks `step` and some contract chosen from m,
+        or of `pair`, is not chosen from m + step."""
+        shift = 8 * step
+        broken = 0
+        for k, (c, r) in enumerate(zip(self.chosen, self.rejected)):
+            broken |= r >> shift if pair >> k & 1 else c & r >> shift
+        for j in mask_bits(step):
+            broken &= self.lacks[j.bit_length() - 1]
+        return broken
 
 
 def check_irc(cf: ChoiceFunction) -> AxiomReport:
@@ -283,33 +358,31 @@ def check_lad_las(cf: ChoiceFunction) -> AxiomReport:
     return AxiomReport("lad_las", cf.agent, True)
 
 
+def _pairs_kept_together(table: list[int], given: int, up: int, down: int) -> list[tuple[int, int]]:
+    """The (upstream, downstream) pairs kept together alongside `given` while
+    neither contract is kept alone, in (upstream id, downstream id) order."""
+    alone = sum(b for b in mask_bits(up | down) if table[given | b] & b)
+    return [(u, d) for u in mask_bits(up & ~alone) for d in mask_bits(down & ~alone)
+            if not (u | d) & ~table[given | u | d]]
+
+
 def check_separability(cf: ChoiceFunction) -> AxiomReport:
     """Joint upstream/downstream pairs can be signed independently of other
     kept contracts: a kept set plus a kept-only-together pair stays kept.
 
     A set is kept alongside `given` when the choice from their union keeps
-    all of it.  The pairs kept only together depend on `given` alone, so they
-    are listed once per `given`, in (upstream id, downstream id) order."""
+    all of it.  The slices name the givens alongside which some kept set and
+    pair violate (`_Slices.inseparable`); the kept sets are walked, in
+    `subsets` order, only alongside the first of them, for the witness."""
     check_size(cf, "separability")
     table = cf.menu_table()
-    full = cf.up_mask | cf.down_mask
-    menus = submasks(full)
-
-    def keeps(kept, given):
-        return not kept & ~table[kept | given]
-
-    for given in menus:
-        alone = sum(b for b in mask_bits(full) if keeps(b, given))
-        pairs = [(up, down) for up in mask_bits(cf.up_mask & ~alone)
-                 for down in mask_bits(cf.down_mask & ~alone) if keeps(up | down, given)]
-        if not pairs:
-            continue
-        for kept in menus:
-            if not keeps(kept, given):
+    for given, pairs in _Slices.of(cf).inseparable(table):
+        for kept in iter_submasks(cf.up_mask | cf.down_mask):
+            if kept & ~table[kept | given]:
                 continue
             for up, down in pairs:
                 union = kept | up | down
-                if not (up | down) & kept and not keeps(union, given):
+                if not (up | down) & kept and union & ~table[given | union]:
                     return AxiomReport("separability", cf.agent, False, {
                         "given": _names(cf, given),
                         "kept": _names(cf, kept),

@@ -43,6 +43,7 @@ class ChoiceFunction:
         self.down_mask = self.mask(self.downstream)
         self._cache: dict[int, int] = {}
         self._menu_table: list[int] | None = None
+        self._slices = None  # the table cut into `axioms._Slices`, built once by `_Slices.of`
 
     def mask(self, contracts) -> int:
         """The mask of the agent's own contracts among `contracts`."""

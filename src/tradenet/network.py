@@ -204,8 +204,13 @@ def subsets(items):
 def submasks(mask: int) -> list[int]:
     """Every submask of `mask` in `subsets` order, when bit i stands for the
     i-th contract in id order."""
+    return list(iter_submasks(mask))
+
+
+def iter_submasks(mask: int):
+    """`submasks`, one at a time, for walks that may stop early."""
     bits = mask_bits(mask)
-    return [sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size)]
+    return (sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size))
 
 
 def mask_bits(mask: int) -> list[int]:

@@ -17,6 +17,7 @@ from .choices import (
     QuotaChoice,
     SeparableIntensityChoice,
     SimpleIntensityChoice,
+    read_int,
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .fixedpoint import join_states
@@ -88,9 +89,12 @@ def solve_partition(weights) -> bool:
     """Exact split check: can the weights be divided into two equal halves?
     Subset-sum dynamic program over the doubled target, so odd totals are
     simply unreachable."""
-    weights = [int(w) for w in weights]
-    if not weights or any(w <= 0 for w in weights):
-        raise ValueError("weights must be positive integers")
+    try:
+        weights = [read_int(w, "each weight", 1) for w in weights]
+    except ChoiceFunctionError as exc:
+        raise ValueError(str(exc)) from exc
+    if not weights:
+        raise ValueError("weights must be a non-empty list")
     total = sum(weights)
     if total % 2:
         return False

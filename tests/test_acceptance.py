@@ -40,6 +40,7 @@ from tradenet.oracle import (
     solve_partition,
 )
 from tradenet.stability import (
+    check_notion,
     find_blocking_chain,
     find_blocking_set,
     find_blocking_trail,
@@ -227,6 +228,11 @@ def test_criterion_09_equilibrium_suite():
             assert eq.trace_prices_monotone(trace), seed
             assert eq.trace_offers_remain_open(trace), seed
             assert eq.trace_rejections_remain_final(trace), seed
+            # the abstract: the competitive equilibrium outcome is fully trail-stable
+            for perspective in ("buyer", "seller"):
+                outcome, _ = eq.price_adjustment(priced, perspective, validate=False)
+                verdict = check_notion(priced.instance, outcome, "full_trail")
+                assert verdict.stable, (seed, perspective)
 
 
 def test_criterion_10_dynamics_suite():

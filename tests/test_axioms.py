@@ -12,6 +12,7 @@ from tradenet.axioms import (
     AxiomReport,
     _names,
     _Slices,
+    check_agent,
     check_full_substitutability,
     check_instance,
     check_irc,
@@ -284,6 +285,22 @@ def test_check_instance_report_shape(example1):
     assert all(isinstance(r, AxiomReport) and r.holds for r in reports)
     payload = reports[0].to_json()
     assert set(payload) == {"axiom", "agent", "holds", "witness", "notes"}
+
+
+def test_check_agent_cuts_one_set_of_slices(monkeypatch):
+    cf = SeparableIntensityChoice("h", ["u0", "u1", "u2"], ["d0", "d1", "d2"])
+    built = []
+    init = _Slices.__init__
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_Slices, "__init__", counting_init)
+    reports = check_agent(cf)
+    assert [r.axiom for r in reports] == list(_CHECKS)
+    assert len(built) == 1
+    assert _Slices.of(cf) is _Slices.of(cf) is built[0]
 
 
 # ---------------------------------------------------------------------------
@@ -655,6 +672,7 @@ def _step_fails(cf):
         "irc": slices.irc_step_fails(),
         "full_substitutability": slices.substitutes_step_fails(),
         "lad_las": slices.lad_las_step_fails(),
+        "separability": next(slices.inseparable(cf.menu_table()), None) is not None,
         "w_contraction": slices.w_contraction_step_expands(),
     }
 
@@ -799,10 +817,40 @@ def walk_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     return AxiomReport("w_contraction", cf.agent, True)
 
 
+def walk_separability(cf: ChoiceFunction) -> AxiomReport:
+    table = cf.menu_table()
+    full = cf.up_mask | cf.down_mask
+    menus = submasks(full)
+
+    def keeps(kept, given):
+        return not kept & ~table[kept | given]
+
+    for given in menus:
+        alone = sum(b for b in mask_bits(full) if keeps(b, given))
+        pairs = [(up, down) for up in mask_bits(cf.up_mask & ~alone)
+                 for down in mask_bits(cf.down_mask & ~alone) if keeps(up | down, given)]
+        if not pairs:
+            continue
+        for kept in menus:
+            if not keeps(kept, given):
+                continue
+            for up, down in pairs:
+                union = kept | up | down
+                if not (up | down) & kept and not keeps(union, given):
+                    return AxiomReport("separability", cf.agent, False, {
+                        "given": _names(cf, given),
+                        "kept": _names(cf, kept),
+                        "pair": _names(cf, up) + _names(cf, down),
+                        "union_choice": _names(cf, table[given | union]),
+                    })
+    return AxiomReport("separability", cf.agent, True)
+
+
 WALK = {
     "irc": walk_irc,
     "full_substitutability": walk_full_substitutability,
     "lad_las": walk_lad_las,
+    "separability": walk_separability,
     "w_contraction": walk_w_contraction,
 }
 

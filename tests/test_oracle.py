@@ -95,6 +95,15 @@ def test_weights_must_be_sorted_and_positive():
         solve_partition(())
 
 
+def test_solve_partition_refuses_what_the_gadget_refuses():
+    # truncated to [1, 2, 3] and [1, 1], both would split evenly
+    for weights in ((1.5, 2.5, 3), (True, True)):
+        with pytest.raises(ValueError, match="each weight must be an integer"):
+            partition_to_gs(weights)
+        with pytest.raises(ValueError, match="each weight must be an integer"):
+            solve_partition(weights)
+
+
 def test_needle_with_hidden_subset():
     inst = needle_family(2, hidden=[1, 3])
     verdict = find_blocking_set(inst, frozenset())
