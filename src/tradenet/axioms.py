@@ -34,7 +34,7 @@ from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .guards import SIZE_GUARD
 from .instances import Instance
-from .network import iter_submasks, mask_bits, sorted_ids, submasks
+from .network import fields_json, iter_submasks, mask_bits, sorted_ids, submasks
 
 AXIOM_NAMES = (
     "irc",
@@ -54,14 +54,7 @@ class AxiomReport:
     witness: dict | None = None
     notes: tuple[str, ...] = ()
 
-    def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "agent": self.agent,
-            "holds": self.holds,
-            "witness": self.witness,
-            "notes": list(self.notes),
-        }
+    to_json = fields_json
 
 
 def check_size(cf: ChoiceFunction, what: str) -> None:

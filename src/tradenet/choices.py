@@ -135,7 +135,7 @@ class ChoiceFunction:
     def params_json(self) -> dict:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # the input-file description
         out = {"agent": self.agent, "type": self.family}
         out.update(self.params_json())
         return out

@@ -142,6 +142,8 @@ def _load_entry(inst: Instance, path) -> dynamics.EntryEvent:
         raise InstanceFormatError(f"entry file needs exactly fields {sorted(required)}")
     if not all(isinstance(raw[k], list) for k in ("contracts", "choice_functions")):
         raise InstanceFormatError("entry file 'contracts' and 'choice_functions' must be lists")
+    if raw["side"] not in ("terminal_seller", "terminal_buyer"):
+        raise InstanceFormatError("entry file 'side' must be terminal_seller or terminal_buyer")
     trial = {
         "agents": list(inst.network.agents) + [raw["agent"]],
         "contracts": [c.to_json() for c in inst.network.contracts] + raw["contracts"],
@@ -180,20 +182,24 @@ def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "partition":
         try:
             weights = tuple(sorted(int(w) for w in args.weights.split(",")))
-            gadget = oracle.partition_to_gs(weights)
+            solvable = oracle.solve_partition(weights)
         except ValueError as exc:
             raise InstanceFormatError(f"--weights: {exc}") from exc
+        # all k + 1 contracts are fresh against the empty outcome: refuse before building
+        stability.check_set_guard(len(weights) + 1)
+        gadget = oracle.partition_to_gs(weights)
+        verdict = stability.find_blocking_set(gadget.instance, gadget.outcome)
         return {
             "weights": list(weights),
             "half_integral_threshold": gadget.half_integral,
-            "partition_solvable": oracle.solve_partition(weights),
-            "empty_outcome_blocked": oracle.gadget_not_set_stable(weights),
+            "partition_solvable": solvable,
+            "empty_outcome_blocked": not verdict.stable,
         }
     if args.oracle_cmd == "needle":
         hidden = None
         try:
-            if args.hidden:
-                hidden = [int(i) for i in args.hidden.split(",")]
+            if args.hidden is not None:
+                hidden = [int(i) for i in args.hidden.split(",")] if args.hidden else []
             NeedleChoiceF.checked_hidden(args.n, hidden)
             # all 2n + 1 contracts are fresh against the empty outcome: refuse before building
             stability.check_set_guard(2 * args.n + 1)

@@ -24,7 +24,7 @@ from .fixedpoint import (
     seller_optimal,
 )
 from .instances import Instance
-from .network import Contract, sorted_ids, submasks, validate_network
+from .network import Contract, fields_json, sorted_ids, submasks, validate_network
 
 
 @dataclass(frozen=True)
@@ -141,17 +141,7 @@ class EntryStaticsReport:
     agent_verdicts: dict[str, dict[str, bool]]
     directions_hold: bool
 
-    def to_json(self) -> dict:
-        return {
-            "event_agent": self.event_agent,
-            "side": self.side,
-            "before": {k: sorted_ids(v) for k, v in self.before.items()},
-            "after": {k: sorted_ids(v) for k, v in self.after.items()},
-            "agent_verdicts": {
-                a: dict(sorted(v.items())) for a, v in sorted(self.agent_verdicts.items())
-            },
-            "directions_hold": self.directions_hold,
-        }
+    to_json = fields_json
 
 
 def entry_comparative_statics(inst: Instance, event: EntryEvent) -> EntryStaticsReport:
@@ -235,14 +225,7 @@ class RuralHospitalsReport:
     def invariant_holds(self) -> bool:
         return self.preconditions_hold and self.counterexample is None
 
-    def to_json(self) -> dict:
-        return {
-            "preconditions_hold": self.preconditions_hold,
-            "failed_axioms": list(self.failed_axioms),
-            "outcomes": [sorted_ids(o) for o in self.outcomes],
-            "per_agent_margin": self.per_agent_margin,
-            "counterexample": self.counterexample,
-        }
+    to_json = fields_json
 
 
 def rural_hospitals_check(inst: Instance) -> RuralHospitalsReport:

@@ -25,7 +25,7 @@ from .errors import (
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
 from .guards import SIZE_GUARD
 from .instances import Instance, build_choices
-from .network import mask_bits, sorted_ids, submasks, validate_network
+from .network import fields_json, mask_bits, sorted_ids, submasks, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
@@ -42,14 +42,7 @@ class Trade:
     def prices(self) -> range:
         return range(self.price_min, self.price_max + 1)
 
-    def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "seller": self.seller,
-            "buyer": self.buyer,
-            "price_min": self.price_min,
-            "price_max": self.price_max,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -61,7 +54,7 @@ class PricedInstance:
     def trade_ids(self) -> tuple[str, ...]:
         return tuple(t.id for t in self.trades)
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # the input-file description
         return {
             "trades": [t.to_json() for t in self.trades],
             "choice_functions": [
@@ -78,11 +71,7 @@ class Arrangement:
     def contracts(self) -> frozenset[str]:
         return frozenset(contract_id(t, self.prices[t]) for t in self.realized)
 
-    def to_json(self) -> dict:
-        return {
-            "realized": sorted(self.realized),
-            "prices": {t: self.prices[t] for t in sorted(self.prices)},
-        }
+    to_json = fields_json
 
 
 def build_priced(raw: dict) -> PricedInstance:
@@ -300,7 +289,7 @@ class PriceRound:
     responder_rejects: frozenset[str]
     prices: dict[str, int]
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # the pair is left out
         return {
             "offers": sorted_ids(self.offers),
             "responder_keeps": sorted_ids(self.responder_keeps),
@@ -315,12 +304,7 @@ class PriceTrace:
     rounds: tuple[PriceRound, ...]
     last_rejected: dict[str, int]  # per trade, final offered-and-rejected price
 
-    def to_json(self) -> dict:
-        return {
-            "perspective": self.perspective,
-            "rounds": [r.to_json() for r in self.rounds],
-            "last_rejected": {t: self.last_rejected[t] for t in sorted(self.last_rejected)},
-        }
+    to_json = fields_json
 
 
 def price_adjustment(

@@ -23,7 +23,7 @@ from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .guards import ENUMERATION_GUARD
 from .instances import Instance
-from .network import sorted_ids, submasks
+from .network import fields_json, sorted_ids, submasks
 from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
 
@@ -36,11 +36,7 @@ class OfferPair:
     def outcome(self) -> frozenset[str]:
         return self.buyer_side & self.seller_side
 
-    def to_json(self) -> dict:
-        return {
-            "buyer_side": sorted_ids(self.buyer_side),
-            "seller_side": sorted_ids(self.seller_side),
-        }
+    to_json = fields_json
 
     def sort_key(self):
         return (sorted(self.buyer_side), sorted(self.seller_side))
@@ -89,10 +85,10 @@ class FixedPointResult:
     iterations: int
     trace: tuple[OfferPair, ...]
 
+    # the pair is flattened into the result, and the trace comes only on request
     def to_json(self, include_trace: bool = False) -> dict:
         out = {
-            "buyer_side": sorted_ids(self.pair.buyer_side),
-            "seller_side": sorted_ids(self.pair.seller_side),
+            **self.pair.to_json(),
             "outcome": sorted_ids(self.outcome),
             "iterations": self.iterations,
         }
@@ -271,8 +267,7 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
 class SuperiorityVerdict:
     relation: str  # seller_superior | buyer_superior | equal | incomparable
 
-    def to_json(self) -> dict:
-        return {"relation": self.relation}
+    to_json = fields_json
 
 
 def prefers(inst: Instance, agent: str, preferred, other) -> bool:
@@ -334,14 +329,10 @@ class TerminalLattice:
     joins: dict[tuple[int, int], int]
     meets: dict[tuple[int, int], int]
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # elements zipped with outcomes, "i,j" join and meet keys
         return {
             "elements": [
-                {
-                    "buyer_side": sorted_ids(p.buyer_side),
-                    "seller_side": sorted_ids(p.seller_side),
-                    "terminal_outcome": sorted_ids(o),
-                }
+                {**p.to_json(), "terminal_outcome": sorted_ids(o)}
                 for p, o in zip(self.elements, self.outcomes)
             ],
             "joins": {f"{i},{j}": k for (i, j), k in sorted(self.joins.items())},

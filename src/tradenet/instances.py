@@ -72,7 +72,7 @@ class Instance:
             out |= cf.rejected_downstream(available_down, available_up)
         return frozenset(out)
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # the input-file description
         out = self.network.to_json()
         out["choice_functions"] = [
             self.choice[a].to_json() for a in self.network.agents

@@ -5,21 +5,60 @@ contracts pointing from seller to buyer.  Everything downstream of this module
 treats contracts by their string id; the network object owns the id ->
 endpoint lookup and the graph utilities (terminal agents, acyclicity), and
 this module holds the canonical forms of contract sets (sorted id lists, the
-subset enumeration order, on id sets and on int masks).
+subset enumeration order, on id sets and on int masks) and of the results
+that leave the library as JSON (`fields_json`).
 """
 
 from __future__ import annotations
 
 import graphlib
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 
 from .errors import NetworkValidationError
 
 NETWORK_FIELDS = {"agents", "contracts"}
 CONTRACT_FIELDS = {"id", "seller", "buyer", "label"}
 CONTRACT_REQUIRED = {"id", "seller", "buyer"}
+
+
+def sorted_ids(contract_set) -> list[str]:
+    """Canonical list form used whenever a contract set leaves the library."""
+    return sorted(contract_set)
+
+
+_AS_IS = frozenset({type(None), bool, int, float, str, list})
+
+
+def fields_json(result) -> dict:
+    """The JSON form of a result dataclass: each field by name, in declaration
+    order.  Contract sets leave as `sorted_ids` lists, tuples as lists of
+    their converted items in order, dicts key by key; lists are taken as they
+    are, and any other object gives its own `to_json()`."""
+    out = {}
+    # plain values are taken without a call: every printed report passes here
+    for name in _field_names(type(result)):
+        value = getattr(result, name)
+        out[name] = value if type(value) in _AS_IS else _json_value(value)
+    return out
+
+
+@cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in fields(cls))
+
+
+def _json_value(value):
+    if type(value) in _AS_IS:
+        return value
+    if isinstance(value, (frozenset, set)):
+        return sorted_ids(value)
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value.to_json()
 
 
 @dataclass(frozen=True)
@@ -29,7 +68,7 @@ class Contract:
     buyer: str
     label: str | None = None
 
-    def to_json(self) -> dict:
+    def to_json(self) -> dict:  # a null label is left out
         out = {"id": self.id, "seller": self.seller, "buyer": self.buyer}
         if self.label is not None:
             out["label"] = self.label
@@ -122,11 +161,7 @@ class ContractNetwork:
             return False
         return True
 
-    def to_json(self) -> dict:
-        return {
-            "agents": list(self.agents),
-            "contracts": [c.to_json() for c in self.contracts],
-        }
+    to_json = fields_json
 
 
 def validate_network(raw: dict) -> ContractNetwork:
@@ -186,11 +221,6 @@ def validate_network(raw: dict) -> ContractNetwork:
     if issues:
         raise NetworkValidationError(issues)
     return ContractNetwork(tuple(agents), tuple(contracts))
-
-
-def sorted_ids(contract_set) -> list[str]:
-    """Canonical list form used whenever a contract set leaves the library."""
-    return sorted(contract_set)
 
 
 def subsets(items):

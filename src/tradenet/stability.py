@@ -17,7 +17,7 @@ from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test p
 from .errors import GuardExceededError, StabilityContradictionError
 from .guards import SET_GUARD, TRAIL_GUARD
 from .instances import Instance
-from .network import sorted_ids
+from .network import fields_json, sorted_ids
 
 NOTIONS = ("acceptable", "trail", "full_trail", "chain", "set", "strong_trail")
 
@@ -29,13 +29,7 @@ class Witness:
     agent: str | None = None
     option: str | None = None  # trail reading, prefix | suffix (trail notion only)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "contracts": list(self.contracts),
-            "agent": self.agent,
-            "option": self.option,
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -44,12 +38,7 @@ class StabilityVerdict:
     stable: bool
     witness: Witness | None = None
 
-    def to_json(self) -> dict:
-        return {
-            "notion": self.notion,
-            "stable": self.stable,
-            "witness": self.witness.to_json() if self.witness else None,
-        }
+    to_json = fields_json
 
 
 def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:

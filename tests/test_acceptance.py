@@ -218,6 +218,7 @@ def test_criterion_08_lattice_suite():
 
 def test_criterion_09_equilibrium_suite():
     with Criterion(9, "competitive equilibrium on 50 priced economies", 300.0):
+        equal = 0
         for seed in range(50):
             priced = generate_priced_instance(seed)  # certified at generation
             outcome, trace = eq.price_adjustment(priced, validate=False)
@@ -233,6 +234,27 @@ def test_criterion_09_equilibrium_suite():
                 outcome, _ = eq.price_adjustment(priced, perspective, validate=False)
                 verdict = check_notion(priced.instance, outcome, "full_trail")
                 assert verdict.stable, (seed, perspective)
+            # ... and so is every competitive equilibrium outcome, not only the
+            # two that price adjustment reaches
+            full_trail = brute_force_stable(priced.instance, "full_trail")
+            ce_outcomes = {arr.contracts() for arr in _competitive_equilibria(priced)}
+            assert ce_outcomes, seed
+            assert ce_outcomes <= set(full_trail), seed
+            equal += ce_outcomes == set(full_trail)
+        # the converse is not claimed: reported, not asserted
+        print(f"CE outcomes equal the full-trail-stable set on {equal} of 50 economies")
+
+
+def _competitive_equilibria(priced):
+    """Every arrangement, each price vector times each realized-trade
+    subset, that `verify_competitive_equilibrium` accepts."""
+    ids = priced.trade_ids
+    for prices in itertools.product(*(t.prices() for t in priced.trades)):
+        for size in range(len(ids) + 1):
+            for realized in itertools.combinations(ids, size):
+                arr = eq.Arrangement(frozenset(realized), dict(zip(ids, prices)))
+                if eq.verify_competitive_equilibrium(priced, arr):
+                    yield arr
 
 
 def test_criterion_10_dynamics_suite():

@@ -11,6 +11,7 @@ import jsonschema
 import pytest
 
 import tradenet
+from tradenet import oracle
 from tradenet.cli import main
 from tradenet.instances import BUNDLED, bundled_json
 from tradenet.oracle import generate_priced_instance, needle_family, partition_to_gs
@@ -289,6 +290,21 @@ def test_oracle_needle_refuses_an_oversized_family_before_building_it(capsys):
     assert err == "input error: needle: hidden index set must contain exactly n valid indices\n"
 
 
+def test_oracle_partition_refuses_an_oversized_gadget_before_building_it(capsys, monkeypatch):
+    # the gadget's k + 1 contracts are all fresh: building 100,001 of them
+    # (and their per-agent masks) is what the set guard is there to prevent
+    def refuse(k):
+        raise AssertionError(f"built a {k}-contract gadget")
+
+    monkeypatch.setattr(oracle, "_two_firm_network", refuse)
+    code, out, _ = run_cli(capsys, "oracle", "partition", "--weights", ",".join(["1"] * 100000))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "GuardExceededError",
+        "message": "set search guard is 20 candidate contracts, have 100001",
+    }
+
+
 def test_oracle_gen(capsys):
     code, out, _ = run_cli(capsys, "oracle", "gen", "--seed", "5", "--profile", "separable")
     assert code == 0
@@ -365,6 +381,7 @@ def _malformed_files(tmp_path):
             },
         ],
     }
+    entry_side = dict(entry_ok, side="sideways")
     # an entry file that gives one agent two choice functions, in either order
     j_swapped = {
         "agent": "j",
@@ -450,6 +467,7 @@ def _malformed_files(tmp_path):
         ("costs", costs),
         ("entry", entry),
         ("entry_family", entry_family),
+        ("entry_side", entry_side),
         ("priced_ok", priced_ok),
         ("entry_ok", entry_ok),
         ("example2", bundled_json("example2")),
@@ -513,6 +531,8 @@ def _malformed_files(tmp_path):
         ["equilibrium", "{trade_id_empty}"],
         ["validate", "{grid_bare}"],
         ["validate", "{grid_text}"],
+        ["oracle", "needle", "--n", "2", "--hidden", ""],
+        ["dynamics", "{example2}", "--entry", "{entry_side}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
@@ -537,6 +557,7 @@ NAMED_FIELD = {
     "{trade_id_empty}": "trade '': id must be a non-empty string",
     "{grid_bare}": "choice function: a: contract ids must read trade@price",
     "{grid_text}": "choice function: a: contract ids must read trade@price",
+    "{entry_side}": "entry file 'side' must be terminal_seller or terminal_buyer",
 }
 
 
