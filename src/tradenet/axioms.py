@@ -34,16 +34,7 @@ from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .guards import SIZE_GUARD
 from .instances import Instance
-from .network import fields_json, iter_submasks, mask_bits, sorted_ids, submasks
-
-AXIOM_NAMES = (
-    "irc",
-    "full_substitutability",
-    "lad_las",
-    "separability",
-    "simplicity",
-    "w_contraction",
-)
+from .network import fields_json, mask_bits, sorted_ids, submasks
 
 
 @dataclass(frozen=True)
@@ -227,7 +218,7 @@ class _Slices:
         full = (1 << n) - 1
         flags = paired.to_bytes(1 << n, "little")
         broken: dict[tuple[int, int], int] = {}
-        for given in iter_submasks(full):
+        for given in submasks(full):
             if not flags[given]:
                 continue
             pairs = _pairs_kept_together(table, given, self.up_mask, full ^ self.up_mask)
@@ -370,7 +361,7 @@ def check_separability(cf: ChoiceFunction) -> AxiomReport:
     check_size(cf, "separability")
     table = cf.menu_table()
     for given, pairs in _Slices.of(cf).inseparable(table):
-        for kept in iter_submasks(cf.up_mask | cf.down_mask):
+        for kept in submasks(cf.up_mask | cf.down_mask):
             if kept & ~table[kept | given]:
                 continue
             for up, down in pairs:
@@ -445,7 +436,7 @@ def check_w_contraction(cf: ChoiceFunction) -> AxiomReport:
     def distance(big, small):
         return ((rej[big] & ~rej[small] & U) | (rej[small] & ~rej[big] & D)).bit_count()
 
-    ups, downs = submasks(U), submasks(D)
+    ups, downs = list(submasks(U)), list(submasks(D))
     up_supersets = {s: [s | x for x in submasks(U & ~s)] for s in ups}
     down_supersets = {s: [s | x for x in submasks(D & ~s)] for s in downs}
     for up_small in ups:
@@ -473,30 +464,25 @@ _CHECKS = {
     "w_contraction": check_w_contraction,
 }
 
+# the axioms of one choice function alone; simplicity also needs an
+# intensity map, so it is asked through `check_simplicity`
+AXIOM_NAMES = tuple(_CHECKS)
 
-def check_agent(cf: ChoiceFunction, axioms=None, intensity=None) -> list[AxiomReport]:
-    axioms = tuple(axioms) if axioms else tuple(a for a in AXIOM_NAMES if a != "simplicity")
+
+def check_agent(cf: ChoiceFunction, axioms=None) -> list[AxiomReport]:
     out = []
-    for name in axioms:
-        if name == "simplicity":
-            if intensity is None:
-                raise PreconditionError("simplicity check needs an intensity map")
-            out.append(check_simplicity(cf, intensity))
-        elif name in _CHECKS:
-            out.append(_CHECKS[name](cf))
-        else:
+    for name in axioms or AXIOM_NAMES:
+        if name not in _CHECKS:
             raise PreconditionError(f"unknown axiom {name!r}")
+        out.append(_CHECKS[name](cf))
     return out
 
 
-def check_instance(
-    inst: Instance, axioms=None, agents=None, intensities=None
-) -> list[AxiomReport]:
+def check_instance(inst: Instance, axioms=None, agents=None) -> list[AxiomReport]:
     """Per-agent reports; a network-level verdict is their conjunction."""
     agents = sorted(agents) if agents else sorted(inst.network.agents)
     out: list[AxiomReport] = []
     for agent in agents:
-        intensity = (intensities or {}).get(agent)
-        out.extend(check_agent(inst.choice[agent], axioms, intensity))
+        out.extend(check_agent(inst.choice[agent], axioms))
     return out
 

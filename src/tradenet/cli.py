@@ -22,8 +22,8 @@ from .instances import Instance, build_choices, load_instance, read_json, write_
 from .network import Contract, sorted_ids, validate_network
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "human":
+def _emit(payload, human: bool) -> None:
+    if human:
         _render_human(payload)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -217,15 +217,13 @@ def _cmd_oracle(args) -> dict:
                 for agent in sorted(inst.network.agents)
             },
         }
-    if args.oracle_cmd == "gen":
-        gen = oracle.generate_instance(args.seed, args.profile)
-        return {
-            "seed": gen.seed,
-            "profile": gen.profile,
-            "certificates": list(gen.certificates),
-            "instance": gen.instance.to_json(),
-        }
-    raise InstanceFormatError(f"unknown oracle subcommand {args.oracle_cmd!r}")
+    gen = oracle.generate_instance(args.seed, args.profile)  # "gen": argparse allows no other
+    return {
+        "seed": gen.seed,
+        "profile": gen.profile,
+        "certificates": list(gen.certificates),
+        "instance": gen.instance.to_json(),
+    }
 
 
 def _cmd_examples(args) -> dict:
@@ -238,8 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="tradenet",
         description="Stability and equilibrium analysis for contract networks.",
     )
-    parser.add_argument("--format", choices=("json", "human"), default="json")
-    parser.add_argument("--human", action="store_true", help="shorthand for --format human")
+    parser.add_argument("--human", action="store_true", help="indented text instead of JSON")
     sub = parser.add_subparsers(dest="command")
     notions = tuple(n.replace("_", "-") for n in stability.NOTIONS)
 
@@ -249,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-axioms", help="run axiom validators")
     p.add_argument("instance")
     p.add_argument("--agent")
-    p.add_argument("--axiom", choices=[a for a in axioms.AXIOM_NAMES if a != "simplicity"])
+    p.add_argument("--axiom", choices=axioms.AXIOM_NAMES)
 
     p = sub.add_parser("solve", help="iterate to an optimal fixed point")
     p.add_argument("instance")
@@ -324,7 +321,6 @@ def main(argv=None) -> int:
     if args.command == "oracle" and not getattr(args, "oracle_cmd", None):
         parser.print_usage(sys.stderr)
         return 2
-    fmt = "human" if args.human else args.format
     try:
         payload = _COMMANDS[args.command](args)
     except InstanceFormatError as exc:
@@ -335,7 +331,7 @@ def main(argv=None) -> int:
     else:
         code = 2 if isinstance(payload, dict) and payload.get("valid") is False else 0
     try:
-        _emit(payload, fmt)
+        _emit(payload, args.human)
     except BrokenPipeError:
         # the reader left early (`| head`): drop the rest so the exit flush cannot raise
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

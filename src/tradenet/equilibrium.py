@@ -209,7 +209,7 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
 
     buyer_menus, seller_menus = buyer_cf.lift(pool), seller_cf.lift(pool)
     buyer_table, seller_table = buyer_cf.menu_table(), seller_cf.menu_table()
-    pool_menus = submasks((1 << len(pool)) - 1)
+    pool_menus = list(submasks((1 << len(pool)) - 1))
     for p in range(t.price_min, t.price_max):
         low = contract_id(t.id, p)
         high = contract_id(t.id, p + 1)
@@ -283,19 +283,12 @@ def check_priced_axioms(priced: PricedInstance) -> list[axioms.AxiomReport]:
 
 @dataclass(frozen=True)
 class PriceRound:
-    pair: OfferPair
     offers: frozenset[str]  # proposing side's demanded contracts
     responder_keeps: frozenset[str]
     responder_rejects: frozenset[str]
     prices: dict[str, int]
 
-    def to_json(self) -> dict:  # the pair is left out
-        return {
-            "offers": sorted_ids(self.offers),
-            "responder_keeps": sorted_ids(self.responder_keeps),
-            "responder_rejects": sorted_ids(self.responder_rejects),
-            "prices": {t: self.prices[t] for t in sorted(self.prices)},
-        }
+    to_json = fields_json
 
 
 @dataclass(frozen=True)
@@ -308,7 +301,7 @@ class PriceTrace:
 
 
 def price_adjustment(
-    priced: PricedInstance, perspective: str = "buyer", validate: bool = True
+    priced: PricedInstance, perspective: str = "buyer"
 ) -> tuple[frozenset[str], PriceTrace]:
     """Offer-pair iteration on the price grid with per-round price records.
 
@@ -318,17 +311,17 @@ def price_adjustment(
     climbs.  Each trade's recorded price is the currently offered one, or the
     price at which it was last offered and turned down.  The run ends at a
     fixed point whose outcome is the contract reading of the final offers.
+    An economy failing `check_priced_axioms` is refused before the run.
     """
     if perspective not in ("buyer", "seller"):
         raise PreconditionError(f"unknown perspective {perspective!r}")
-    if validate:
-        bad = [r for r in check_priced_axioms(priced) if not r.holds]
-        if bad:
-            raise PreconditionError(
-                "price adjustment requires full substitutability, consistency, "
-                "feasibility, complete prices and price monotonicity",
-                bad,
-            )
+    bad = [r for r in check_priced_axioms(priced) if not r.holds]
+    if bad:
+        raise PreconditionError(
+            "price adjustment requires full substitutability, consistency, "
+            "feasibility, complete prices and price monotonicity",
+            bad,
+        )
     inst = priced.instance
     start = top_pair(inst) if perspective == "buyer" else bottom_pair(inst)
     run = iterate_from(inst, start)
@@ -369,7 +362,7 @@ def price_adjustment(
             else:
                 # never offered yet: the proposing side's opening price
                 prices[t.id] = t.price_min if perspective == "buyer" else t.price_max
-        rounds.append(PriceRound(pair, offers, keeps, rejects, prices))
+        rounds.append(PriceRound(offers, keeps, rejects, prices))
         prev_offers = offers
     outcome = run.outcome
     return outcome, PriceTrace(perspective, tuple(rounds), last_rejected)

@@ -231,14 +231,9 @@ def subsets(items):
         yield from map(frozenset, itertools.combinations(items, size))
 
 
-def submasks(mask: int) -> list[int]:
-    """Every submask of `mask` in `subsets` order, when bit i stands for the
-    i-th contract in id order."""
-    return list(iter_submasks(mask))
-
-
-def iter_submasks(mask: int):
-    """`submasks`, one at a time, for walks that may stop early."""
+def submasks(mask: int):
+    """Every submask of `mask`, one at a time, in `subsets` order when bit i
+    stands for the i-th contract in id order; a walk reading them twice lists them."""
     bits = mask_bits(mask)
     return (sum(c) for size in range(len(bits) + 1) for c in itertools.combinations(bits, size))
 

@@ -111,10 +111,6 @@ class GadgetInstance:
     outcome: frozenset[str]
     half_integral: bool  # odd totals make the threshold sit between integers
 
-    @property
-    def weights(self):
-        return self.instance.choice["g"].weights
-
 
 def _two_firm_network(k: int):
     """Firm g sells k parallel contracts x1..xk (ids zero-padded to one
@@ -251,9 +247,6 @@ def _draw_choice(rng, net, agent, profile, intensity):
     if one_sided:
         side = sorted(up | down)
         if not side:
-            return QuotaChoice(agent, up, down, [], 1)
-        if profile == "simple":
-            # a one-sided agent keeping anything breaks the intensity rule
             return QuotaChoice(agent, up, down, [], 1)
         rng.shuffle(side)
         cut = rng.randint(1, len(side))

@@ -221,7 +221,7 @@ def test_criterion_09_equilibrium_suite():
         equal = 0
         for seed in range(50):
             priced = generate_priced_instance(seed)  # certified at generation
-            outcome, trace = eq.price_adjustment(priced, validate=False)
+            outcome, trace = eq.price_adjustment(priced)
             arrangement = eq.complete_prices(priced, outcome, trace)
             assert eq.verify_competitive_equilibrium(priced, arrangement), seed
             assert find_blocking_trail(priced.instance, outcome).stable, seed
@@ -231,7 +231,7 @@ def test_criterion_09_equilibrium_suite():
             assert eq.trace_rejections_remain_final(trace), seed
             # the abstract: the competitive equilibrium outcome is fully trail-stable
             for perspective in ("buyer", "seller"):
-                outcome, _ = eq.price_adjustment(priced, perspective, validate=False)
+                outcome, _ = eq.price_adjustment(priced, perspective)
                 verdict = check_notion(priced.instance, outcome, "full_trail")
                 assert verdict.stable, (seed, perspective)
             # ... and so is every competitive equilibrium outcome, not only the

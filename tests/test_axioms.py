@@ -797,7 +797,7 @@ def walk_w_contraction(cf: ChoiceFunction) -> AxiomReport:
 
     if not some_step_expands():
         return AxiomReport("w_contraction", cf.agent, True)
-    ups, downs = submasks(U), submasks(D)
+    ups, downs = list(submasks(U)), list(submasks(D))
     up_supersets = {s: [s | x for x in submasks(U & ~s)] for s in ups}
     down_supersets = {s: [s | x for x in submasks(D & ~s)] for s in downs}
     for up_small in ups:
@@ -820,7 +820,7 @@ def walk_w_contraction(cf: ChoiceFunction) -> AxiomReport:
 def walk_separability(cf: ChoiceFunction) -> AxiomReport:
     table = cf.menu_table()
     full = cf.up_mask | cf.down_mask
-    menus = submasks(full)
+    menus = list(submasks(full))
 
     def keeps(kept, given):
         return not kept & ~table[kept | given]

@@ -406,6 +406,34 @@ def test_rural_hospitals_invariance():
     assert multi >= 3
 
 
+def test_rural_hospitals_counterexample_off_the_axioms(unrestricted_instance):
+    """Without the axioms an agent's margin can differ between fixed-point
+    outcomes; the report names the first outcome whose margins differ from
+    the first outcome's."""
+    found = []
+    for seed in range(50):
+        inst = unrestricted_instance(seed, "abcd", max_contracts=7)
+        report = rural_hospitals_check(inst)
+        if report.counterexample is None:
+            continue
+        found.append(seed)
+        assert not report.preconditions_hold and not report.invariant_holds
+        assert report.per_agent_margin is None
+        net = inst.network
+        margins = [
+            {a: len(o & net.upstream[a]) - len(o & net.downstream[a]) for a in net.agents}
+            for o in report.outcomes
+        ]
+        first_other = next(i for i, m in enumerate(margins) if m != margins[0])
+        assert report.counterexample == {
+            "outcome_a": sorted_ids(report.outcomes[0]),
+            "outcome_b": sorted_ids(report.outcomes[first_other]),
+            "margins_a": margins[0],
+            "margins_b": margins[first_other],
+        }
+    assert found == [1, 23, 32, 46, 47]
+
+
 def test_rural_hospitals_unique_outcome_trivial(example2):
     report = rural_hospitals_check(example2)
     assert report.invariant_holds

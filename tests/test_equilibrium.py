@@ -26,6 +26,7 @@ from tradenet.equilibrium import (
     verify_competitive_equilibrium,
 )
 from tradenet.errors import GuardExceededError, InstanceFormatError, PreconditionError
+from tradenet.fixedpoint import bottom_pair, iterate_from, top_pair
 from tradenet.instances import Instance
 from tradenet.network import sorted_ids, subsets, validate_network
 from tradenet.oracle import generate_priced_instance
@@ -311,14 +312,22 @@ def test_price_adjustment_refuses_uncertified_instances():
 
 
 def test_generated_priced_instances_run_end_to_end():
-    for seed in range(10):
+    # seeds where completion prices an unrealized trade by walking down from
+    # the seller perspective's last rejected offer
+    walked_down = []
+    for seed in range(50):
         priced = generate_priced_instance(seed)
-        outcome, trace = price_adjustment(priced, validate=False)
-        arrangement = complete_prices(priced, outcome, trace)
-        assert verify_competitive_equilibrium(priced, arrangement), seed
-        assert trace_prices_monotone(trace), seed
-        assert trace_offers_remain_open(trace), seed
-        assert trace_rejections_remain_final(trace), seed
+        for perspective in ("buyer", "seller"):
+            outcome, trace = price_adjustment(priced, perspective)
+            arrangement = complete_prices(priced, outcome, trace)
+            where = (seed, perspective)
+            assert verify_competitive_equilibrium(priced, arrangement), where
+            assert trace_prices_monotone(trace), where
+            assert trace_offers_remain_open(trace), where
+            assert trace_rejections_remain_final(trace), where
+            if perspective == "seller" and arrangement.realized != set(priced.trade_ids):
+                walked_down.append(seed)
+    assert walked_down == [14, 22, 23, 36, 37]
 
 
 def _reference_round(priced, pair, perspective):
@@ -342,9 +351,12 @@ def test_price_rounds_match_firm_by_firm_choices():
     for seed in range(100):
         priced = generate_priced_instance(seed)
         for perspective in ("buyer", "seller"):
-            _, trace = price_adjustment(priced, perspective, validate=False)
-            for r in trace.rounds:
-                offers, keeps, rejects = _reference_round(priced, r.pair, perspective)
+            _, trace = price_adjustment(priced, perspective)
+            start = top_pair if perspective == "buyer" else bottom_pair
+            run = iterate_from(priced.instance, start(priced.instance))
+            # round i is read from the i-th state of the run
+            for r, pair in zip(trace.rounds, run.trace + (run.pair,), strict=True):
+                offers, keeps, rejects = _reference_round(priced, pair, perspective)
                 assert (r.offers, r.responder_keeps, r.responder_rejects) == (
                     offers, keeps, rejects
                 ), (seed, perspective)

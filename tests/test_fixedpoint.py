@@ -20,6 +20,7 @@ from tradenet.fixedpoint import (
     pair_join,
     pair_leq,
     pair_meet,
+    prefers,
     respond,
     seller_optimal,
     terminal_lattice,
@@ -515,6 +516,28 @@ def test_crossed_market_strict_superiority(crossed_market):
         )
 
 
+def test_superiority_incomparable_off_the_axioms(unrestricted_instance):
+    """Without substitutability two fixed-point outcomes can each be better
+    for some terminal agent on the same side: neither superiority holds."""
+    found = []
+    for seed in range(100):
+        inst = unrestricted_instance(seed, "abcd", max_contracts=7)
+        part = inst.network.terminal_partition()
+
+        def seller_superior(first, second):  # buyer-superior is this reversed
+            return all(prefers(inst, t, first, second) for t in part.terminal_sellers) and all(
+                prefers(inst, t, second, first) for t in part.terminal_buyers)
+
+        for a, b in itertools.combinations(fixed_point_outcomes(inst), 2):
+            if compare_terminal_superiority(inst, a, b).relation != "incomparable":
+                continue
+            found.append(seed)
+            assert compare_terminal_superiority(inst, b, a).relation == "incomparable"
+            assert not seller_superior(a, b) and not seller_superior(b, a)
+            break
+    assert found == [1, 32, 46, 47, 97]
+
+
 def test_superiority_is_a_partial_order_on_stable_outcomes():
     for seed in range(25):
         inst = generate_instance(seed, "ladlas").instance
@@ -585,6 +608,18 @@ def test_terminal_lattice_of_crossed_market(crossed_market):
     assert len(lat.elements) == len(fixed_point_outcomes(crossed_market))
     assert len(lat.elements) >= 2
     _assert_lattice_axioms(lat)
+    # elements zipped with their terminal outcomes; joins and meets keyed "i,j"
+    best, worst = ["c12", "c21"], ["c11", "c22"]
+    assert lat.to_json() == {
+        "elements": [
+            {"buyer_side": ["c11", "c12", "c21", "c22"], "seller_side": best,
+             "terminal_outcome": best},
+            {"buyer_side": worst, "seller_side": ["c11", "c12", "c21", "c22"],
+             "terminal_outcome": worst},
+        ],
+        "joins": {"0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1},
+        "meets": {"0,0": 0, "0,1": 1, "1,0": 1, "1,1": 1},
+    }
 
 
 def test_terminal_lattice_precondition_reported():

@@ -8,7 +8,7 @@ import itertools
 import json
 
 from tradenet import equilibrium as eq
-from tradenet.axioms import AXIOM_NAMES, AxiomReport, check_agent
+from tradenet.axioms import AxiomReport, check_agent, check_simplicity
 from tradenet.dynamics import (
     EntryStaticsReport,
     RuralHospitalsReport,
@@ -175,7 +175,8 @@ def _instance_results(inst):
         cf = inst.choice[agent]
         # every axiom, simplicity on intensities in id order
         intensity = {c: float(i) for i, c in enumerate(sorted(cf.domain))}
-        yield from check_agent(cf, AXIOM_NAMES, intensity)
+        yield from check_agent(cf)
+        yield check_simplicity(cf, intensity)
     for outcome in acceptable_outcomes(inst):
         for verdict in classify(inst, outcome).values():
             yield verdict
@@ -197,7 +198,7 @@ def _priced_results(seed):
     priced = generate_priced_instance(seed)
     yield from priced.trades
     for perspective in ("buyer", "seller"):
-        outcome, trace = eq.price_adjustment(priced, perspective, validate=False)
+        outcome, trace = eq.price_adjustment(priced, perspective)
         yield trace
         yield eq.complete_prices(priced, outcome, trace)
 

@@ -85,7 +85,7 @@ def reference_submasks(mask):
 def test_submasks_match_the_subsets_order():
     for mask in range(1 << 11):
         assert mask_bits(mask) == [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
-        assert submasks(mask) == reference_submasks(mask), mask
+        assert list(submasks(mask)) == reference_submasks(mask), mask
 
 
 def test_terminal_partition(ring4):

@@ -4,10 +4,13 @@ import pytest
 
 import tradenet.stability as stability_module
 from tradenet.choices import is_rational
-from tradenet.errors import GuardExceededError, StabilityContradictionError
+from tradenet.errors import GuardExceededError, PreconditionError, StabilityContradictionError
+from tradenet.fixedpoint import canonical_pair
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
 from tradenet.stability import (
+    NOTIONS,
+    check_notion,
     classify,
     find_blocking_chain,
     find_blocking_set,
@@ -81,6 +84,20 @@ def test_not_acceptable_short_circuits_every_notion(example1):
     for notion, verdict in profile.items():
         assert not verdict.stable
         assert verdict.witness.kind == "not_acceptable"
+
+
+def test_outcomes_naming_unknown_contracts_are_refused():
+    inst = bundled_instance("example1")  # a fresh instance: no view kept yet
+    message = r"outcome uses unknown contracts: \['nope'\]"
+    for outcome in ({"nope"}, {"w", "nope"}):
+        for notion in NOTIONS:
+            with pytest.raises(PreconditionError, match=message):
+                check_notion(inst, outcome, notion)
+        with pytest.raises(PreconditionError, match=message):
+            classify(inst, outcome)
+        with pytest.raises(PreconditionError, match=message):
+            canonical_pair(inst, outcome)
+    assert not inst._views
 
 
 # --- four-firm cycle, entangled preferences (bundled example 1) ------------
