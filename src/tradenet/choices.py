@@ -18,7 +18,7 @@ ones the agent buys, *downstream* the ones it sells.
 from __future__ import annotations
 
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, mask_bits, sorted_ids
+from .network import ContractNetwork, mask_bits, sorted_ids, spread
 
 
 class ChoiceFunction:
@@ -51,21 +51,11 @@ class ChoiceFunction:
 
     def lift(self, ids) -> list[int]:
         """This function's mask of each submask of `ids` (contract i of `ids` is
-        bit i), by doubling; contracts outside the domain add nothing."""
-        masks = [0]
-        for cid in ids:
-            b = self.bit.get(cid, 0)
-            masks += [m | b for m in masks]
-        return masks
+        bit i); contracts outside the domain add nothing."""
+        return spread(self.bit.get(cid, 0) for cid in ids)
 
     def names(self, mask: int) -> frozenset[str]:
-        """The contracts of a mask, peeled off lowest bit first."""
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.ids[low.bit_length() - 1])
-            mask ^= low
-        return frozenset(out)
+        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
 
     # -- evaluation ---------------------------------------------------------
 

@@ -10,7 +10,9 @@ order (buyer side grows, seller side shrinks), so iterating from either
 lattice extreme converges; the outcomes read off the fixed points are exactly
 the outcomes no locally blocking trail can upset.
 Enumeration needs no isotonicity: it joins per-agent menu tables instead of
-scanning all 3^|X| side assignments.
+scanning all 3^|X| side assignments.  Joins and rounds run on the instance's
+one `Numbering` (contract i in sorted-id order is bit i), so a pair is one
+int inside and two contract sets at every public return.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .guards import ENUMERATION_GUARD
 from .instances import Instance
-from .network import fields_json, sorted_ids, submasks
+from .network import fields_json, mask_bits, sorted_ids, spread
 from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
 
@@ -63,19 +65,94 @@ def bottom_pair(inst: Instance) -> OfferPair:
     return OfferPair(frozenset(), inst.contract_ids)
 
 
+@functools.cache  # at most 255 patterns
+def _byte_tables(pattern: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gather and scatter for the bits of one byte pattern (Knuth, TAOCP 4A
+    §7.1.3): `scatter[v]` puts the low bits of v on the pattern's bits, in
+    order, and the 256-entry `gather` undoes it on the pattern's submasks."""
+    scatter, gather = spread(mask_bits(pattern)), [0] * 256
+    for v, m in enumerate(scatter):
+        gather[m] = v
+    return tuple(gather), tuple(scatter)
+
+
+class Numbering:
+    """The instance's one contract numbering: contract i, in sorted-id order,
+    is bit i of an instance mask, and an offer pair is one int, its row
+    `buyer | seller << n`, which is also the form of a `join_states` row.
+
+    An agent's contracts keep their order, so those in one byte of the
+    instance mask are a run of its local bits.  For each such byte the round
+    reads the `_byte_tables` of the agent's bits in it (shared by every agent
+    with that pattern) to gather the agent's menu and to scatter back what it
+    rejects.  `numbering` builds it on an instance's first join or round."""
+
+    __slots__ = ("ids", "n", "full", "agents")
+
+    def __init__(self, inst: Instance):
+        self.ids = sorted_ids(inst.contract_ids)
+        self.n = len(self.ids)
+        self.full = (1 << self.n) - 1
+        self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
+        for cf in inst.choice.values():
+            up, down, parts, low = self.mask(cf.upstream), self.mask(cf.downstream), [], 0
+            for at in range(0, self.n, 8):
+                pattern = (up | down) >> at & 255
+                if pattern:  # `low` is the agent's local bit of the byte's first contract
+                    gather, scatter = _byte_tables(pattern)
+                    parts.append((at, low, len(scatter) - 1, gather, scatter))
+                    low += pattern.bit_count()
+            self.agents.append((cf, up, down, parts))
+
+    def mask(self, contracts) -> int:
+        """The instance mask of `contracts`; ids the instance lacks add nothing."""
+        return sum(1 << i for i, c in enumerate(self.ids) if c in contracts)
+
+    def names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
+
+    def row(self, pair: OfferPair) -> int:
+        return self.mask(pair.buyer_side) | self.mask(pair.seller_side) << self.n
+
+    def pair(self, row: int) -> OfferPair:
+        return OfferPair(self.names(row & self.full), self.names(row >> self.n))
+
+    def leq(self, p: int, q: int) -> bool:
+        """`pair_leq` on rows."""
+        return not (p & ~q & self.full or (q & ~p) >> self.n)
+
+    def respond(self, row: int) -> int:
+        """`respond` on a row."""
+        buyer, seller = row & self.full, row >> self.n
+        seller_rejects = buyer_rejects = 0
+        for cf, up, down, parts in self.agents:
+            offered = seller & down | buyer & up
+            menu = 0
+            for at, low, _, gather, _ in parts:
+                menu |= gather[offered >> at & 255] << low
+            rejected = menu & ~cf.choose_mask(menu)
+            if rejected:
+                lost = 0
+                for at, low, width, _, scatter in parts:
+                    lost |= scatter[rejected >> low & width] << at
+                seller_rejects |= lost & down
+                buyer_rejects |= lost & up
+        return self.full ^ seller_rejects | (self.full ^ buyer_rejects) << self.n
+
+
+def numbering(inst: Instance) -> Numbering:
+    """The instance's numbering, built on the first call and kept on it."""
+    if inst._numbering is None:
+        object.__setattr__(inst, "_numbering", Numbering(inst))  # Instance is frozen
+    return inst._numbering
+
+
 def respond(inst: Instance, pair: OfferPair) -> OfferPair:
     """One simultaneous response round of all agents.  Each agent is asked
     once, for its seller-side sales and buyer-side purchases together, as a
     menu mask; what it rejects of either side leaves the other side."""
-    seller_rejects: set[str] = set()
-    buyer_rejects: set[str] = set()
-    for cf in inst.choice.values():
-        menu = cf.mask(pair.seller_side & cf.downstream | pair.buyer_side & cf.upstream)
-        rejected = cf.names(menu & ~cf.choose_mask(menu))
-        seller_rejects |= rejected & cf.downstream
-        buyer_rejects |= rejected & cf.upstream
-    everything = inst.contract_ids
-    return OfferPair(everything - seller_rejects, everything - buyer_rejects)
+    num = numbering(inst)
+    return num.pair(num.respond(num.row(pair)))
 
 
 @dataclass(frozen=True)
@@ -100,24 +177,28 @@ class FixedPointResult:
 def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
     """Repeated response rounds from a start comparable with its successor.
 
-    The trace must stay monotone in a fixed direction and settle within
-    2|X| + 2 rounds (the order has no longer strictly monotone path); any
-    breach is diagnosed as an axiom violation in the supplied choice
-    functions rather than silently looped over.
+    The rounds run on masks; the trace becomes offer pairs once, at the end.
+    It must stay monotone in a fixed direction and settle within 2|X| + 2
+    rounds (the order has no longer strictly monotone path); any breach is
+    diagnosed as an axiom violation in the supplied choice functions rather
+    than silently looped over.  A start naming unknown contracts is refused.
     """
-    first = respond(inst, start)
-    if pair_leq(start, first):
+    if not start.buyer_side | start.seller_side <= inst.contract_ids:
+        raise PreconditionError("start pair names contracts the instance lacks")
+    num = numbering(inst)
+    prev = num.row(start)
+    cur = num.respond(prev)
+    if num.leq(prev, cur):
         ascending = True
-    elif pair_leq(first, start):
+    elif num.leq(cur, prev):
         ascending = False
     else:
         raise PreconditionError(
             "start pair is not comparable with its response; "
             "begin from the top or bottom pair"
         )
-    cap = 2 * len(inst.contract_ids) + 2
-    trace = [start, first]
-    prev, cur = start, first
+    cap = 2 * num.n + 2
+    trace = [prev, cur]
     steps = 1
     while cur != prev:
         if steps > cap:
@@ -125,8 +206,8 @@ def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
                 f"no fixed point within {cap} rounds; choice functions are "
                 "not fully substitutable and consistent"
             )
-        nxt = respond(inst, cur)
-        ok = pair_leq(cur, nxt) if ascending else pair_leq(nxt, cur)
+        nxt = num.respond(cur)
+        ok = num.leq(cur, nxt) if ascending else num.leq(nxt, cur)
         if not ok:
             raise IterationDiagnosisError(
                 "response rounds left the monotone path; choice functions "
@@ -136,7 +217,8 @@ def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
         trace.append(cur)
         steps += 1
     trace.pop()  # last entry repeats the fixed point
-    return FixedPointResult(cur, cur.outcome, steps - 1, tuple(trace))
+    pairs = tuple(map(num.pair, trace))
+    return FixedPointResult(pairs[-1], pairs[-1].outcome, steps - 1, pairs)
 
 
 def buyer_optimal(inst: Instance) -> FixedPointResult:
@@ -149,39 +231,42 @@ def seller_optimal(inst: Instance) -> FixedPointResult:
     return iterate_from(inst, bottom_pair(inst))
 
 
-def join_states(inst: Instance, rows) -> tuple[list[str], list[tuple[int, ...]]]:
-    """Every assignment of states to contracts that each agent admits.
+def join_states(inst: Instance, rows) -> list[int]:
+    """Every assignment of states to contracts that each agent admits, as
+    rows over the instance's numbering.
 
-    `rows(cf, bits)` lists the agent's admissible rows: one state per
-    contract, in the order of `bits` (the contracts' bits in `cf`).  A hash
-    join keyed by the states of the contracts already assigned keeps the
-    assignments on which both agents of every contract agree.  Agents are
-    taken by falling domain size and then id, a variable-elimination order
-    (Dechter, "Bucket elimination", AIJ 113 (1999)).  Returns the contracts
-    in the order they were assigned and one state tuple per assignment.
+    A row is one int `buyer | seller << n` (n = |X|): the masks of the
+    contracts it puts on the buyer side and on the seller side, so a
+    contract's state is which of its two bits are set.  `rows(cf, lift, n)`
+    lists an agent's admissible rows, where `lift[m]` is the instance mask of
+    its local mask m.  A hash join keyed by `row & (A | A << n)`, A the
+    agent's contracts already assigned, keeps the assignments on which both
+    agents of every contract agree.  Agents are taken by falling domain size
+    and then id, a variable-elimination order (Dechter, "Bucket elimination",
+    AIJ 113 (1999)).  Returns one row per assignment.
     """
-    order: list[str] = []
-    partials: list[tuple[int, ...]] = [()]
+    num = numbering(inst)
+    assigned, partials = 0, [0]
     for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
-        at = {c: i for i, c in enumerate(order)}
-        own = sorted(cf.ids, key=lambda c: (c not in at, c))  # assigned ones first
-        k = sum(c in at for c in own)
-        table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for st in rows(cf, [cf.bit[c] for c in own]):
-            table.setdefault(st[:k], []).append(st[k:])
-        key = [at[c] for c in own[:k]]
-        partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]
-        order += own[k:]
-    return order, partials
+        lift = spread(mask_bits(num.mask(cf.domain)))
+        shared = lift[-1] & assigned
+        key = shared | shared << num.n
+        table: dict[int, list[int]] = {}
+        for row in rows(cf, lift, num.n):
+            table.setdefault(row & key, []).append(row)
+        partials = [p | e for p in partials for e in table.get(p & key, ())]
+        assigned |= lift[-1]
+    return partials
 
 
-def _side_states(cf, bits):
-    """One row per menu: buyer-only (0), seller-only (1) or both (2)."""
-    chosen = cf.menu_table()
-    for menu in submasks(cf.up_mask | cf.down_mask):
-        kept, seller_only = chosen[menu], menu ^ cf.up_mask
-        # not kept: 1 if offered downstream or unoffered upstream, else 0
-        yield tuple(2 if kept & b else int(bool(seller_only & b)) for b in bits)
+def _side_states(cf, lift, n):
+    """One row per menu: a kept contract is on both sides; one not kept is on
+    the seller side alone if offered downstream or unoffered upstream, else on
+    the buyer side alone."""
+    everything = len(lift) - 1
+    for menu, kept in enumerate(cf.menu_table()):
+        seller_only = menu ^ cf.up_mask
+        yield lift[kept | everything ^ seller_only] | lift[kept | seller_only] << n
 
 
 def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
@@ -189,30 +274,32 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
 
     A contract is on the buyer side exactly when its seller does not reject
     it, and on the seller side exactly when its buyer does not, so the menu an
-    agent faces fixes the state of each of its contracts: buyer-only (0),
-    seller-only (1) or both (2).  Each agent's states are read off its menu
-    table, `join_states` keeps the assignments on which every seller and
-    buyer agree, and one response round confirms each.
+    agent faces fixes the state of each of its contracts: buyer side, seller
+    side or both.  Each agent's rows are read off its menu table,
+    `join_states` keeps the assignments on which every seller and buyer
+    agree, and one response round confirms each.  The results are joined on
+    the instance's first call and kept on it; each call returns a new list.
+    Instances over ENUMERATION_GUARD contracts are refused before any menu is
+    asked.
     """
     if len(inst.contract_ids) > ENUMERATION_GUARD:
         raise GuardExceededError(
             f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
             f"instance has {len(inst.contract_ids)}"
         )
-    order, partials = join_states(inst, _side_states)
-    out = []
-    for states in partials:
-        buyer = frozenset(c for c, a in zip(order, states) if a != 1)
-        seller = frozenset(c for c, a in zip(order, states) if a != 0)
-        pair = OfferPair(buyer, seller)
-        if respond(inst, pair) != pair:
-            raise IterationDiagnosisError(
-                "menu tables joined into a pair that is not a fixed point; "
-                "a choice function answers the same menu inconsistently"
-            )
-        out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
-    out.sort(key=lambda r: r.pair.sort_key())
-    return out
+    if inst._fixed_points is None:
+        num, out = numbering(inst), []
+        for row in join_states(inst, _side_states):
+            if num.respond(row) != row:
+                raise IterationDiagnosisError(
+                    "menu tables joined into a pair that is not a fixed point; "
+                    "a choice function answers the same menu inconsistently"
+                )
+            pair = num.pair(row)
+            out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
+        out.sort(key=lambda r: r.pair.sort_key())
+        object.__setattr__(inst, "_fixed_points", tuple(out))  # Instance is frozen
+    return list(inst._fixed_points)
 
 
 def fixed_point_outcomes(inst: Instance, results=None) -> list[frozenset[str]]:

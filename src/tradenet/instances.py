@@ -28,10 +28,15 @@ class Instance:
     `choice` is a read-only copy of the mapping given, so no agent's choice
     function is swapped during the instance's life.  That is what lets the
     instance keep facts derived from its choice functions: the acceptable
-    outcomes (`oracle.acceptable_outcomes`) and the fresh-contract view of
-    each acceptable outcome checked so far (`stability._fresh`).  Both live as
-    long as the instance, outside the dataclass fields (so out of `__eq__` and
-    `repr`); an instance rebuilt from its JSON starts without them."""
+    outcomes (`oracle.acceptable_outcomes`), the fixed points
+    (`fixedpoint.enumerate_fixed_points`), the fresh-contract view of each
+    acceptable outcome checked so far (`stability._fresh`) and the one
+    contract numbering that joins and response rounds run on
+    (`fixedpoint.numbering`: contract i in sorted-id order is bit i, with
+    each agent's gather and scatter tables).  Each is built on first use, not
+    at load, and lives as long as the instance, outside the dataclass fields
+    (so out of `__eq__` and `repr`); an instance rebuilt from its JSON starts
+    without them."""
 
     network: ContractNetwork
     choice: Mapping[str, ChoiceFunction]
@@ -53,7 +58,8 @@ class Instance:
                 raise InstanceFormatError(
                     f"{agent}: choice function sides disagree with the network"
                 )
-        object.__setattr__(self, "_acceptable", None)
+        for memo in ("_acceptable", "_fixed_points", "_numbering"):
+            object.__setattr__(self, memo, None)
         object.__setattr__(self, "_views", {})
 
     @property

@@ -246,3 +246,12 @@ def mask_bits(mask: int) -> list[int]:
         out.append(low)
         mask ^= low
     return out
+
+
+def spread(bits) -> list[int]:
+    """The OR of each subset of `bits`, indexed by subset mask (bit i of the
+    index stands for the i-th of `bits`), by doubling."""
+    masks = [0]
+    for b in bits:
+        masks += [m | b for m in masks]
+    return masks

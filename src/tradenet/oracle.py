@@ -20,7 +20,7 @@ from .choices import (
     read_int,
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
-from .fixedpoint import join_states
+from .fixedpoint import join_states, numbering
 from .guards import BRUTE_GUARD, SIZE_GUARD
 from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
@@ -52,11 +52,11 @@ def brute_force_stable(inst: Instance, notion: str, jobs: int = 1) -> list[froze
     return sorted(hits, key=sorted_ids)
 
 
-def _fixed_menus(cf, bits):
-    """One row per menu the agent keeps in full: 1 for a contract in it."""
+def _fixed_menus(cf, lift, n):
+    """One row per menu the agent keeps in full, its contracts on both sides."""
     for menu, kept in enumerate(cf.menu_table()):
         if kept == menu:
-            yield tuple(int(bool(menu & b)) for b in bits)
+            yield lift[menu] | lift[menu] << n
 
 
 def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
@@ -74,8 +74,8 @@ def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
             f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
         )
     if inst._acceptable is None:
-        order, partials = join_states(inst, _fixed_menus)
-        joined = tuple(frozenset(c for c, a in zip(order, states) if a) for states in partials)
+        num = numbering(inst)
+        joined = tuple(num.names(row >> n) for row in join_states(inst, _fixed_menus))
         object.__setattr__(inst, "_acceptable", joined)  # Instance is frozen
     return list(inst._acceptable)
 
