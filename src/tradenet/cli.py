@@ -97,10 +97,9 @@ def _cmd_solve(args) -> dict:
 
 def _cmd_enumerate(args) -> dict:
     inst = load_instance(args.instance)
-    results = fixedpoint.enumerate_fixed_points(inst)
     return {
-        "fixed_points": [r.to_json() for r in results],
-        "outcomes": [sorted_ids(o) for o in fixedpoint.fixed_point_outcomes(inst, results)],
+        "fixed_points": [r.to_json() for r in fixedpoint.enumerate_fixed_points(inst)],
+        "outcomes": [sorted_ids(o) for o in fixedpoint.fixed_point_outcomes(inst)],
     }
 
 
@@ -177,7 +176,7 @@ def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "brute":
         inst = load_instance(args.instance)
         notion = args.notion.replace("-", "_")
-        outcomes = oracle.brute_force_stable(inst, notion, jobs=args.jobs)
+        outcomes = oracle.brute_force_stable(inst, notion)
         return {"notion": notion, "stable_outcomes": [sorted_ids(o) for o in outcomes]}
     if args.oracle_cmd == "partition":
         try:
@@ -277,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = osub.add_parser("brute")
     q.add_argument("instance")
     q.add_argument("--notion", required=True, choices=notions)
-    q.add_argument("--jobs", type=int, default=1)
     q = osub.add_parser("partition")
     q.add_argument("--weights", required=True, help="comma-separated positive integers")
     q = osub.add_parser("needle")

@@ -11,8 +11,8 @@ lattice extreme converges; the outcomes read off the fixed points are exactly
 the outcomes no locally blocking trail can upset.
 Enumeration needs no isotonicity: it joins per-agent menu tables instead of
 scanning all 3^|X| side assignments.  Joins and rounds run on the instance's
-one `Numbering` (contract i in sorted-id order is bit i), so a pair is one
-int inside and two contract sets at every public return.
+one `instances.Numbering` (contract i in sorted-id order is bit i), so a
+pair is one int inside and two contract sets at every public return.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import axioms
 from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .guards import ENUMERATION_GUARD
-from .instances import Instance
+from .instances import Instance, Numbering, numbering
 from .network import fields_json, mask_bits, sorted_ids, spread
 from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
@@ -65,86 +65,12 @@ def bottom_pair(inst: Instance) -> OfferPair:
     return OfferPair(frozenset(), inst.contract_ids)
 
 
-@functools.cache  # at most 255 patterns
-def _byte_tables(pattern: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gather and scatter for the bits of one byte pattern (Knuth, TAOCP 4A
-    §7.1.3): `scatter[v]` puts the low bits of v on the pattern's bits, in
-    order, and the 256-entry `gather` undoes it on the pattern's submasks."""
-    scatter, gather = spread(mask_bits(pattern)), [0] * 256
-    for v, m in enumerate(scatter):
-        gather[m] = v
-    return tuple(gather), tuple(scatter)
+def _row(num: Numbering, pair: OfferPair) -> int:
+    return num.mask(pair.buyer_side) | num.mask(pair.seller_side) << num.n
 
 
-class Numbering:
-    """The instance's one contract numbering: contract i, in sorted-id order,
-    is bit i of an instance mask, and an offer pair is one int, its row
-    `buyer | seller << n`, which is also the form of a `join_states` row.
-
-    An agent's contracts keep their order, so those in one byte of the
-    instance mask are a run of its local bits.  For each such byte the round
-    reads the `_byte_tables` of the agent's bits in it (shared by every agent
-    with that pattern) to gather the agent's menu and to scatter back what it
-    rejects.  `numbering` builds it on an instance's first join or round."""
-
-    __slots__ = ("ids", "n", "full", "agents")
-
-    def __init__(self, inst: Instance):
-        self.ids = sorted_ids(inst.contract_ids)
-        self.n = len(self.ids)
-        self.full = (1 << self.n) - 1
-        self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
-        for cf in inst.choice.values():
-            up, down, parts, low = self.mask(cf.upstream), self.mask(cf.downstream), [], 0
-            for at in range(0, self.n, 8):
-                pattern = (up | down) >> at & 255
-                if pattern:  # `low` is the agent's local bit of the byte's first contract
-                    gather, scatter = _byte_tables(pattern)
-                    parts.append((at, low, len(scatter) - 1, gather, scatter))
-                    low += pattern.bit_count()
-            self.agents.append((cf, up, down, parts))
-
-    def mask(self, contracts) -> int:
-        """The instance mask of `contracts`; ids the instance lacks add nothing."""
-        return sum(1 << i for i, c in enumerate(self.ids) if c in contracts)
-
-    def names(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
-
-    def row(self, pair: OfferPair) -> int:
-        return self.mask(pair.buyer_side) | self.mask(pair.seller_side) << self.n
-
-    def pair(self, row: int) -> OfferPair:
-        return OfferPair(self.names(row & self.full), self.names(row >> self.n))
-
-    def leq(self, p: int, q: int) -> bool:
-        """`pair_leq` on rows."""
-        return not (p & ~q & self.full or (q & ~p) >> self.n)
-
-    def respond(self, row: int) -> int:
-        """`respond` on a row."""
-        buyer, seller = row & self.full, row >> self.n
-        seller_rejects = buyer_rejects = 0
-        for cf, up, down, parts in self.agents:
-            offered = seller & down | buyer & up
-            menu = 0
-            for at, low, _, gather, _ in parts:
-                menu |= gather[offered >> at & 255] << low
-            rejected = menu & ~cf.choose_mask(menu)
-            if rejected:
-                lost = 0
-                for at, low, width, _, scatter in parts:
-                    lost |= scatter[rejected >> low & width] << at
-                seller_rejects |= lost & down
-                buyer_rejects |= lost & up
-        return self.full ^ seller_rejects | (self.full ^ buyer_rejects) << self.n
-
-
-def numbering(inst: Instance) -> Numbering:
-    """The instance's numbering, built on the first call and kept on it."""
-    if inst._numbering is None:
-        object.__setattr__(inst, "_numbering", Numbering(inst))  # Instance is frozen
-    return inst._numbering
+def _pair(num: Numbering, row: int) -> OfferPair:
+    return OfferPair(num.names(row & num.full), num.names(row >> num.n))
 
 
 def respond(inst: Instance, pair: OfferPair) -> OfferPair:
@@ -152,7 +78,7 @@ def respond(inst: Instance, pair: OfferPair) -> OfferPair:
     once, for its seller-side sales and buyer-side purchases together, as a
     menu mask; what it rejects of either side leaves the other side."""
     num = numbering(inst)
-    return num.pair(num.respond(num.row(pair)))
+    return _pair(num, num.respond(_row(num, pair)))
 
 
 @dataclass(frozen=True)
@@ -186,13 +112,10 @@ def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
     if not start.buyer_side | start.seller_side <= inst.contract_ids:
         raise PreconditionError("start pair names contracts the instance lacks")
     num = numbering(inst)
-    prev = num.row(start)
+    prev = _row(num, start)
     cur = num.respond(prev)
-    if num.leq(prev, cur):
-        ascending = True
-    elif num.leq(cur, prev):
-        ascending = False
-    else:
+    ascending = num.leq(prev, cur)
+    if not ascending and not num.leq(cur, prev):
         raise PreconditionError(
             "start pair is not comparable with its response; "
             "begin from the top or bottom pair"
@@ -217,7 +140,7 @@ def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
         trace.append(cur)
         steps += 1
     trace.pop()  # last entry repeats the fixed point
-    pairs = tuple(map(num.pair, trace))
+    pairs = tuple(_pair(num, row) for row in trace)
     return FixedPointResult(pairs[-1], pairs[-1].outcome, steps - 1, pairs)
 
 
@@ -247,8 +170,8 @@ def join_states(inst: Instance, rows) -> list[int]:
     """
     num = numbering(inst)
     assigned, partials = 0, [0]
-    for cf in sorted(inst.choice.values(), key=lambda cf: (-len(cf.domain), cf.agent)):
-        lift = spread(mask_bits(num.mask(cf.domain)))
+    for cf, up, down, _ in sorted(num.agents, key=lambda a: (-len(a[0].domain), a[0].agent)):
+        lift = spread(mask_bits(up | down))
         shared = lift[-1] & assigned
         key = shared | shared << num.n
         table: dict[int, list[int]] = {}
@@ -295,19 +218,16 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
                     "menu tables joined into a pair that is not a fixed point; "
                     "a choice function answers the same menu inconsistently"
                 )
-            pair = num.pair(row)
+            pair = _pair(num, row)
             out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
         out.sort(key=lambda r: r.pair.sort_key())
         object.__setattr__(inst, "_fixed_points", tuple(out))  # Instance is frozen
     return list(inst._fixed_points)
 
 
-def fixed_point_outcomes(inst: Instance, results=None) -> list[frozenset[str]]:
-    """Distinct outcomes of the fixed points, ordered by sorted ids; pass the
-    `enumerate_fixed_points` results when they are already at hand."""
-    if results is None:
-        results = enumerate_fixed_points(inst)
-    return sorted({r.outcome for r in results}, key=sorted_ids)
+def fixed_point_outcomes(inst: Instance) -> list[frozenset[str]]:
+    """Distinct outcomes of the fixed points, ordered by sorted ids."""
+    return sorted({r.outcome for r in enumerate_fixed_points(inst)}, key=sorted_ids)
 
 
 def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
@@ -318,7 +238,8 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     seller alongside the outcome and every consecutive pair kept by the
     linking agent; everything else goes to the seller side.  Reachability by
     walks equals reachability by trails here (repeats can be cut out without
-    breaking the consecutive conditions), so a closure computation suffices.
+    breaking the consecutive conditions), so a closure suffices; it runs on
+    the instance's numbering and converts the pair once, at return.
     """
     outcome = frozenset(outcome)
     if check:
@@ -328,21 +249,19 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
         verdict = find_locally_blocking_trail(inst, outcome)
         if not verdict.stable:
             raise PreconditionError("outcome has a locally blocking trail")
-    view = FreshView(inst, outcome)
-    frontier = [i for i in range(len(view.ids)) if view.first_kept((i,))]
-    reached = set(frontier)
+    num, view = numbering(inst), FreshView(inst, outcome)
+    frontier = [i for i in view.fresh if view.first_kept((i,))]
+    reached = sum(1 << i for i in frontier)
     while frontier:
         nxt = []
         for i in frontier:
             link = view.buyer[i]
             for j in view.sells.get(link, ()):
-                if j not in reached and view.keeps(link, (i, j)):
-                    reached.add(j)
+                if not reached >> j & 1 and view.keeps(link, (i, j)):
+                    reached |= 1 << j
                     nxt.append(j)
         frontier = nxt
-    buyer_extra = frozenset(view.names(reached))
-    seller_extra = frozenset(view.ids) - buyer_extra
-    return OfferPair(outcome | buyer_extra, outcome | seller_extra)
+    return _pair(num, num.mask(outcome) | reached | (num.full ^ reached) << num.n)
 
 
 # ---------------------------------------------------------------------------
@@ -456,12 +375,11 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
         for a in part.terminal_agents
         for cid in inst.choice[a].domain
     )
-    results = enumerate_fixed_points(inst)
-    fps = [r.pair for r in results]
+    fps = [r.pair for r in enumerate_fixed_points(inst)]
     projections = sorted(
         {
             _project_terminal(canonical_pair(inst, outcome, check=False), terminal_contracts)
-            for outcome in fixed_point_outcomes(inst, results)
+            for outcome in fixed_point_outcomes(inst)
         },
         key=OfferPair.sort_key,
     )

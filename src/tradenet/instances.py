@@ -7,6 +7,7 @@ instances used across the docs and the test suite.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from collections.abc import Mapping
@@ -16,7 +17,7 @@ from types import MappingProxyType
 
 from .choices import ChoiceFunction, build_family
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, validate_network
+from .network import ContractNetwork, mask_bits, sorted_ids, spread, validate_network
 
 INSTANCE_FIELDS = {"agents", "contracts", "choice_functions"}
 
@@ -31,12 +32,10 @@ class Instance:
     outcomes (`oracle.acceptable_outcomes`), the fixed points
     (`fixedpoint.enumerate_fixed_points`), the fresh-contract view of each
     acceptable outcome checked so far (`stability._fresh`) and the one
-    contract numbering that joins and response rounds run on
-    (`fixedpoint.numbering`: contract i in sorted-id order is bit i, with
-    each agent's gather and scatter tables).  Each is built on first use, not
-    at load, and lives as long as the instance, outside the dataclass fields
-    (so out of `__eq__` and `repr`); an instance rebuilt from its JSON starts
-    without them."""
+    contract numbering that joins, response rounds and stability views run
+    on (`numbering`).  Each is built on first use, not at load, and lives as
+    long as the instance, outside the dataclass fields (so out of `__eq__`
+    and `repr`); an instance rebuilt from its JSON starts without them."""
 
     network: ContractNetwork
     choice: Mapping[str, ChoiceFunction]
@@ -84,6 +83,91 @@ class Instance:
             self.choice[a].to_json() for a in self.network.agents
         ]
         return out
+
+
+@functools.cache  # at most 255 patterns
+def _byte_tables(pattern: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Gather and scatter for the bits of one byte pattern (Knuth, TAOCP 4A
+    §7.1.3): `scatter[v]` puts the low bits of v on the pattern's bits, in
+    order, and the 256-entry `gather` undoes it on the pattern's submasks."""
+    scatter, gather = spread(mask_bits(pattern)), [0] * 256
+    for v, m in enumerate(scatter):
+        gather[m] = v
+    return tuple(gather), tuple(scatter)
+
+
+class Numbering:
+    """The instance's one contract numbering: contract i, in sorted-id order,
+    is position i and bit i of an instance mask; an offer pair is one int,
+    its row `buyer | seller << n`, the form of a `fixedpoint.join_states` row.
+
+    `seller[i]` and `buyer[i]` are contract i's agents, and `local[a][i]` its
+    bit in agent a's own numbering (0 where a does not hold it).  An agent's
+    contracts in one byte of the instance mask are a run of its local bits,
+    so the round gathers its menu, and scatters back what it rejects, through
+    the `_byte_tables` of its bits in each byte (shared by every agent with
+    that pattern).  `numbering` builds it on an instance's first join, round
+    or stability view."""
+
+    __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "local", "agents")
+
+    def __init__(self, inst: Instance):
+        self.ids = sorted_ids(inst.contract_ids)
+        self.n = len(self.ids)
+        self.full = (1 << self.n) - 1
+        self.position = {c: i for i, c in enumerate(self.ids)}
+        self.seller, self.buyer = [None] * self.n, [None] * self.n
+        self.local = {}  # agent -> its local bit per position
+        self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
+        for cf in inst.choice.values():
+            self.local[cf.agent] = [cf.bit.get(c, 0) for c in self.ids]
+            for side, agents in ((cf.downstream, self.seller), (cf.upstream, self.buyer)):
+                for c in side:
+                    agents[self.position[c]] = cf.agent
+            up, down, parts, low = self.mask(cf.upstream), self.mask(cf.downstream), [], 0
+            for at in range(0, self.n, 8):
+                pattern = (up | down) >> at & 255
+                if pattern:  # `low` is the agent's local bit of the byte's first contract
+                    gather, scatter = _byte_tables(pattern)
+                    parts.append((at, low, len(scatter) - 1, gather, scatter))
+                    low += pattern.bit_count()
+            self.agents.append((cf, up, down, parts))
+
+    def mask(self, contracts) -> int:
+        """The instance mask of a contract set; ids the instance lacks add nothing."""
+        return sum(1 << self.position[c] for c in contracts if c in self.position)
+
+    def names(self, mask: int) -> frozenset[str]:
+        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
+
+    def leq(self, p: int, q: int) -> bool:
+        """`fixedpoint.pair_leq` on rows."""
+        return not (p & ~q & self.full or (q & ~p) >> self.n)
+
+    def respond(self, row: int) -> int:
+        """`fixedpoint.respond` on a row."""
+        buyer, seller = row & self.full, row >> self.n
+        seller_rejects = buyer_rejects = 0
+        for cf, up, down, parts in self.agents:
+            offered = seller & down | buyer & up
+            menu = 0
+            for at, low, _, gather, _ in parts:
+                menu |= gather[offered >> at & 255] << low
+            rejected = menu & ~cf.choose_mask(menu)
+            if rejected:
+                lost = 0
+                for at, low, width, _, scatter in parts:
+                    lost |= scatter[rejected >> low & width] << at
+                seller_rejects |= lost & down
+                buyer_rejects |= lost & up
+        return self.full ^ seller_rejects | (self.full ^ buyer_rejects) << self.n
+
+
+def numbering(inst: Instance) -> Numbering:
+    """The instance's numbering, built on the first call and kept on it."""
+    if inst._numbering is None:
+        object.__setattr__(inst, "_numbering", Numbering(inst))  # Instance is frozen
+    return inst._numbering
 
 
 def instance_from_json(raw: dict) -> Instance:

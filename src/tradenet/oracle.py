@@ -20,9 +20,9 @@ from .choices import (
     read_int,
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
-from .fixedpoint import join_states, numbering
+from .fixedpoint import join_states
 from .guards import BRUTE_GUARD, SIZE_GUARD
-from .instances import Instance
+from .instances import Instance, numbering
 from .network import Contract, sorted_ids, subsets, validate_network
 
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")

@@ -16,7 +16,7 @@ from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
 from .errors import GuardExceededError, PreconditionError, StabilityContradictionError
 from .guards import SET_GUARD, TRAIL_GUARD
-from .instances import Instance
+from .instances import Instance, numbering
 from .network import fields_json, sorted_ids
 
 NOTIONS = ("acceptable", "trail", "full_trail", "chain", "set", "strong_trail")
@@ -62,46 +62,45 @@ def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
 class FreshView:
     """The fresh contracts of an outcome, the one object every walk reads.
 
-    Fresh contracts are those outside the outcome, numbered 0.. in id order,
-    so trails and blocks are index tuples whose lexicographic order is the
-    id order.  `seller[i]` and `buyer[i]` are contract i's agents, and
-    `sells[a]` and `buys[a]` agent a's fresh indices in id order.  Each agent
-    holding a fresh contract has one entry in `agents`, in id order: its
-    `choose_mask`, its outcome mask and its local bit per index (0 where the
-    contract is not its own).  Every condition of every notion is `keeps`.
+    Fresh contracts are the positions of the instance's `Numbering` outside
+    the outcome, `fresh` in id order, so trails and blocks are position
+    tuples whose lexicographic order is the id order.  `seller` and `buyer`
+    are the numbering's, and `sells[a]` and `buys[a]` agent a's fresh
+    positions in id order.  Each agent holding a fresh contract has one entry
+    in `agents`, in id order: its `choose_mask`, its outcome mask and its
+    local bit per position.  Every condition of every notion is `keeps`.
     """
 
-    __slots__ = ("ids", "seller", "buyer", "sells", "buys", "agents")
+    __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents")
 
     def __init__(self, inst: Instance, outcome: frozenset[str]):
-        net = inst.network
-        self.ids = sorted(inst.contract_ids - outcome)
-        self.seller = [net.contract(c).seller for c in self.ids]
-        self.buyer = [net.contract(c).buyer for c in self.ids]
-        self.sells, self.buys = {}, {}  # agent -> its fresh indices on that side
-        for i, (seller, buyer) in enumerate(zip(self.seller, self.buyer)):
-            self.sells.setdefault(seller, []).append(i)
-            self.buys.setdefault(buyer, []).append(i)
+        num = numbering(inst)
+        self.ids, self.seller, self.buyer = num.ids, num.seller, num.buyer
+        kept = set(map(num.position.__getitem__, outcome))
+        self.fresh = [i for i in range(num.n) if i not in kept]
+        self.sells, self.buys = {}, {}  # agent -> its fresh positions on that side
+        for i in self.fresh:
+            self.sells.setdefault(self.seller[i], []).append(i)
+            self.buys.setdefault(self.buyer[i], []).append(i)
         self.agents = {}
         for agent in sorted(self.sells.keys() | self.buys.keys()):
-            cf = inst.choice[agent]
-            local = [cf.bit.get(c, 0) for c in self.ids]
-            self.agents[agent] = (cf.choose_mask, cf.mask(outcome), local.__getitem__)
+            local = num.local[agent].__getitem__
+            self.agents[agent] = (inst.choice[agent].choose_mask, sum(map(local, kept)), local)
 
-    def names(self, indices) -> tuple[str, ...]:
-        return tuple(self.ids[i] for i in indices)
+    def names(self, positions) -> tuple[str, ...]:
+        return tuple(self.ids[i] for i in positions)
 
-    def keeps(self, agent, indices) -> bool:
-        """The agent keeps its share (the sum of its local bits) of the indexed
-        contracts alongside the outcome; an agent with no share is not asked."""
+    def keeps(self, agent, positions) -> bool:
+        """The agent keeps its share of `positions` (the sum of its local
+        bits) alongside the outcome; an agent with no share is not asked."""
         choose_mask, base, local = self.agents[agent]
-        own = sum(map(local, indices))
+        own = sum(map(local, positions))
         return not own or not own & ~choose_mask(own | base)
 
-    def kept_by_all(self, indices) -> bool:
+    def kept_by_all(self, positions) -> bool:
         """`keeps` for every agent in id order, inlined for the set search."""
         for choose_mask, base, local in self.agents.values():
-            own = sum(map(local, indices))
+            own = sum(map(local, positions))
             if own and own & ~choose_mask(own | base):
                 return False
         return True
@@ -162,7 +161,7 @@ def _shortest_trail(view, budget, done, seed=None, step=None, forward=True):
     """First trail of fresh contracts, shortest first and lexicographic by
     id sequence within a length, that `done(trail)` accepts.
 
-    Breadth-first over index trails of distinct contracts: `seed` admits the
+    Breadth-first over position trails of distinct contracts: `seed` admits the
     one-contract trails, and `step(link, trail)` admits each extension at
     `link`, the agent joining the old end to the new contract, taken in id
     order.  Trails grow rightwards when `forward`, leftwards otherwise.
@@ -173,7 +172,7 @@ def _shortest_trail(view, budget, done, seed=None, step=None, forward=True):
     # the seller of the first contract and buys the one before it
     end, link_of, exts_of = (-1, view.buyer, view.sells) if forward else (0, view.seller, view.buys)
     frontier = []
-    for i in range(len(view.ids)):
+    for i in view.fresh:
         budget.spend()
         if seed is None or seed((i,)):
             frontier.append((i,))
@@ -256,15 +255,15 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     """Set stability: no nonempty fresh contract set that every involved
     agent keeps in full alongside the outcome.
 
-    Blocks are index combinations of the fresh contracts, which is
+    Blocks are combinations of the fresh positions, which is
     `network.subsets` order, and each is asked of the view's agents in id
     order until one turns its share down."""
     view, short = _fresh(inst, outcome, "set")
     if short:
         return short
-    check_set_guard(len(view.ids))
-    for size in range(1, len(view.ids) + 1):
-        for block in combinations(range(len(view.ids)), size):
+    check_set_guard(len(view.fresh))
+    for size in range(1, len(view.fresh) + 1):
+        for block in combinations(view.fresh, size):
             if view.kept_by_all(block):
                 return StabilityVerdict("set", False, Witness("set", view.names(block)))
     return StabilityVerdict("set", True)

@@ -250,8 +250,6 @@ def test_oracle_brute_parallel_jobs(capsys, example_dir):
         str(example_dir / "example3.json"),
         "--notion",
         "chain",
-        "--jobs",
-        "2",
     )
     assert code == 0
     assert json.loads(out)["stable_outcomes"] == [[], ["w", "x", "y", "z"]]
@@ -606,13 +604,13 @@ def test_enumerate_runs_one_enumeration(capsys, example_dir, monkeypatch):
     from tradenet import fixedpoint
 
     calls = []
-    enumerate_once = fixedpoint.enumerate_fixed_points
+    join = fixedpoint.join_states
 
-    def counting(inst):
+    def counting(inst, rows):
         calls.append(inst)
-        return enumerate_once(inst)
+        return join(inst, rows)
 
-    monkeypatch.setattr(fixedpoint, "enumerate_fixed_points", counting)
+    monkeypatch.setattr(fixedpoint, "join_states", counting)
     code, out, _ = run_cli(capsys, "enumerate", str(example_dir / "example1.json"))
     assert code == 0
     assert json.loads(out)["outcomes"]

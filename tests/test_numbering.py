@@ -1,6 +1,7 @@
 """The instance-wide contract numbering that the fixed-point join, the
-acceptable-outcome join and the response round run on, checked against the
-tuple-row join and the frozenset round kept here as literal references."""
+acceptable-outcome join, the response round and the stability views run on,
+checked against the tuple-row join and the frozenset round kept here as
+literal references."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import random
 
 import pytest
 
-from tradenet import fixedpoint
+from tradenet import fixedpoint, instances
 from tradenet.errors import GuardExceededError, PreconditionError
 from tradenet.fixedpoint import (
     OfferPair,
@@ -29,6 +30,7 @@ from tradenet.oracle import (
     generate_instance,
     generate_priced_instance,
 )
+from tradenet.stability import check_notion
 
 # ---------------------------------------------------------------------------
 # literal references
@@ -173,7 +175,7 @@ def test_the_numbering_spans_several_bytes():
     for pair in pairs:
         assert respond(numbered, pair) == literal_respond(literal, pair)
     assert _query_counts(numbered) == _query_counts(literal)
-    assert [len(parts) for *_, parts in fixedpoint.numbering(numbered).agents] == [3, 3, 3]
+    assert [len(parts) for *_, parts in instances.numbering(numbered).agents] == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -188,20 +190,26 @@ def test_the_numbering_spans_several_bytes():
         buyer_optimal,
         enumerate_fixed_points,
         acceptable_outcomes,
+        lambda inst: check_notion(inst, frozenset(), "full_trail"),
     ],
-    ids=["respond", "buyer_optimal", "enumerate_fixed_points", "acceptable_outcomes"],
+    ids=["respond", "buyer_optimal", "enumerate_fixed_points", "acceptable_outcomes", "stability"],
 )
 def test_numbering_is_built_on_the_first_join_or_round(first):
-    fixedpoint._byte_tables.cache_clear()
+    instances._byte_tables.cache_clear()
     inst = instance_from_json(bundled_json("example2"))
     assert inst._numbering is None and inst._fixed_points is None
-    assert fixedpoint._byte_tables.cache_info().currsize == 0  # no gather table either
+    assert instances._byte_tables.cache_info().currsize == 0  # no gather table either
     first(inst)
     num = inst._numbering
-    assert isinstance(num, fixedpoint.Numbering)
+    assert isinstance(num, instances.Numbering)
     assert num.ids == sorted(inst.contract_ids)
     assert [cf for cf, *_ in num.agents] == list(inst.choice.values())
-    assert fixedpoint._byte_tables.cache_info().currsize > 0
+    assert instances._byte_tables.cache_info().currsize > 0
+    # each position's agents and each agent's local bits, looked up by id
+    net = inst.network
+    assert num.seller == [net.contract(c).seller for c in num.ids]
+    assert num.buyer == [net.contract(c).buyer for c in num.ids]
+    assert num.local == {a: [cf.bit.get(c, 0) for c in num.ids] for a, cf in inst.choice.items()}
 
 
 def test_fixed_points_are_joined_once_per_instance(monkeypatch):

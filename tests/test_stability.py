@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from itertools import combinations
+
 import pytest
 
 import tradenet.stability as stability_module
@@ -500,6 +502,13 @@ class CountingBudget(stability_module._Budget):
         super().spend()
 
 
+def _id_scan_corpus(unrestricted_instance):
+    yield from (bundled_instance(name) for name in BUNDLED)
+    for profile in PROFILES:
+        yield from (generate_instance(seed, profile).instance for seed in range(8))
+    yield from (unrestricted_instance(seed) for seed in range(300))
+
+
 def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
     unrestricted_instance, monkeypatch
 ):
@@ -507,11 +516,6 @@ def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
     # id-scan reference must find the same witness, leave the same menus in
     # every choice function's cache and spend the same budget units, so the
     # trail guard trips at the same candidate in both
-    corpus = (
-        [bundled_instance(name) for name in BUNDLED]
-        + [generate_instance(seed, profile).instance for profile in PROFILES for seed in range(8)]
-        + [unrestricted_instance(seed) for seed in range(300)]
-    )
     checkers = {
         "trail": find_blocking_trail,
         "full_trail": find_locally_blocking_trail,
@@ -523,7 +527,7 @@ def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
         stability_module, "_Budget", lambda: budgets.append(CountingBudget()) or budgets[-1]
     )
     checked = 0
-    for inst in corpus:
+    for inst in _id_scan_corpus(unrestricted_instance):
         for outcome in _every_outcome(inst):
             if not is_acceptable(inst, outcome).stable:
                 continue
@@ -545,3 +549,40 @@ def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
                     assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
                 checked += 1
     assert checked > 4000
+
+
+def reference_blocking_set(inst, outcome):
+    """The id-scan set search: blocks are id combinations by size, and each
+    is asked of its agents, in id order, through `is_rational` until one
+    refuses; the first block every agent keeps, or None."""
+    net = inst.network
+    avail = sorted(inst.contract_ids - outcome)
+    for size in range(1, len(avail) + 1):
+        for block in combinations(avail, size):
+            agents = sorted(net.agents_of(block))
+            if all(is_rational(inst.choice[agent], block, outcome) for agent in agents):
+                return block
+    return None
+
+
+def test_set_search_asks_the_menus_of_the_id_scan(unrestricted_instance):
+    # on fresh copies of each instance, the set search over the view and the
+    # id-scan reference must find the same block and leave the same menus in
+    # every choice function's cache
+    checked = 0
+    for inst in _id_scan_corpus(unrestricted_instance):
+        for outcome in _every_outcome(inst):
+            if not is_acceptable(inst, outcome).stable:
+                continue
+            fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
+            verdict = find_blocking_set(fresh, outcome)
+            assert is_acceptable(literal, outcome).stable
+            expected = reference_blocking_set(literal, outcome)
+            if expected is None:
+                assert verdict.stable
+            else:
+                assert verdict.witness.contracts == expected
+            for agent in inst.network.agents:
+                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+            checked += 1
+    assert checked > 1000
