@@ -33,9 +33,7 @@ class ChoiceFunction:
         self.downstream = frozenset(downstream)
         overlap = self.upstream & self.downstream
         if overlap:
-            raise ChoiceFunctionError(
-                f"{agent}: contracts {sorted(overlap)} listed on both sides"
-            )
+            raise ChoiceFunctionError(f"{agent}: contracts {sorted(overlap)} listed on both sides")
         self.domain = self.upstream | self.downstream
         self.ids = sorted_ids(self.domain)
         self.bit = {c: 1 << i for i, c in enumerate(self.ids)}
@@ -118,9 +116,7 @@ class ChoiceFunction:
     # -- restriction (used by terminal-agent exit surgery) ------------------
 
     def restrict(self, keep) -> "ChoiceFunction":
-        raise ChoiceFunctionError(
-            f"{self.family} choice functions do not support restriction"
-        )
+        raise ChoiceFunctionError(f"{self.family} choice functions do not support restriction")
 
     def params_json(self) -> dict:
         raise NotImplementedError
@@ -153,6 +149,19 @@ def is_rational_pair(cf: ChoiceFunction, up_contract: str, down_contract: str, g
     if is_rational(cf, {up_contract}, given) or is_rational(cf, {down_contract}, given):
         return False
     return is_rational(cf, {up_contract, down_contract}, given)
+
+
+def _first_offered(bits, menu: int, take: int) -> int:
+    """The first `take` of `bits` (one-bit masks, in order) that `menu`
+    offers, or all it offers if fewer; the walk ends at the `take`-th."""
+    kept = 0
+    for b in bits:
+        if menu & b:
+            kept |= b
+            take -= 1
+            if not take:
+                break
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +222,10 @@ class SeparableIntensityChoice(ChoiceFunction):
     one side has a single contract or each side has at most two.  With
     orders u0 > u1 > u2 and d0 > d1 > d2, alongside {d0, u1} the agent keeps
     {u0}, and keeps the pair (u2, d1), but not all three at once.
+
+    A menu costs two popcounts and one walk: the side offered less is taken
+    whole, and the other side's order is walked up to its min(k, l)-th
+    offered contract; a one-sided menu walks nothing.
     """
 
     family = "separable_intensity"
@@ -229,10 +242,11 @@ class SeparableIntensityChoice(ChoiceFunction):
         self._down_bits = tuple(map(self.bit.__getitem__, self.downstream_order))
 
     def _select(self, menu):
-        ups = [b for b in self._up_bits if menu & b]
-        downs = [b for b in self._down_bits if menu & b]
-        take = min(len(ups), len(downs))
-        return sum(ups[:take]) | sum(downs[:take])
+        ups, downs = menu & self.up_mask, menu & self.down_mask
+        k, l = ups.bit_count(), downs.bit_count()
+        if k <= l:  # all offered upstream, and as many of the downstream
+            return k and ups | _first_offered(self._down_bits, downs, k)
+        return l and downs | _first_offered(self._up_bits, ups, l)
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -307,7 +321,8 @@ class QuotaChoice(ChoiceFunction):
     `order` ranks the acceptable contracts of the agent's single active side,
     best first; contracts left out of the order are never chosen.  The agent
     signs the best min(quota, offered-acceptable) of them.  quota=1 models a
-    unit-demand terminal agent.
+    unit-demand terminal agent.  A menu walks `order` up to its quota-th
+    offered contract.
     """
 
     family = "quota"
@@ -327,7 +342,7 @@ class QuotaChoice(ChoiceFunction):
         self._order_bits = tuple(map(self.bit.__getitem__, self.order))
 
     def _select(self, menu):
-        return sum([b for b in self._order_bits if menu & b][: self.quota])
+        return _first_offered(self._order_bits, menu, self.quota)
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -495,6 +510,21 @@ def split_contract_id(cid: str) -> tuple[str, int]:
     raise ChoiceFunctionError(f"contract id {cid!r} must read trade@price")
 
 
+def _margin_order(priced, side: int, book, sign: int) -> tuple[tuple[int, int], ...]:
+    """(bit, its trade's mask) of each `side` contract whose margin, sign *
+    (price - book[trade]), is 0 or more, by (-margin, trade): a trade's best
+    offer is its first offered contract here, and a dropped one is never chosen."""
+    scored = sorted(
+        (-sign * (price - book[trade]), trade, b)
+        for b, trade, price in priced
+        if b & side and sign * (price - book[trade]) >= 0
+    )
+    trade_masks: dict[str, int] = {}
+    for _, trade, b in scored:
+        trade_masks[trade] = trade_masks.get(trade, 0) | b
+    return tuple((b, trade_masks[trade]) for _, trade, b in scored)
+
+
 class ReservationChoice(ChoiceFunction):
     """Integer reservation values with optional per-side capacities.
 
@@ -504,6 +534,10 @@ class ReservationChoice(ChoiceFunction):
     seller, dually, the dearest offered price against its cost.  The two
     sides never interact, which is what makes the family a clean, fully
     substitutable baseline for priced economies.
+
+    Each side's contracts are ordered once by (-margin, trade), less those of
+    negative margin; a menu walks each side's order once, taking the first
+    offered contract of each trade up to the side's capacity.
     """
 
     family = "reservation"
@@ -518,38 +552,32 @@ class ReservationChoice(ChoiceFunction):
             for name, cap in (("capacity_buy", capacity_buy), ("capacity_sell", capacity_sell))
         )
         try:  # (bit, trade, price) of each own contract
-            self._priced = tuple((self.bit[c], *split_contract_id(c)) for c in self.ids)
+            priced = [(self.bit[c], *split_contract_id(c)) for c in self.ids]
         except ChoiceFunctionError:
             raise ChoiceFunctionError(f"{agent}: contract ids must read trade@price") from None
-        if {t for b, t, _ in self._priced if b & self.up_mask} - set(self.values):
+        if {t for b, t, _ in priced if b & self.up_mask} - set(self.values):
             raise ChoiceFunctionError(f"{agent}: missing buyer values")
-        if {t for b, t, _ in self._priced if b & self.down_mask} - set(self.costs):
+        if {t for b, t, _ in priced if b & self.down_mask} - set(self.costs):
             raise ChoiceFunctionError(f"{agent}: missing seller costs")
-
-    def _side_pick(self, offers, book, cap, buying: bool):
-        best: dict[str, tuple[int, int]] = {}  # trade -> best offered (price, bit)
-        for b, trade, price in self._priced:
-            if not offers & b:
-                continue
-            held = best.get(trade)
-            if held is None or (price < held[0] if buying else price > held[0]):
-                best[trade] = (price, b)
-        scored = []
-        for trade, (price, b) in best.items():
-            margin = book[trade] - price if buying else price - book[trade]
-            if margin >= 0:
-                scored.append((-margin, trade, b))
-        scored.sort()
-        if cap is not None:
-            scored = scored[:cap]
-        return sum(b for _, _, b in scored)
+        self._sides = tuple(
+            (_margin_order(priced, side, book, sign), len(self.ids) if cap is None else cap)
+            for side, book, sign, cap in (
+                (self.up_mask, self.values, -1, self.capacity_buy),
+                (self.down_mask, self.costs, 1, self.capacity_sell),
+            )
+        )
 
     def _select(self, menu):
-        return self._side_pick(
-            menu & self.up_mask, self.values, self.capacity_buy, True
-        ) | self._side_pick(
-            menu & self.down_mask, self.costs, self.capacity_sell, False
-        )
+        kept = 0
+        for order, cap in self._sides:
+            for b, trade_mask in order:
+                if menu & b:
+                    kept |= b
+                    menu &= ~trade_mask  # one price per trade; the mask is this side's
+                    cap -= 1
+                    if not cap:
+                        break
+        return kept
 
     def params_json(self):
         out = {
@@ -653,7 +681,5 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
 
 def _check_cover(agent, order, side, name):
     if set(order) != set(side):
-        raise ChoiceFunctionError(
-            f"{agent}: {name} order must cover exactly {sorted(side)}"
-        )
+        raise ChoiceFunctionError(f"{agent}: {name} order must cover exactly {sorted(side)}")
 

@@ -181,11 +181,12 @@ def _cmd_oracle(args) -> dict:
     if args.oracle_cmd == "partition":
         try:
             weights = tuple(sorted(int(w) for w in args.weights.split(",")))
+            # all k + 1 contracts are fresh against the empty outcome: refuse
+            # before solving or building
+            stability.check_set_guard(len(weights) + 1)
             solvable = oracle.solve_partition(weights)
         except ValueError as exc:
             raise InstanceFormatError(f"--weights: {exc}") from exc
-        # all k + 1 contracts are fresh against the empty outcome: refuse before building
-        stability.check_set_guard(len(weights) + 1)
         gadget = oracle.partition_to_gs(weights)
         verdict = stability.find_blocking_set(gadget.instance, gadget.outcome)
         return {

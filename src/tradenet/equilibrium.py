@@ -331,6 +331,9 @@ def price_adjustment(
         return (p.buyer_side, p.seller_side) if perspective == "buyer" else (
             p.seller_side, p.buyer_side)
 
+    # a trade not offered yet stands at the proposing side's opening price
+    opening = {t.id: t.price_min if perspective == "buyer" else t.price_max for t in priced.trades}
+
     # A state's successor is its response round (the fixed point answers
     # itself), so it already holds every firm's choice: the proposers' offers
     # are what they kept of their own side, the responders' keeps what they
@@ -345,7 +348,6 @@ def price_adjustment(
         for cid in sorted(prev_offers & rejects):
             trade, price = split_contract_id(cid)
             last_rejected[trade] = price
-        prices: dict[str, int] = {}
         offered_now: dict[str, int] = {}
         for cid in sorted(offers):
             trade, price = split_contract_id(cid)
@@ -354,23 +356,13 @@ def price_adjustment(
                     f"two prices offered for trade {trade!r}; feasibility violated"
                 )
             offered_now[trade] = price
-        for t in priced.trades:
-            if t.id in offered_now:
-                prices[t.id] = offered_now[t.id]
-            elif t.id in last_rejected:
-                prices[t.id] = last_rejected[t.id]
-            else:
-                # never offered yet: the proposing side's opening price
-                prices[t.id] = t.price_min if perspective == "buyer" else t.price_max
+        prices = {t: offered_now.get(t, last_rejected.get(t, p)) for t, p in opening.items()}
         rounds.append(PriceRound(offers, keeps, rejects, prices))
         prev_offers = offers
-    outcome = run.outcome
-    return outcome, PriceTrace(perspective, tuple(rounds), last_rejected)
+    return run.outcome, PriceTrace(perspective, tuple(rounds), last_rejected)
 
 
-def complete_prices(
-    priced: PricedInstance, outcome, trace: PriceTrace
-) -> Arrangement:
+def complete_prices(priced: PricedInstance, outcome, trace: PriceTrace) -> Arrangement:
     """Extend the final outcome to a full arrangement.
 
     Realized trades keep their contract prices.  Each unrealized trade is
@@ -398,22 +390,16 @@ def complete_prices(
             candidates = range(anchor, t.price_max + 1)
         else:
             candidates = range(anchor, t.price_min - 1, -1)
-        assigned = None
         for p in candidates:
             cid = contract_id(t.id, p)
-            buyer_cf = inst.choice[t.buyer]
-            seller_cf = inst.choice[t.seller]
-            if not is_rational(buyer_cf, {cid}, outcome) and not is_rational(
-                seller_cf, {cid}, outcome
-            ):
-                assigned = p
+            if not any(is_rational(inst.choice[a], {cid}, outcome) for a in (t.buyer, t.seller)):
+                prices[t.id] = p
                 break
-        if assigned is None:
+        else:
             raise PreconditionError(
                 f"no commonly rejected price for unrealized trade {t.id!r}; "
                 "complete-prices condition violated"
             )
-        prices[t.id] = assigned
     return Arrangement(frozenset(realized), prices)
 
 
@@ -440,25 +426,21 @@ def verify_competitive_equilibrium(priced: PricedInstance, arr: Arrangement) -> 
 
 def trace_prices_monotone(trace: PriceTrace) -> bool:
     """Offered prices move against the proposing side, never back."""
-    better = (lambda a, b: a < b) if trace.perspective == "buyer" else (lambda a, b: a > b)
-    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
-        for t, p in cur.prices.items():
-            if better(p, prev.prices[t]):
-                return False
-    return True
+    sign = 1 if trace.perspective == "buyer" else -1
+    return all(
+        sign * (p - prev.prices[t]) >= 0
+        for prev, cur in zip(trace.rounds, trace.rounds[1:])
+        for t, p in cur.prices.items()
+    )
 
 
 def trace_offers_remain_open(trace: PriceTrace) -> bool:
     """An offer the responder kept is renewed by the proposer next round."""
-    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
-        if not prev.offers & cur.responder_keeps <= cur.offers:
-            return False
-    return True
+    pairs = zip(trace.rounds, trace.rounds[1:])
+    return all(prev.offers & cur.responder_keeps <= cur.offers for prev, cur in pairs)
 
 
 def trace_rejections_remain_final(trace: PriceTrace) -> bool:
     """Responder rejections only accumulate."""
-    for prev, cur in zip(trace.rounds, trace.rounds[1:]):
-        if not prev.responder_rejects <= cur.responder_rejects:
-            return False
-    return True
+    pairs = zip(trace.rounds, trace.rounds[1:])
+    return all(prev.responder_rejects <= cur.responder_rejects for prev, cur in pairs)

@@ -242,6 +242,9 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     the instance's numbering and converts the pair once, at return.
     """
     outcome = frozenset(outcome)
+    if not outcome <= inst.contract_ids:  # refused whatever `check` says
+        unknown = sorted_ids(outcome - inst.contract_ids)
+        raise PreconditionError(f"outcome uses unknown contracts: {unknown}")
     if check:
         verdict = is_acceptable(inst, outcome)
         if not verdict.stable:

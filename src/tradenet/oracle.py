@@ -21,7 +21,7 @@ from .choices import (
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .fixedpoint import join_states
-from .guards import BRUTE_GUARD, SIZE_GUARD
+from .guards import BRUTE_GUARD, PARTITION_GUARD, SIZE_GUARD
 from .instances import Instance, numbering
 from .network import Contract, sorted_ids, subsets, validate_network
 
@@ -70,9 +70,7 @@ def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
     is asked."""
     n = len(inst.contract_ids)
     if n > BRUTE_GUARD:
-        raise GuardExceededError(
-            f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}"
-        )
+        raise GuardExceededError(f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}")
     if inst._acceptable is None:
         num = numbering(inst)
         joined = tuple(num.names(row >> n) for row in join_states(inst, _fixed_menus))
@@ -88,7 +86,7 @@ def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
 def solve_partition(weights) -> bool:
     """Exact split check: can the weights be divided into two equal halves?
     Subset-sum dynamic program over the doubled target, so odd totals are
-    simply unreachable."""
+    simply unreachable.  Totals over PARTITION_GUARD are refused."""
     try:
         weights = [read_int(w, "each weight", 1) for w in weights]
     except ChoiceFunctionError as exc:
@@ -96,6 +94,10 @@ def solve_partition(weights) -> bool:
     if not weights:
         raise ValueError("weights must be a non-empty list")
     total = sum(weights)
+    if total > PARTITION_GUARD:
+        raise GuardExceededError(
+            f"partition solver guard is a weight total of {PARTITION_GUARD}, have {total}"
+        )
     if total % 2:
         return False
     target = total // 2
@@ -282,15 +284,11 @@ def generate_instance(
         net = _draw_network(rng, profile, max_agents, max_contracts)
         if any(len(net.upstream[a] | net.downstream[a]) > SIZE_GUARD for a in net.agents):
             continue
-        intensity = {
-            cid: round(rng.uniform(0, 100), 3) for cid in sorted(net.contract_ids)
-        }
+        intensity = {cid: round(rng.uniform(0, 100), 3) for cid in sorted(net.contract_ids)}
         if len(set(intensity.values())) != len(intensity):
             continue
         try:
-            choice = {
-                a: _draw_choice(rng, net, a, profile, intensity) for a in net.agents
-            }
+            choice = {a: _draw_choice(rng, net, a, profile, intensity) for a in net.agents}
         except ChoiceFunctionError:
             continue
         inst = Instance(net, choice)
@@ -303,10 +301,7 @@ def generate_instance(
         certificates = list(_PROFILE_AXIOMS[profile])
         if profile == "simple":
             # one intensity map shared by all agents, restricted per agent
-            intensities = {
-                a: {c: intensity[c] for c in inst.choice[a].domain}
-                for a in net.agents
-            }
+            intensities = {a: {c: intensity[c] for c in inst.choice[a].domain} for a in net.agents}
             simple_reports = [
                 axioms.check_simplicity(inst.choice[a], intensities[a])
                 for a in net.agents
@@ -316,9 +311,7 @@ def generate_instance(
             certificates.append("simplicity")
         if profile == "acyclic":
             certificates.append("acyclic")
-        return GeneratedInstance(
-            inst, seed, profile, tuple(certificates), intensities
-        )
+        return GeneratedInstance(inst, seed, profile, tuple(certificates), intensities)
     raise PreconditionError(
         f"could not certify a {profile!r} instance for seed {seed} "
         f"within {CERTIFY_ATTEMPTS} attempts"
@@ -426,15 +419,8 @@ def generate_priced_instance(seed: int, max_grid: int = 12):
             lo = rng.randint(0, 3)
             width = rng.randint(2, 4)
             grid_total += width + 1
-            trades.append(
-                {
-                    "id": f"t{i + 1}",
-                    "seller": s,
-                    "buyer": b,
-                    "price_min": lo,
-                    "price_max": lo + width,
-                }
-            )
+            trades.append({"id": f"t{i + 1}", "seller": s, "buyer": b,
+                           "price_min": lo, "price_max": lo + width})
         if grid_total > max_grid:
             continue
         values: dict[str, dict[str, int]] = {f: {} for f in firms}

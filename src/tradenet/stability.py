@@ -71,7 +71,7 @@ class FreshView:
     local bit per position.  Every condition of every notion is `keeps`.
     """
 
-    __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents")
+    __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents", "kept_alone")
 
     def __init__(self, inst: Instance, outcome: frozenset[str]):
         num = numbering(inst)
@@ -86,6 +86,7 @@ class FreshView:
         for agent in sorted(self.sells.keys() | self.buys.keys()):
             local = num.local[agent].__getitem__
             self.agents[agent] = (inst.choice[agent].choose_mask, sum(map(local, kept)), local)
+        self.kept_alone = ({}, {})  # position -> its seller, its buyer keeps it alone
 
     def names(self, positions) -> tuple[str, ...]:
         return tuple(self.ids[i] for i in positions)
@@ -107,11 +108,19 @@ class FreshView:
 
     def first_kept(self, trail) -> bool:
         """The trail's seller keeps its first contract."""
-        return self.keeps(self.seller[trail[0]], trail[:1])
+        return self._alone(trail[0], self.seller, self.kept_alone[0])
 
     def last_kept(self, trail) -> bool:
         """The trail's buyer keeps its last contract."""
-        return self.keeps(self.buyer[trail[-1]], trail[-1:])
+        return self._alone(trail[-1], self.buyer, self.kept_alone[1])
+
+    def _alone(self, i, agent_of, memo) -> bool:
+        """`agent_of[i]` keeps contract i alone alongside the outcome: asked
+        once per contract and side, then read from `memo`."""
+        kept = memo.get(i)
+        if kept is None:
+            kept = memo[i] = self.keeps(agent_of[i], (i,))
+        return kept
 
     def keeps_pair(self, link, trail) -> bool:
         """The link agent keeps the pair it joins, the grown trail's last two."""

@@ -15,6 +15,7 @@ from tradenet.choices import (
     SeparableIntensityChoice,
     SimpleIntensityChoice,
     build_family,
+    contract_id,
     is_individually_rational,
     is_rational,
     is_rational_pair,
@@ -458,6 +459,30 @@ def _selector_corpus(unrestricted_instance):
             caps = (rng.randint(1, 2), rng.randint(1, 2))
             yield ReservationChoice(cf.agent, cf.upstream, cf.downstream,
                                     cf.values, cf.costs, *caps)
+    # hubs of up to 9 contracts with 1-5 on each side, orders shuffled
+    for n_up, n_down in itertools.product(range(1, 6), repeat=2):
+        up_order = [f"u{i}" for i in range(n_up)]
+        down_order = [f"d{i}" for i in range(n_down)]
+        for _ in range(2 if n_up + n_down <= 9 else 0):
+            rng.shuffle(up_order)
+            rng.shuffle(down_order)
+            yield SeparableIntensityChoice("h", up_order, down_order)
+    # reservation firms with 3-4 prices per trade: ta and tb tie on their best
+    # margin (the trade id breaks it), as do td and te, and every price of tc
+    # and tf has a negative margin
+    for cap in (1, 2, 3):
+        lo = rng.randint(0, 3)
+        buys = _grid("ta", lo, 3) + _grid("tb", lo + 1, 4) + _grid("tc", lo, 3)
+        sells = _grid("td", lo, 3) + _grid("te", lo + 1, 3) + _grid("tf", lo, 3)
+        values = {"ta": lo + 4, "tb": lo + 5, "tc": lo - 1}
+        costs = {"td": lo + 1, "te": lo + 2, "tf": lo + 3}
+        yield ReservationChoice("r", buys, [], values, {}, cap, None)
+        yield ReservationChoice("r", [], sells, {}, costs, None, cap)
+        yield ReservationChoice("r", buys[:3] + buys[7:], sells[:6], values, costs, cap, 4 - cap)
+
+
+def _grid(trade, lo, count):
+    return [contract_id(trade, p) for p in range(lo, lo + count)]
 
 
 def test_mask_selectors_match_literal_selectors(unrestricted_instance):
@@ -465,9 +490,12 @@ def test_mask_selectors_match_literal_selectors(unrestricted_instance):
     for cf in _selector_corpus(unrestricted_instance):
         literal = LITERAL[cf.family]
         families.add(cf.family)
+        table = cf.menu_table()  # one evaluation per menu
+        assert cf.query_count == len(table) == 2 ** len(cf.domain), cf.to_json()
         for menu in subsets(cf.domain):
             expected = literal(cf, menu)
             assert cf.names(cf._select(cf.mask(menu))) == expected, (cf.to_json(), menu)
+            assert cf.names(table[cf.mask(menu)]) == expected, (cf.to_json(), menu)
             assert cf.choose(menu) == expected, (cf.to_json(), menu)
     assert families == set(LITERAL)
 

@@ -303,6 +303,27 @@ def test_oracle_partition_refuses_an_oversized_gadget_before_building_it(capsys,
     }
 
 
+def test_oracle_partition_refuses_a_weight_total_over_the_guard_before_solving(capsys):
+    # a bitset of 8 * 10^9 bits ran out of memory before this guard
+    code, out, _ = run_cli(capsys, "oracle", "partition", "--weights", ",".join(["1000000000"] * 8))
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "kind": "GuardExceededError",
+        "message": "partition solver guard is a weight total of 10000000, have 8000000000",
+    }
+
+
+def test_oracle_partition_checks_the_set_guard_before_solving(capsys, monkeypatch):
+    def refuse(weights):
+        raise AssertionError("solved the split of an oversized gadget")
+
+    monkeypatch.setattr(oracle, "solve_partition", refuse)
+    code, out, _ = run_cli(capsys, "oracle", "partition", "--weights", ",".join(["1"] * 21))
+    assert code == 1
+    message = json.loads(out)["error"]["message"]
+    assert message == "set search guard is 20 candidate contracts, have 22"
+
+
 def test_oracle_gen(capsys):
     code, out, _ = run_cli(capsys, "oracle", "gen", "--seed", "5", "--profile", "separable")
     assert code == 0

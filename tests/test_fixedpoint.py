@@ -360,6 +360,13 @@ def test_canonical_pair_requires_full_trail_stability(example2):
         canonical_pair(example2, {"x"})
 
 
+def test_canonical_pair_refuses_unknown_contracts_whether_checked_or_not(example1):
+    outcome = fixed_point_outcomes(example1)[0] | {"nope"}
+    for check in (True, False):
+        with pytest.raises(PreconditionError, match=r"unknown contracts: \['nope'\]"):
+            canonical_pair(example1, outcome, check=check)
+
+
 def test_unchecked_canonical_pair_keeps_no_view():
     for name in BUNDLED:
         inst = bundled_instance(name)

@@ -18,7 +18,8 @@ def test_every_guard_is_declared_once_in_the_guard_table():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
         and node.id.endswith("_GUARD")
     }
-    table = ("SIZE_GUARD", "ENUMERATION_GUARD", "BRUTE_GUARD", "SET_GUARD", "TRAIL_GUARD")
+    table = ("SIZE_GUARD", "ENUMERATION_GUARD", "BRUTE_GUARD", "SET_GUARD", "TRAIL_GUARD",
+             "PARTITION_GUARD")
     assert assigned == {("guards.py", name) for name in table}
     for path in SRC.glob("*.py"):
         module = importlib.import_module(

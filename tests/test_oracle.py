@@ -9,6 +9,7 @@ import pytest
 from tradenet import oracle, stability
 from tradenet.axioms import SIZE_GUARD, check_full_substitutability, check_instance, check_irc
 from tradenet.errors import GuardExceededError, StabilityContradictionError
+from tradenet.guards import PARTITION_GUARD
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.network import sorted_ids
 from tradenet.oracle import (
@@ -93,6 +94,15 @@ def test_weights_must_be_sorted_and_positive():
         solve_partition((0, 1))
     with pytest.raises(ValueError):
         solve_partition(())
+
+
+def test_solve_partition_refuses_a_weight_total_over_its_guard():
+    half = PARTITION_GUARD // 2
+    assert solve_partition((half, half))  # a total at the bound is answered
+    with pytest.raises(GuardExceededError, match=f"total of {PARTITION_GUARD}, have "):
+        solve_partition((half, half + 1))  # one over, and odd: refused all the same
+    with pytest.raises(GuardExceededError, match="have 8000000000"):
+        solve_partition((10**9,) * 8)
 
 
 def test_solve_partition_refuses_what_the_gadget_refuses():
