@@ -159,10 +159,8 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
 
 
 def _always_kept(cf: ChoiceFunction, cid: str) -> bool:
-    """The firm keeps `cid` from every menu that offers it."""
-    b = cf.bit[cid]
-    table = cf.menu_table()
-    return all(table[m] & b for m in range(len(table)) if m & b)
+    """The firm keeps `cid` from every menu that offers it: its rejected slice is 0."""
+    return not axioms._Slices.of(cf).rejected[cf.bit[cid].bit_length() - 1]
 
 
 def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:

@@ -24,7 +24,7 @@ from . import axioms
 from .choices import is_individually_rational
 from .errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from .guards import ENUMERATION_GUARD
-from .instances import Instance, Numbering, numbering
+from .instances import Instance, Numbering
 from .network import fields_json, mask_bits, sorted_ids, spread
 from .stability import FreshView, find_locally_blocking_trail, is_acceptable
 
@@ -77,7 +77,7 @@ def respond(inst: Instance, pair: OfferPair) -> OfferPair:
     """One simultaneous response round of all agents.  Each agent is asked
     once, for its seller-side sales and buyer-side purchases together, as a
     menu mask; what it rejects of either side leaves the other side."""
-    num = numbering(inst)
+    num = inst.numbering
     return _pair(num, num.respond(_row(num, pair)))
 
 
@@ -111,7 +111,7 @@ def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
     """
     if not start.buyer_side | start.seller_side <= inst.contract_ids:
         raise PreconditionError("start pair names contracts the instance lacks")
-    num = numbering(inst)
+    num = inst.numbering
     prev = _row(num, start)
     cur = num.respond(prev)
     ascending = num.leq(prev, cur)
@@ -168,7 +168,7 @@ def join_states(inst: Instance, rows) -> list[int]:
     and then id, a variable-elimination order (Dechter, "Bucket elimination",
     AIJ 113 (1999)).  Returns one row per assignment.
     """
-    num = numbering(inst)
+    num = inst.numbering
     assigned, partials = 0, [0]
     for cf, up, down, _ in sorted(num.agents, key=lambda a: (-len(a[0].domain), a[0].agent)):
         lift = spread(mask_bits(up | down))
@@ -201,17 +201,18 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     side or both.  Each agent's rows are read off its menu table,
     `join_states` keeps the assignments on which every seller and buyer
     agree, and one response round confirms each.  The results are joined on
-    the instance's first call and kept on it; each call returns a new list.
-    Instances over ENUMERATION_GUARD contracts are refused before any menu is
-    asked.
+    the instance's first call and kept on its numbering; each call returns a
+    new list.  Instances over ENUMERATION_GUARD contracts are refused before
+    any menu is asked.
     """
     if len(inst.contract_ids) > ENUMERATION_GUARD:
         raise GuardExceededError(
             f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
             f"instance has {len(inst.contract_ids)}"
         )
-    if inst._fixed_points is None:
-        num, out = numbering(inst), []
+    num = inst.numbering
+    if num.fixed_points is None:
+        out = []
         for row in join_states(inst, _side_states):
             if num.respond(row) != row:
                 raise IterationDiagnosisError(
@@ -221,8 +222,8 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
             pair = _pair(num, row)
             out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
         out.sort(key=lambda r: r.pair.sort_key())
-        object.__setattr__(inst, "_fixed_points", tuple(out))  # Instance is frozen
-    return list(inst._fixed_points)
+        num.fixed_points = tuple(out)
+    return list(num.fixed_points)
 
 
 def fixed_point_outcomes(inst: Instance) -> list[frozenset[str]]:
@@ -238,8 +239,9 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     seller alongside the outcome and every consecutive pair kept by the
     linking agent; everything else goes to the seller side.  Reachability by
     walks equals reachability by trails here (repeats can be cut out without
-    breaking the consecutive conditions), so a closure suffices; it runs on
-    the instance's numbering and converts the pair once, at return.
+    breaking the consecutive conditions), so a closure suffices; it reads the
+    outcome's kept view, or builds one it does not keep, and converts the
+    pair once, at return.
     """
     outcome = frozenset(outcome)
     if not outcome <= inst.contract_ids:  # refused whatever `check` says
@@ -252,7 +254,8 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
         verdict = find_locally_blocking_trail(inst, outcome)
         if not verdict.stable:
             raise PreconditionError("outcome has a locally blocking trail")
-    num, view = numbering(inst), FreshView(inst, outcome)
+    num = inst.numbering
+    view = num.views.get(outcome) or FreshView(inst, outcome)
     frontier = [i for i in view.fresh if view.first_kept((i,))]
     reached = sum(1 << i for i in frontier)
     while frontier:

@@ -28,14 +28,10 @@ class Instance:
 
     `choice` is a read-only copy of the mapping given, so no agent's choice
     function is swapped during the instance's life.  That is what lets the
-    instance keep facts derived from its choice functions: the acceptable
-    outcomes (`oracle.acceptable_outcomes`), the fixed points
-    (`fixedpoint.enumerate_fixed_points`), the fresh-contract view of each
-    acceptable outcome checked so far (`stability._fresh`) and the one
-    contract numbering that joins, response rounds and stability views run
-    on (`numbering`).  Each is built on first use, not at load, and lives as
-    long as the instance, outside the dataclass fields (so out of `__eq__`
-    and `repr`); an instance rebuilt from its JSON starts without them."""
+    instance keep what it derives from its choice functions in one place,
+    its `numbering`: built on first use, not at load, and kept as long as
+    the instance, outside the dataclass fields (so out of `__eq__` and
+    `repr`); an instance rebuilt from its JSON starts without it."""
 
     network: ContractNetwork
     choice: Mapping[str, ChoiceFunction]
@@ -57,9 +53,11 @@ class Instance:
                 raise InstanceFormatError(
                     f"{agent}: choice function sides disagree with the network"
                 )
-        for memo in ("_acceptable", "_fixed_points", "_numbering"):
-            object.__setattr__(self, memo, None)
-        object.__setattr__(self, "_views", {})
+
+    @functools.cached_property
+    def numbering(self) -> Numbering:
+        """Built on the first join, round or stability view, then kept."""
+        return Numbering(self)
 
     @property
     def contract_ids(self) -> frozenset[str]:
@@ -106,10 +104,14 @@ class Numbering:
     contracts in one byte of the instance mask are a run of its local bits,
     so the round gathers its menu, and scatters back what it rejects, through
     the `_byte_tables` of its bits in each byte (shared by every agent with
-    that pattern).  `numbering` builds it on an instance's first join, round
-    or stability view."""
+    that pattern).  It also keeps what is derived on it, each filled by its
+    one reader after that reader's guard: the `acceptable` outcomes
+    (`oracle.acceptable_outcomes`), the `fixed_points`
+    (`fixedpoint.enumerate_fixed_points`) and the `views` of the acceptable
+    outcomes checked so far (`stability._fresh`)."""
 
-    __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "local", "agents")
+    __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "local", "agents",
+                 "acceptable", "fixed_points", "views")
 
     def __init__(self, inst: Instance):
         self.ids = sorted_ids(inst.contract_ids)
@@ -132,6 +134,8 @@ class Numbering:
                     parts.append((at, low, len(scatter) - 1, gather, scatter))
                     low += pattern.bit_count()
             self.agents.append((cf, up, down, parts))
+        self.acceptable = self.fixed_points = None  # tuples once joined
+        self.views = {}  # acceptable outcome -> its FreshView
 
     def mask(self, contracts) -> int:
         """The instance mask of a contract set; ids the instance lacks add nothing."""
@@ -161,13 +165,6 @@ class Numbering:
                 seller_rejects |= lost & down
                 buyer_rejects |= lost & up
         return self.full ^ seller_rejects | (self.full ^ buyer_rejects) << self.n
-
-
-def numbering(inst: Instance) -> Numbering:
-    """The instance's numbering, built on the first call and kept on it."""
-    if inst._numbering is None:
-        object.__setattr__(inst, "_numbering", Numbering(inst))  # Instance is frozen
-    return inst._numbering
 
 
 def instance_from_json(raw: dict) -> Instance:

@@ -22,7 +22,7 @@ from .choices import (
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .fixedpoint import join_states
 from .guards import BRUTE_GUARD, PARTITION_GUARD, SIZE_GUARD
-from .instances import Instance, numbering
+from .instances import Instance
 from .network import Contract, sorted_ids, subsets, validate_network
 
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
@@ -65,17 +65,16 @@ def acceptable_outcomes(inst: Instance) -> list[frozenset[str]]:
     The outcomes are joined from each agent's fixed menus
     (`menu_table()[m] == m`), which finds every one of them without scanning
     all 2^|X| outcomes.  The join runs on the instance's first call and its
-    outcomes are kept on the instance; every call returns a new list of
+    outcomes are kept on its numbering; every call returns a new list of
     them.  Instances over BRUTE_GUARD contracts are refused before any menu
     is asked."""
     n = len(inst.contract_ids)
     if n > BRUTE_GUARD:
         raise GuardExceededError(f"brute-force guard is {BRUTE_GUARD} contracts, instance has {n}")
-    if inst._acceptable is None:
-        num = numbering(inst)
-        joined = tuple(num.names(row >> n) for row in join_states(inst, _fixed_menus))
-        object.__setattr__(inst, "_acceptable", joined)  # Instance is frozen
-    return list(inst._acceptable)
+    num = inst.numbering
+    if num.acceptable is None:
+        num.acceptable = tuple(num.names(row >> n) for row in join_states(inst, _fixed_menus))
+    return list(num.acceptable)
 
 
 # ---------------------------------------------------------------------------
@@ -101,9 +100,10 @@ def solve_partition(weights) -> bool:
     if total % 2:
         return False
     target = total // 2
+    keep = (1 << target + 1) - 1  # sums above the target never come back down
     reachable = 1  # bitset: bit s set when sum s is reachable
     for w in weights:
-        reachable |= reachable << w
+        reachable = (reachable | reachable << w) & keep
     return bool(reachable >> target & 1)
 
 
@@ -349,13 +349,13 @@ def _extended_choice(rng, cf, new_ids, as_upstream: bool):
     raise ChoiceFunctionError(f"cannot extend family {cf.family!r}")
 
 
-def generate_entry_scenario(seed: int, profile: str = "ladlas"):
-    """A certified base instance plus a terminal-agent entry event whose
-    extended instance is also certified for full substitutability and
+def generate_entry_scenario(seed: int):
+    """A certified ladlas base instance plus a terminal-agent entry event
+    whose extended instance is also certified for full substitutability and
     consistency.  Deterministic per seed."""
-    rng = random.Random(("entry", profile, seed).__repr__())
+    rng = random.Random(("entry", "ladlas", seed).__repr__())
     for attempt in range(60):
-        gen = generate_instance(rng.randrange(10**9), profile)
+        gen = generate_instance(rng.randrange(10**9), "ladlas")
         inst = gen.instance
         net = inst.network
         side = rng.choice(("terminal_seller", "terminal_buyer"))

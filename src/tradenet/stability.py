@@ -16,7 +16,7 @@ from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
 from .errors import GuardExceededError, PreconditionError, StabilityContradictionError
 from .guards import SET_GUARD, TRAIL_GUARD
-from .instances import Instance, numbering
+from .instances import Instance
 from .network import fields_json, sorted_ids
 
 NOTIONS = ("acceptable", "trail", "full_trail", "chain", "set", "strong_trail")
@@ -74,7 +74,7 @@ class FreshView:
     __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents", "kept_alone")
 
     def __init__(self, inst: Instance, outcome: frozenset[str]):
-        num = numbering(inst)
+        num = inst.numbering
         self.ids, self.seller, self.buyer = num.ids, num.seller, num.buyer
         kept = set(map(num.position.__getitem__, outcome))
         self.fresh = [i for i in range(num.n) if i not in kept]
@@ -131,18 +131,19 @@ def _fresh(inst, outcome, notion):
     """The outcome's fresh-contract view or, when the outcome is not even
     acceptable, the verdict every notion returns.
 
-    The view of an acceptable outcome is built once and kept on the instance,
-    so a later call for the same outcome (another notion, `classify`, brute
-    force) skips the acceptability check and reads it.  An unacceptable
-    outcome is checked on every call and never kept, so an instance keeps at
-    most one view per acceptable outcome."""
-    outcome = frozenset(outcome)
-    view = inst._views.get(outcome)
+    The view of an acceptable outcome is built once and kept in the
+    instance's `numbering.views`, so a later call for the same outcome
+    (another notion, `classify`, brute force, `canonical_pair`) skips the
+    acceptability check and reads it.  An unacceptable outcome is checked
+    on every call and never kept, so an instance keeps at most one view per
+    acceptable outcome."""
+    outcome, views = frozenset(outcome), inst.numbering.views
+    view = views.get(outcome)
     if view is None:
         base = is_acceptable(inst, outcome)
         if not base.stable:
             return None, StabilityVerdict(notion, False, base.witness)
-        view = inst._views[outcome] = FreshView(inst, outcome)
+        view = views[outcome] = FreshView(inst, outcome)
     return view, None
 
 

@@ -28,6 +28,7 @@ from tradenet.fixedpoint import (
 )
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
+from tradenet.stability import FreshView
 
 
 def test_respond_from_top_keeps_buyer_side_full(example1):
@@ -372,7 +373,40 @@ def test_unchecked_canonical_pair_keeps_no_view():
         inst = bundled_instance(name)
         for outcome in fixed_point_outcomes(inst):
             canonical_pair(inst, outcome, check=False)
-        assert inst._views == {}
+        assert inst.numbering.views == {}
+
+
+def _views_built(monkeypatch):
+    """The outcomes of the `FreshView`s built from here on, in order."""
+    built, init = [], FreshView.__init__
+
+    def counting(self, inst, outcome):
+        built.append(outcome)
+        init(self, inst, outcome)
+
+    monkeypatch.setattr(FreshView, "__init__", counting)
+    return built
+
+
+def test_checked_canonical_pair_builds_one_view_per_outcome(monkeypatch):
+    # the check keeps the outcome's view and the closure reads that one
+    built = _views_built(monkeypatch)
+    for name in BUNDLED:
+        for outcome in fixed_point_outcomes(bundled_instance(name)):
+            built.clear()
+            canonical_pair(bundled_instance(name), outcome)  # a fresh instance
+            assert built == [outcome], (name, sorted(outcome))
+
+
+def test_terminal_lattice_after_brute_force_builds_no_view(monkeypatch):
+    # brute force keeps a view of every acceptable outcome, fixed points' included
+    built = _views_built(monkeypatch)
+    for seed in range(5):
+        inst = generate_instance(seed, "ladlas").instance
+        brute_force_stable(inst, "full_trail")
+        built.clear()
+        terminal_lattice(inst)
+        assert built == [], seed
 
 
 def test_canonical_pair_round_trip_on_generated_instances():

@@ -175,7 +175,7 @@ def test_the_numbering_spans_several_bytes():
     for pair in pairs:
         assert respond(numbered, pair) == literal_respond(literal, pair)
     assert _query_counts(numbered) == _query_counts(literal)
-    assert [len(parts) for *_, parts in instances.numbering(numbered).agents] == [3, 3, 3]
+    assert [len(parts) for *_, parts in numbered.numbering.agents] == [3, 3, 3]
 
 
 # ---------------------------------------------------------------------------
@@ -197,10 +197,10 @@ def test_the_numbering_spans_several_bytes():
 def test_numbering_is_built_on_the_first_join_or_round(first):
     instances._byte_tables.cache_clear()
     inst = instance_from_json(bundled_json("example2"))
-    assert inst._numbering is None and inst._fixed_points is None
+    assert "numbering" not in vars(inst)
     assert instances._byte_tables.cache_info().currsize == 0  # no gather table either
     first(inst)
-    num = inst._numbering
+    num = vars(inst)["numbering"]
     assert isinstance(num, instances.Numbering)
     assert num.ids == sorted(inst.contract_ids)
     assert [cf for cf, *_ in num.agents] == list(inst.choice.values())
@@ -250,7 +250,7 @@ def test_enumeration_guard_refuses_before_any_menu_or_numbering():
         with pytest.raises(GuardExceededError, match="enumeration guard"):
             enumerate_fixed_points(inst)
     assert _query_counts(inst) == {"a": 0, "b": 0}
-    assert inst._numbering is None
+    assert "numbering" not in vars(inst)
 
 
 def test_iteration_refuses_a_start_naming_unknown_contracts(example1):

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 
@@ -103,6 +104,36 @@ def test_solve_partition_refuses_a_weight_total_over_its_guard():
         solve_partition((half, half + 1))  # one over, and odd: refused all the same
     with pytest.raises(GuardExceededError, match="have 8000000000"):
         solve_partition((10**9,) * 8)
+
+
+def unmasked_solve_partition(weights):
+    """The split solver's bitset kept whole: every reachable sum up to the
+    total, where `solve_partition` keeps only those up to the target."""
+    total = sum(weights)
+    if total % 2:
+        return False
+    reachable = 1
+    for w in weights:
+        reachable |= reachable << w
+    return bool(reachable >> total // 2 & 1)
+
+
+def test_solve_partition_matches_the_unmasked_bitset():
+    rng = random.Random(22)
+    half = PARTITION_GUARD // 2
+    cases = [(1,), (2,), (7,), (PARTITION_GUARD,), (half, half - 1)]  # one weight; odd totals
+    cases += [tuple(rng.randint(1, 60) for _ in range(rng.randint(1, 12))) for _ in range(300)]
+    cases += [(w,) * k for w in (1, 2, 3, 5) for k in range(1, 8)]  # repeated weights
+    cases += [tuple(rng.choice((3, 5, 8)) for _ in range(rng.randint(2, 10))) for _ in range(100)]
+    for _ in range(6):  # a total at PARTITION_GUARD, cut at random
+        cuts = sorted(rng.sample(range(1, PARTITION_GUARD), rng.randint(1, 5)))
+        cases.append(tuple(b - a for a, b in zip([0] + cuts, cuts + [PARTITION_GUARD])))
+    cases += [(half, half), (half - 3, 1, 2, half), (PARTITION_GUARD - 5, 2, 3)]
+    assert any(sum(c) % 2 for c in cases) and any(sum(c) == PARTITION_GUARD for c in cases)
+    answers = {solve_partition(c) for c in cases}
+    for weights in cases:
+        assert solve_partition(weights) == unmasked_solve_partition(weights), weights
+    assert answers == {True, False}
 
 
 def test_solve_partition_refuses_what_the_gadget_refuses():
@@ -291,6 +322,7 @@ def test_brute_force_guard():
     with pytest.raises(GuardExceededError, match=message):
         brute_force_stable(inst, "mystery")
     assert all(cf.query_count == 0 for cf in inst.choice.values())
+    assert "numbering" not in vars(inst)
 
 
 def test_parallel_scan_matches_sequential(example1):
@@ -442,7 +474,7 @@ def test_instance_memos_change_no_answer(brute_corpus):
         assert sorted(acceptable_outcomes(shared), key=sorted_ids) == outcomes
         for outcome in every_outcome(shared):
             check_notion(shared, outcome, "full_trail")
-        assert len(shared._views) <= len(outcomes)
+        assert len(shared.numbering.views) <= len(outcomes)
         returned = acceptable_outcomes(shared)
         returned.clear()
         assert sorted(acceptable_outcomes(shared), key=sorted_ids) == outcomes

@@ -99,7 +99,7 @@ def test_outcomes_naming_unknown_contracts_are_refused():
             classify(inst, outcome)
         with pytest.raises(PreconditionError, match=message):
             canonical_pair(inst, outcome)
-    assert not inst._views
+    assert not inst.numbering.views
 
 
 # --- four-firm cycle, entangled preferences (bundled example 1) ------------
