@@ -34,7 +34,7 @@ from .choices import ChoiceFunction
 from .errors import GuardExceededError, PreconditionError
 from .guards import SIZE_GUARD
 from .instances import Instance
-from .network import fields_json, mask_bits, sorted_ids, submasks
+from .network import at_bits, fields_json, mask_bits, sorted_ids, submasks
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,8 @@ class _Slices:
         broken = 0
         for k, (c, r) in enumerate(zip(self.chosen, self.rejected)):
             broken |= r >> shift if pair >> k & 1 else c & r >> shift
-        for j in mask_bits(step):
-            broken &= self.lacks[j.bit_length() - 1]
+        for lacks in at_bits(self.lacks, step):
+            broken &= lacks
         return broken
 
 
@@ -398,16 +398,15 @@ def check_simplicity(cf: ChoiceFunction, intensity: dict[str, float]) -> AxiomRe
         witness = {"missing_intensity": sorted_ids(missing)}
         return AxiomReport("simplicity", cf.agent, False, witness)
     table = cf.menu_table()
-    level = {cf.bit[c]: intensity[c] for c in cf.ids}
     for kept in submasks(cf.up_mask | cf.down_mask):
         if table[kept] != kept:
             continue
         down = kept & cf.down_mask
-        for up in mask_bits(kept & cf.up_mask):
-            if not any(level[up] > level[d] for d in mask_bits(down)):
+        for up in at_bits(cf.ids, kept & cf.up_mask):
+            if not any(intensity[up] > intensity[d] for d in at_bits(cf.ids, down)):
                 return AxiomReport("simplicity", cf.agent, False, {
                     "kept": _names(cf, kept),
-                    "upstream_contract": _names(cf, up)[0],
+                    "upstream_contract": up,
                     "downstream_intensities": {d: intensity[d] for d in _names(cf, down)},
                 }, () if down else _EMPTY_DOWNSTREAM)
     return AxiomReport("simplicity", cf.agent, True)

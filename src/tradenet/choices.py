@@ -2,12 +2,12 @@
 
 Every family maps an offered set of the agent's own contracts to a chosen
 subset.  Contracts that do not involve the agent are silently dropped before
-evaluation.  Inside, a menu is an int mask: each choice function numbers its
-domain in sorted-id order, contract i is bit i, and every family's selector
-takes and returns masks (`choose_mask`); `choose` is the frozenset boundary,
-a conversion around `choose_mask`.  Evaluation is pure and memoized in one
-cache keyed by menu mask (the cache never changes an observable result, it
-only speeds up the exhaustive searches that hammer the same menus).
+evaluation.  Inside, a menu is an int mask: contract i of a function's
+sorted-id domain is at `position` i and is bit i, every family's selector
+takes and returns masks (`choose_mask`), and `choose` is the frozenset
+boundary around it.  Evaluation is pure and memoized in one cache keyed by
+menu mask (the cache never changes an observable result, it only speeds up
+the exhaustive searches that hammer the same menus).
 `menu_table` is the one tabulation of every menu, read by each layer that
 quantifies over all of an agent's menus.
 
@@ -18,12 +18,12 @@ ones the agent buys, *downstream* the ones it sells.
 from __future__ import annotations
 
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, mask_bits, sorted_ids, spread
+from .network import ContractNetwork, at_bits, mask_bits, sorted_ids
 
 
 class ChoiceFunction:
     """Base evaluator.  Subclasses implement _select on int masks: contract i
-    of the sorted domain is bit i, and a menu is the mask of its contracts."""
+    of the sorted domain is `position` i and bit i; a menu is a mask."""
 
     family = "abstract"
 
@@ -36,24 +36,23 @@ class ChoiceFunction:
             raise ChoiceFunctionError(f"{agent}: contracts {sorted(overlap)} listed on both sides")
         self.domain = self.upstream | self.downstream
         self.ids = sorted_ids(self.domain)
-        self.bit = {c: 1 << i for i, c in enumerate(self.ids)}
-        self.up_mask = self.mask(self.upstream)
-        self.down_mask = self.mask(self.downstream)
+        self.position = {c: i for i, c in enumerate(self.ids)}
+        self.up_mask, self.down_mask = self.mask(self.upstream), self.mask(self.downstream)
         self._cache: dict[int, int] = {}
         self._menu_table: list[int] | None = None
         self._slices = None  # the table cut into `axioms._Slices`, built once by `_Slices.of`
 
     def mask(self, contracts) -> int:
         """The mask of the agent's own contracts among `contracts`."""
-        return sum(map(self.bit.__getitem__, self.domain.intersection(contracts)))
+        return sum(1 << self.position[c] for c in self.domain.intersection(contracts))
 
-    def lift(self, ids) -> list[int]:
-        """This function's mask of each submask of `ids` (contract i of `ids` is
-        bit i); contracts outside the domain add nothing."""
-        return spread(self.bit.get(cid, 0) for cid in ids)
+    def bits(self, ids) -> list[int]:
+        """The one-bit mask of each of `ids`, 0 for an id outside the domain, so
+        `network.spread` of it is this function's mask of each submask of `ids`."""
+        return [1 << self.position[c] if c in self.position else 0 for c in ids]
 
     def names(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
+        return frozenset(at_bits(self.ids, mask))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -94,15 +93,11 @@ class ChoiceFunction:
     # -- conditioned choice and rejection maps ------------------------------
 
     def chosen_upstream(self, available_up, available_down) -> frozenset[str]:
-        menu = (frozenset(available_up) & self.upstream) | (
-            frozenset(available_down) & self.downstream
-        )
+        menu = self.upstream & set(available_up) | self.downstream & set(available_down)
         return self.choose(menu) & self.upstream
 
     def chosen_downstream(self, available_down, available_up) -> frozenset[str]:
-        menu = (frozenset(available_up) & self.upstream) | (
-            frozenset(available_down) & self.downstream
-        )
+        menu = self.upstream & set(available_up) | self.downstream & set(available_down)
         return self.choose(menu) & self.downstream
 
     def rejected_upstream(self, available_up, available_down) -> frozenset[str]:
@@ -238,8 +233,8 @@ class SeparableIntensityChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: downstream order repeats a contract")
         self.upstream_order = tuple(upstream_order)
         self.downstream_order = tuple(downstream_order)
-        self._up_bits = tuple(map(self.bit.__getitem__, self.upstream_order))
-        self._down_bits = tuple(map(self.bit.__getitem__, self.downstream_order))
+        self._up_bits = self.bits(self.upstream_order)
+        self._down_bits = self.bits(self.downstream_order)
 
     def _select(self, menu):
         ups, downs = menu & self.up_mask, menu & self.down_mask
@@ -293,7 +288,7 @@ class SimpleIntensityChoice(ChoiceFunction):
 
     def _ranked_bits(self, side, reverse):
         ranked = sorted(side, key=lambda c: (self.intensity[c], c), reverse=reverse)
-        return tuple((self.bit[c], self.intensity[c]) for c in ranked)
+        return tuple(zip(self.bits(ranked), map(self.intensity.__getitem__, ranked)))
 
     def _select(self, menu):
         up = next((pick for pick in self._up_rank if menu & pick[0]), None)
@@ -339,7 +334,7 @@ class QuotaChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: order lists foreign contracts")
         self.order = tuple(order)
         self.quota = read_int(quota, f"{agent}: quota", 1)
-        self._order_bits = tuple(map(self.bit.__getitem__, self.order))
+        self._order_bits = self.bits(self.order)
 
     def _select(self, menu):
         return _first_offered(self._order_bits, menu, self.quota)
@@ -510,19 +505,19 @@ def split_contract_id(cid: str) -> tuple[str, int]:
     raise ChoiceFunctionError(f"contract id {cid!r} must read trade@price")
 
 
-def _margin_order(priced, side: int, book, sign: int) -> tuple[tuple[int, int], ...]:
-    """(bit, its trade's mask) of each `side` contract whose margin, sign *
-    (price - book[trade]), is 0 or more, by (-margin, trade): a trade's best
-    offer is its first offered contract here, and a dropped one is never chosen."""
+def _margin_order(priced, book, sign: int) -> tuple[tuple[int, int], ...]:
+    """(position, the mask of all but its trade's) of each (position, trade,
+    price) row of one side whose margin, sign * (price - book[trade]), is 0 or
+    more, by (-margin, trade): a trade's first offered contract here is its best."""
     scored = sorted(
-        (-sign * (price - book[trade]), trade, b)
-        for b, trade, price in priced
-        if b & side and sign * (price - book[trade]) >= 0
+        (-sign * (price - book[trade]), trade, i)
+        for i, trade, price in priced
+        if sign * (price - book[trade]) >= 0
     )
-    trade_masks: dict[str, int] = {}
-    for _, trade, b in scored:
-        trade_masks[trade] = trade_masks.get(trade, 0) | b
-    return tuple((b, trade_masks[trade]) for _, trade, b in scored)
+    others: dict[str, int] = {}  # all bits set but those of the trade's listed contracts
+    for _, trade, i in scored:
+        others[trade] = others.get(trade, -1) ^ 1 << i
+    return tuple((i, others[trade]) for _, trade, i in scored)
 
 
 class ReservationChoice(ChoiceFunction):
@@ -535,9 +530,9 @@ class ReservationChoice(ChoiceFunction):
     sides never interact, which is what makes the family a clean, fully
     substitutable baseline for priced economies.
 
-    Each side's contracts are ordered once by (-margin, trade), less those of
-    negative margin; a menu walks each side's order once, taking the first
-    offered contract of each trade up to the side's capacity.
+    Each side's contract positions are ordered once by (-margin, trade), less
+    those of negative margin; a menu walks each side's order once, taking the
+    first offered contract of each trade up to the side's capacity.
     """
 
     family = "reservation"
@@ -551,29 +546,29 @@ class ReservationChoice(ChoiceFunction):
             None if cap is None else read_int(cap, f"{agent}: {name}", 1)
             for name, cap in (("capacity_buy", capacity_buy), ("capacity_sell", capacity_sell))
         )
-        try:  # (bit, trade, price) of each own contract
-            priced = [(self.bit[c], *split_contract_id(c)) for c in self.ids]
+        try:  # (position, trade, price) of each own contract, upstream then downstream
+            priced = [[(i, *split_contract_id(c)) for i, c in enumerate(self.ids) if c in side]
+                      for side in (self.upstream, self.downstream)]
         except ChoiceFunctionError:
             raise ChoiceFunctionError(f"{agent}: contract ids must read trade@price") from None
-        if {t for b, t, _ in priced if b & self.up_mask} - set(self.values):
-            raise ChoiceFunctionError(f"{agent}: missing buyer values")
-        if {t for b, t, _ in priced if b & self.down_mask} - set(self.costs):
-            raise ChoiceFunctionError(f"{agent}: missing seller costs")
+        books = {"buyer values": self.values, "seller costs": self.costs}
+        for rows, (what, book) in zip(priced, books.items()):
+            if {t for _, t, _ in rows} - set(book):
+                raise ChoiceFunctionError(f"{agent}: missing {what}")
         self._sides = tuple(
-            (_margin_order(priced, side, book, sign), len(self.ids) if cap is None else cap)
-            for side, book, sign, cap in (
-                (self.up_mask, self.values, -1, self.capacity_buy),
-                (self.down_mask, self.costs, 1, self.capacity_sell),
+            (_margin_order(rows, book, sign), len(self.ids) if cap is None else cap)
+            for rows, book, sign, cap in zip(
+                priced, (self.values, self.costs), (-1, 1), (self.capacity_buy, self.capacity_sell)
             )
         )
 
     def _select(self, menu):
         kept = 0
         for order, cap in self._sides:
-            for b, trade_mask in order:
-                if menu & b:
-                    kept |= b
-                    menu &= ~trade_mask  # one price per trade; the mask is this side's
+            for i, others in order:
+                if menu >> i & 1:
+                    kept |= 1 << i
+                    menu &= others  # one price per trade
                     cap -= 1
                     if not cap:
                         break

@@ -24,7 +24,7 @@ from .fixedpoint import (
     seller_optimal,
 )
 from .instances import Instance
-from .network import Contract, fields_json, sorted_ids, submasks, validate_network
+from .network import Contract, fields_json, sorted_ids, spread, submasks, validate_network
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,7 @@ def _check_consistent(old: ChoiceFunction, new: ChoiceFunction) -> None:
     axioms.check_size(old, "consistency")
     if not old.domain <= new.domain:
         raise PreconditionError(f"{new.agent}: replacement lost old contracts")
-    lifted = new.lift(old.ids)  # the replacement's mask of each old menu mask
+    lifted = spread(new.bits(old.ids))  # the replacement's mask of each old menu mask
     for menu in submasks(old.up_mask | old.down_mask):
         if lifted[old.choose_mask(menu)] != new.choose_mask(lifted[menu]):
             raise PreconditionError(

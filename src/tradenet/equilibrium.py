@@ -25,7 +25,7 @@ from .errors import (
 from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
 from .guards import SIZE_GUARD
 from .instances import Instance, build_choices
-from .network import fields_json, mask_bits, sorted_ids, submasks, validate_network
+from .network import fields_json, mask_bits, sorted_ids, spread, submasks, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
@@ -137,7 +137,7 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
         cf = priced.instance.choice[agent]
         axioms.check_size(cf, "feasibility")
         table = cf.menu_table()
-        trade_of = {cf.bit[cid]: split_contract_id(cid)[0] for cid in cf.ids}
+        trade_of = dict(zip(cf.bits(cf.ids), (split_contract_id(c)[0] for c in cf.ids)))
         witness = None
         for menu in submasks(cf.up_mask | cf.down_mask):
             seen: dict[str, int] = {}
@@ -160,7 +160,7 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
 
 def _always_kept(cf: ChoiceFunction, cid: str) -> bool:
     """The firm keeps `cid` from every menu that offers it: its rejected slice is 0."""
-    return not axioms._Slices.of(cf).rejected[cf.bit[cid].bit_length() - 1]
+    return not axioms._Slices.of(cf).rejected[cf.position[cid]]
 
 
 def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
@@ -205,14 +205,13 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
             f"trade {t.id} has {len(pool)}"
         )
 
-    buyer_menus, seller_menus = buyer_cf.lift(pool), seller_cf.lift(pool)
+    buyer_menus, seller_menus = spread(buyer_cf.bits(pool)), spread(seller_cf.bits(pool))
     buyer_table, seller_table = buyer_cf.menu_table(), seller_cf.menu_table()
     pool_menus = list(submasks((1 << len(pool)) - 1))
     for p in range(t.price_min, t.price_max):
-        low = contract_id(t.id, p)
-        high = contract_id(t.id, p + 1)
-        buy_low, buy_high = buyer_cf.bit[low], buyer_cf.bit[high]
-        sell_low, sell_high = seller_cf.bit[low], seller_cf.bit[high]
+        low, high = contract_id(t.id, p), contract_id(t.id, p + 1)
+        buy_low, buy_high = buyer_cf.bits((low, high))
+        sell_low, sell_high = seller_cf.bits((low, high))
         for menu in pool_menus:
             bm, sm = buyer_menus[menu], seller_menus[menu]
             if (
@@ -250,8 +249,7 @@ def _pm_witness(inst: Instance, t: Trade):
         axioms.check_size(cf, "price_monotonicity")
         table = cf.menu_table()
         for low, high in itertools.combinations(t.prices(), 2):
-            cheap = cf.bit[contract_id(t.id, low)]
-            dear = cf.bit[contract_id(t.id, high)]
+            cheap, dear = cf.bits((contract_id(t.id, low), contract_id(t.id, high)))
             bad = dear if role == "buyer" else cheap
             pair = cheap | dear
             for outcome in submasks((cf.up_mask | cf.down_mask) & ~pair):
@@ -367,10 +365,10 @@ def complete_prices(priced: PricedInstance, outcome, trace: PriceTrace) -> Arran
     priced by walking from its last rejected offer toward the proposing
     side's worse prices until both of its firms turn it down next to the
     realized contracts; running out of window means the completeness
-    conditions did not actually hold.
+    conditions did not actually hold.  Unknown contracts are refused.
     """
-    outcome = frozenset(outcome)
     inst = priced.instance
+    outcome = inst.known(outcome)
     realized: dict[str, int] = {}
     for cid in sorted(outcome):
         trade, price = split_contract_id(cid)

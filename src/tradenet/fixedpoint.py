@@ -243,10 +243,7 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     outcome's kept view, or builds one it does not keep, and converts the
     pair once, at return.
     """
-    outcome = frozenset(outcome)
-    if not outcome <= inst.contract_ids:  # refused whatever `check` says
-        unknown = sorted_ids(outcome - inst.contract_ids)
-        raise PreconditionError(f"outcome uses unknown contracts: {unknown}")
+    outcome = inst.known(outcome)  # refused whatever `check` says
     if check:
         verdict = is_acceptable(inst, outcome)
         if not verdict.stable:
@@ -297,9 +294,9 @@ def compare_terminal_superiority(inst: Instance, first, second) -> SuperiorityVe
     Seller-superior: every terminal seller keeps exactly the first outcome's
     contracts from the union, and every terminal buyer keeps the second's.
     Buyer-superior is the mirror image; two outcomes agreeing on every
-    terminal agent's contracts are equal.
+    terminal agent's contracts are equal.  Unknown contracts are refused.
     """
-    first, second = frozenset(first), frozenset(second)
+    first, second = inst.known(first), inst.known(second)
     part = inst.network.terminal_partition()
     for agent in sorted(part.terminal_agents):
         for outcome in (first, second):

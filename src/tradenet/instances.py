@@ -16,8 +16,8 @@ from importlib import resources
 from types import MappingProxyType
 
 from .choices import ChoiceFunction, build_family
-from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, mask_bits, sorted_ids, spread, validate_network
+from .errors import ChoiceFunctionError, InstanceFormatError, PreconditionError
+from .network import ContractNetwork, at_bits, mask_bits, sorted_ids, spread, validate_network
 
 INSTANCE_FIELDS = {"agents", "contracts", "choice_functions"}
 
@@ -62,6 +62,14 @@ class Instance:
     @property
     def contract_ids(self) -> frozenset[str]:
         return self.network.contract_ids
+
+    def known(self, outcome) -> frozenset[str]:
+        """`outcome` as a frozenset; one naming a contract the instance lacks is refused."""
+        outcome = frozenset(outcome)
+        if not outcome <= self.contract_ids:
+            unknown = sorted_ids(outcome - self.contract_ids)
+            raise PreconditionError(f"outcome uses unknown contracts: {unknown}")
+        return outcome
 
     def rejected_by_buyers(self, available_up, available_down) -> frozenset[str]:
         out: set[str] = set()
@@ -122,7 +130,7 @@ class Numbering:
         self.local = {}  # agent -> its local bit per position
         self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
         for cf in inst.choice.values():
-            self.local[cf.agent] = [cf.bit.get(c, 0) for c in self.ids]
+            self.local[cf.agent] = cf.bits(self.ids)
             for side, agents in ((cf.downstream, self.seller), (cf.upstream, self.buyer)):
                 for c in side:
                     agents[self.position[c]] = cf.agent
@@ -142,7 +150,7 @@ class Numbering:
         return sum(1 << self.position[c] for c in contracts if c in self.position)
 
     def names(self, mask: int) -> frozenset[str]:
-        return frozenset(self.ids[b.bit_length() - 1] for b in mask_bits(mask))
+        return frozenset(at_bits(self.ids, mask))
 
     def leq(self, p: int, q: int) -> bool:
         """`fixedpoint.pair_leq` on rows."""

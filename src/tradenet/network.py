@@ -248,6 +248,12 @@ def mask_bits(mask: int) -> list[int]:
     return out
 
 
+def at_bits(items, mask: int):
+    """The items whose index is a set bit of `mask`, in order: the binary
+    digits of `mask`, lowest first, select them."""
+    return itertools.compress(items, map("1".__eq__, bin(mask)[:1:-1]))
+
+
 def spread(bits) -> list[int]:
     """The OR of each subset of `bits`, indexed by subset mask (bit i of the
     index stands for the i-th of `bits`), by doubling."""

@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
-from .errors import GuardExceededError, PreconditionError, StabilityContradictionError
+from .errors import GuardExceededError, StabilityContradictionError
 from .guards import SET_GUARD, TRAIL_GUARD
 from .instances import Instance
 from .network import fields_json, sorted_ids
@@ -44,10 +44,7 @@ class StabilityVerdict:
 def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     """Every agent keeps all of its outcome contracts when offered just them;
     an outcome naming a contract the instance lacks is refused."""
-    outcome = frozenset(outcome)
-    if not outcome <= inst.contract_ids:
-        unknown = sorted_ids(outcome - inst.contract_ids)
-        raise PreconditionError(f"outcome uses unknown contracts: {unknown}")
+    outcome = inst.known(outcome)
     for agent in sorted(inst.network.agents):
         cf = inst.choice[agent]
         if not is_individually_rational(cf, outcome):

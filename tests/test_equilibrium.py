@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -303,6 +304,28 @@ def test_priced_checks_share_the_per_firm_guard():
     for check in (check_feasibility, check_cp, check_pm):
         with pytest.raises(GuardExceededError, match="agent [ab] has 17 contracts, guard is 16"):
             check(wide)
+
+
+def test_complete_prices_refuses_contracts_outside_the_economy():
+    priced = generate_priced_instance(0)
+    outcome, trace = price_adjustment(priced)
+    with pytest.raises(PreconditionError, match=r"unknown contracts: \['zz@1'\]"):
+        complete_prices(priced, outcome | {"zz@1"}, trace)
+
+
+def test_wide_price_window_loads_in_linear_memory():
+    # the peak of a one-trade economy's load roughly doubles with its price
+    # window: no contract costs a one-bit int as wide as the window
+    peaks = []
+    for prices in (10_000, 20_000):
+        raw = one_trade(lo=0, hi=prices - 1).to_json()
+        tracemalloc.start()
+        try:
+            build_priced(raw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] / peaks[0] < 2.5, peaks
 
 
 def test_price_adjustment_refuses_uncertified_instances():

@@ -487,6 +487,12 @@ def test_superiority_reflexive_and_terminal_blind(example2):
     assert compare_terminal_superiority(example2, {"z", "y"}, frozenset()).relation == "equal"
 
 
+def test_superiority_refuses_unknown_contracts(example1):
+    for first, second in (({"nope"}, set()), (set(), {"w", "nope"})):
+        with pytest.raises(PreconditionError, match=r"unknown contracts: \['nope'\]"):
+            compare_terminal_superiority(example1, first, second)
+
+
 def test_superiority_requires_terminal_rationality():
     inst = instance_from_json(
         {

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tradenet.errors import NetworkValidationError
-from tradenet.network import mask_bits, submasks, subsets, validate_network
+from tradenet.network import at_bits, mask_bits, submasks, subsets, validate_network
 
 
 def test_ring4_validates(ring4):
@@ -85,7 +85,9 @@ def reference_submasks(mask):
 def test_submasks_match_the_subsets_order():
     for mask in range(1 << 11):
         assert mask_bits(mask) == [1 << i for i in range(mask.bit_length()) if mask >> i & 1]
+        assert list(at_bits(range(11), mask)) == [i for i in range(11) if mask >> i & 1]
         assert list(submasks(mask)) == reference_submasks(mask), mask
+    assert list(at_bits("abc" * 100, 1 << 299 | 1 << 150 | 1)) == ["a", "a", "c"]
 
 
 def test_terminal_partition(ring4):

@@ -50,7 +50,7 @@ def literal_join_states(inst, rows):
         own = sorted(cf.ids, key=lambda c: (c not in at, c))  # assigned ones first
         k = sum(c in at for c in own)
         table: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-        for st in rows(cf, [cf.bit[c] for c in own]):
+        for st in rows(cf, [1 << cf.position[c] for c in own]):
             table.setdefault(st[:k], []).append(st[k:])
         key = [at[c] for c in own[:k]]
         partials = [p + e for p in partials for e in table.get(tuple(p[i] for i in key), ())]
@@ -209,7 +209,9 @@ def test_numbering_is_built_on_the_first_join_or_round(first):
     net = inst.network
     assert num.seller == [net.contract(c).seller for c in num.ids]
     assert num.buyer == [net.contract(c).buyer for c in num.ids]
-    assert num.local == {a: [cf.bit.get(c, 0) for c in num.ids] for a, cf in inst.choice.items()}
+    local = {a: [1 << cf.position[c] if c in cf.position else 0 for c in num.ids]
+             for a, cf in inst.choice.items()}
+    assert num.local == local
 
 
 def test_fixed_points_are_joined_once_per_instance(monkeypatch):
