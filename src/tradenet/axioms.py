@@ -79,7 +79,8 @@ class _Slices:
     a slice right by 2^j bytes (`8 << j` bits) puts the bigger menu's byte
     on the smaller one; masking with `lacks[j]` keeps the menus where that
     is a step.  Sums of slices stay byte-wise while no byte passes 255, and
-    every sum below stays under 160."""
+    every sum below stays under 160.  The priced checks ask them too, so only
+    this class reads the byte layout."""
 
     up_mask: int
     ones: int
@@ -178,6 +179,22 @@ class _Slices:
             if total & lacks << 7:
                 return True
         return False
+
+    def chooses_two(self, positions) -> bool:
+        """Some menu chooses two or more of the contracts at `positions`.
+
+        Byte m of `total` is 126 plus the count chosen from m, at most
+        SIZE_GUARD, so bit 7 is set exactly when the count is over 1."""
+        total = 126 * self.ones + sum(self.chosen[j] for j in positions)
+        return bool(total & self.ones << 7)
+
+    def chooses_beside(self, j: int, k: int) -> bool:
+        """Some menu holding contract k chooses contract j."""
+        return bool(self.chosen[j] & ~self.lacks[k])
+
+    def always_kept(self, j: int) -> bool:
+        """Contract j is chosen from every menu that holds it."""
+        return not self.rejected[j]
 
     def inseparable(self, table: list[int]):
         """Yield, in `subsets` order, each `given` alongside which some kept

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import axioms
-from .choices import ChoiceFunction, contract_id, is_rational, read_int, split_contract_id
+from .choices import contract_id, is_rational, read_int, split_contract_id
 from .errors import (
     ChoiceFunctionError,
     GuardExceededError,
@@ -131,36 +131,35 @@ def _build_priced(raw: dict) -> PricedInstance:
 
 
 def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
-    """No chosen set may carry two prices for one trade."""
+    """No chosen set may carry two prices for one trade.  The slices decide
+    it per trade (`_Slices.chooses_two`), and only a firm with a flagged
+    trade walks its menus, in `subsets` order, for the first witness."""
     out = []
     for agent in sorted(priced.instance.network.agents):
         cf = priced.instance.choice[agent]
         axioms.check_size(cf, "feasibility")
-        table = cf.menu_table()
-        trade_of = dict(zip(cf.bits(cf.ids), (split_contract_id(c)[0] for c in cf.ids)))
+        trades = [split_contract_id(c)[0] for c in cf.ids]
+        grids = [[j for j, u in enumerate(trades) if u == t] for t in set(trades)]
         witness = None
-        for menu in submasks(cf.up_mask | cf.down_mask):
-            seen: dict[str, int] = {}
-            for b in mask_bits(table[menu]):
-                trade = trade_of[b]
-                if trade in seen:
-                    witness = {
-                        "menu": axioms._names(cf, menu),
-                        "chosen": axioms._names(cf, table[menu]),
-                        "trade": trade,
-                        "contracts": axioms._names(cf, seen[trade] | b),
-                    }
+        if any(map(axioms._Slices.of(cf).chooses_two, grids)):
+            table, trade_of = cf.menu_table(), dict(zip(cf.bits(cf.ids), trades))
+            for menu in submasks(cf.up_mask | cf.down_mask):
+                seen: dict[str, int] = {}
+                for b in mask_bits(table[menu]):
+                    trade = trade_of[b]
+                    if trade in seen:
+                        witness = {
+                            "menu": axioms._names(cf, menu),
+                            "chosen": axioms._names(cf, table[menu]),
+                            "trade": trade,
+                            "contracts": axioms._names(cf, seen[trade] | b),
+                        }
+                        break
+                    seen[trade] = b
+                if witness:
                     break
-                seen[trade] = b
-            if witness:
-                break
         out.append(axioms.AxiomReport("feasibility", agent, witness is None, witness))
     return out
-
-
-def _always_kept(cf: ChoiceFunction, cid: str) -> bool:
-    """The firm keeps `cid` from every menu that offers it: its rejected slice is 0."""
-    return not axioms._Slices.of(cf).rejected[cf.position[cid]]
 
 
 def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
@@ -179,9 +178,9 @@ def check_cp(priced: PricedInstance) -> list[axioms.AxiomReport]:
         axioms.check_size(buyer_cf, "complete_prices")
         axioms.check_size(seller_cf, "complete_prices")
         grid = [contract_id(t.id, p) for p in t.prices()]
-        if not any(_always_kept(buyer_cf, cid) for cid in grid):
+        if not any(axioms._Slices.of(buyer_cf).always_kept(buyer_cf.position[c]) for c in grid):
             witness = {"condition": "buyer_floor_missing", "trade": t.id}
-        elif not any(_always_kept(seller_cf, cid) for cid in grid):
+        elif not any(axioms._Slices.of(seller_cf).always_kept(seller_cf.position[c]) for c in grid):
             witness = {"condition": "seller_ceiling_missing", "trade": t.id}
         else:
             witness = _cp3_witness(priced, t, buyer_cf, seller_cf)
@@ -232,7 +231,7 @@ def _cp3_witness(priced, t, buyer_cf, seller_cf):
 def check_pm(priced: PricedInstance) -> list[axioms.AxiomReport]:
     """Price monotonicity, one report per trade: alongside any outcome, the
     buyer never keeps the dearer of two same-trade contracts and the seller
-    never keeps the cheaper."""
+    never keeps the cheaper.  Only a violating price pair walks outcomes."""
     out = []
     for t in priced.trades:
         witness = _pm_witness(priced.instance, t)
@@ -243,23 +242,26 @@ def check_pm(priced: PricedInstance) -> list[axioms.AxiomReport]:
 def _pm_witness(inst: Instance, t: Trade):
     """First outcome beside which a firm keeps the wrong one of two prices:
     the buyer role first, then price pairs in order, then outcomes in the
-    subset order."""
+    subset order.  A pair violates exactly when some menu holding the other
+    price chooses the wrong one (`_Slices.chooses_beside`), so only the first
+    violating pair walks its outcomes, for the witness."""
     for role, agent in (("buyer", t.buyer), ("seller", t.seller)):
         cf = inst.choice[agent]
         axioms.check_size(cf, "price_monotonicity")
-        table = cf.menu_table()
+        slices = axioms._Slices.of(cf)
         for low, high in itertools.combinations(t.prices(), 2):
-            cheap, dear = cf.bits((contract_id(t.id, low), contract_id(t.id, high)))
-            bad = dear if role == "buyer" else cheap
-            pair = cheap | dear
-            for outcome in submasks((cf.up_mask | cf.down_mask) & ~pair):
-                if table[outcome | pair] & bad:
-                    return {
-                        "trade": t.id,
-                        "role": role,
-                        "prices": [low, high],
-                        "outcome": axioms._names(cf, outcome),
-                    }
+            cheap, dear = (cf.position[contract_id(t.id, p)] for p in (low, high))
+            bad, other = (dear, cheap) if role == "buyer" else (cheap, dear)
+            if slices.chooses_beside(bad, other):
+                table, pair = cf.menu_table(), 1 << cheap | 1 << dear
+                for outcome in submasks((cf.up_mask | cf.down_mask) & ~pair):
+                    if table[outcome | pair] >> bad & 1:
+                        return {
+                            "trade": t.id,
+                            "role": role,
+                            "prices": [low, high],
+                            "outcome": axioms._names(cf, outcome),
+                        }
     return None
 
 

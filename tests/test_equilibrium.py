@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from tradenet import axioms
+from tradenet import axioms, equilibrium
 from tradenet.choices import ChoiceFunction, PreferenceListChoice, contract_id, split_contract_id
 from tradenet.equilibrium import (
     Arrangement,
@@ -29,7 +29,7 @@ from tradenet.equilibrium import (
 from tradenet.errors import GuardExceededError, InstanceFormatError, PreconditionError
 from tradenet.fixedpoint import bottom_pair, iterate_from, top_pair
 from tradenet.instances import Instance
-from tradenet.network import sorted_ids, subsets, validate_network
+from tradenet.network import sorted_ids, submasks, subsets, validate_network
 from tradenet.oracle import generate_priced_instance
 
 
@@ -620,3 +620,82 @@ def test_priced_checks_read_only_the_menu_tables(monkeypatch):
         assert calls == [], seed
         for cf in priced.instance.choice.values():
             assert cf.query_count == 2 ** len(cf.domain), (seed, cf.agent)
+
+
+def test_holding_priced_checks_walk_no_menu(monkeypatch):
+    # feasibility and price monotonicity decide on the slices, so a check
+    # that holds never walks a menu, however many trades a firm chooses at once
+    walked = []
+
+    def counting_submasks(mask):
+        for menu in submasks(mask):
+            walked.append(menu)
+            yield menu
+
+    monkeypatch.setattr(equilibrium, "submasks", counting_submasks)
+    held = 0
+    for seed in range(20):
+        priced = build_priced(generate_priced_instance(seed).to_json())
+        for check in (check_feasibility, check_pm):
+            walked.clear()
+            if all(r.holds for r in check(priced)):
+                assert walked == [], (seed, check.__name__)
+                held += 1
+    assert held == 40
+
+
+def _grid_network(trades):
+    return validate_network({
+        "agents": sorted({t.seller for t in trades} | {t.buyer for t in trades}),
+        "contracts": [{"id": contract_id(t.id, p), "seller": t.seller, "buyer": t.buyer}
+                      for t in trades for p in t.prices()],
+    })
+
+
+def _wide_economies():
+    """Firms of 12 and 16 contracts: a one-trade reservation economy and a
+    reservation hub that hold every priced check, a seller whose only bad
+    price pair is the last one, and a hub whose only infeasible trade is its
+    last (with price-monotonicity violations on two other trades)."""
+    yield one_trade(value=6, cost=5, lo=0, hi=11)
+    hub_trades = [{"id": f"t{i}", "seller": "s", "buyer": "h", "price_min": 0, "price_max": 1}
+                  for i in range(1, 5)]
+    hub_trades += [{"id": f"t{i}", "seller": "h", "buyer": "b", "price_min": 0, "price_max": 1}
+                   for i in range(5, 9)]
+    yield build_priced({"trades": hub_trades, "choice_functions": [
+        {"agent": "s", "type": "reservation", "costs": {f"t{i}": 0 for i in range(1, 5)}},
+        {"agent": "h", "type": "reservation", "values": {f"t{i}": i for i in range(1, 5)},
+         "costs": {f"t{i}": 0 for i in range(5, 9)}, "capacity_buy": 3, "capacity_sell": 2},
+        {"agent": "b", "type": "reservation", "values": {f"t{i}": 1 for i in range(5, 9)}},
+    ]})
+    trade = Trade("t", "a", "b", 0, 11)
+    net = _grid_network([trade])
+    grid = sorted_ids(net.contract_ids)
+    yield PricedInstance((trade,), Instance(net, {
+        "a": PreferenceListChoice("a", (), grid, [("t@10",)]),
+        "b": PreferenceListChoice("b", grid, (), [("t@0",)]),
+    }))
+    trades = tuple(Trade(**t) for t in hub_trades)
+    net = _grid_network(trades)
+    ups, downs = sorted_ids(net.upstream["h"]), sorted_ids(net.downstream["h"])
+    yield PricedInstance(trades, Instance(net, {
+        "s": PreferenceListChoice("s", (), ups, [("t1@1", "t2@1")]),
+        "h": PreferenceListChoice("h", ups, downs, [
+            ("t1@0", "t5@1"), ("t2@0", "t8@0", "t8@1"), ("t3@1",)]),
+        "b": PreferenceListChoice("b", downs, (), [("t5@0", "t6@0")]),
+    }))
+
+
+def test_priced_checks_match_literal_definitions_on_12_to_16_contracts():
+    seen = set()
+    for where, priced in enumerate(_wide_economies()):
+        inst = priced.instance
+        assert max(len(cf.domain) for cf in inst.choice.values()) in (12, 16), where
+        feasibility = check_feasibility(priced)
+        pm = [_pm_witness(inst, t) for t in priced.trades]
+        assert feasibility == literal_feasibility(priced), where
+        assert pm == [literal_pm_witness(inst, t) for t in priced.trades], where
+        seen.update(("feasibility", r.holds, r.witness and r.witness["trade"]) for r in feasibility)
+        seen.update(("pm", w and (w["role"], w["trade"], *w["prices"])) for w in pm)
+    assert {("feasibility", True, None), ("feasibility", False, "t8"), ("pm", None),
+            ("pm", ("seller", "t", 10, 11)), ("pm", ("buyer", "t3", 0, 1))} <= seen, seen
