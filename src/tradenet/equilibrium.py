@@ -22,10 +22,10 @@ from .errors import (
     InstanceFormatError,
     PreconditionError,
 )
-from .fixedpoint import OfferPair, iterate_from, top_pair, bottom_pair
+from .fixedpoint import rounds
 from .guards import SIZE_GUARD
 from .instances import Instance, build_choices
-from .network import fields_json, mask_bits, sorted_ids, spread, submasks, validate_network
+from .network import at_bits, fields_json, mask_bits, sorted_ids, spread, submasks, validate_network
 
 PRICED_FIELDS = {"trades", "choice_functions"}
 TRADE_FIELDS = {"id", "seller", "buyer", "price_min", "price_max"}
@@ -309,7 +309,9 @@ def price_adjustment(
     climbs.  Each trade's recorded price is the currently offered one, or the
     price at which it was last offered and turned down.  The run ends at a
     fixed point whose outcome is the contract reading of the final offers.
-    An economy failing `check_priced_axioms` is refused before the run.
+    An economy failing `check_priced_axioms` is refused before the run.  The
+    rounds run on `fixedpoint.rounds` rows, with each grid id parsed once;
+    only each `PriceRound` holds frozensets.
     """
     if perspective not in ("buyer", "seller"):
         raise PreconditionError(f"unknown perspective {perspective!r}")
@@ -320,44 +322,40 @@ def price_adjustment(
             "feasibility, complete prices and price monotonicity",
             bad,
         )
-    inst = priced.instance
-    start = top_pair(inst) if perspective == "buyer" else bottom_pair(inst)
-    run = iterate_from(inst, start)
-    states = run.trace + (run.pair,)
-
-    def sides(p: OfferPair):  # (proposing side's set, responding side's set)
-        return (p.buyer_side, p.seller_side) if perspective == "buyer" else (
-            p.seller_side, p.buyer_side)
+    num = priced.instance.numbering
+    buyer = perspective == "buyer"
+    start = num.row(num.full, 0) if buyer else num.row(0, num.full)
+    # each state as (proposing side's mask, responding side's mask)
+    states = [num.sides(row)[:: 1 if buyer else -1] for row in rounds(num, start)]
+    states.append(states[-1])  # as the fixed point's own round, once more
+    grid = [split_contract_id(c) for c in num.ids]
 
     # a trade not offered yet stands at the proposing side's opening price
-    opening = {t.id: t.price_min if perspective == "buyer" else t.price_max for t in priced.trades}
+    opening = {t.id: t.price_min if buyer else t.price_max for t in priced.trades}
 
     # A state's successor is its response round (the fixed point answers
     # itself), so it already holds every firm's choice: the proposers' offers
     # are what they kept of their own side, the responders' keeps what they
     # kept of theirs, and the responders rejected everything else.
-    rounds: list[PriceRound] = []
+    trace: list[PriceRound] = []
     last_rejected: dict[str, int] = {}
-    prev_offers: frozenset[str] = frozenset()
-    for pair, nxt in zip(states, states[1:] + states[-1:]):
-        (own, other), (own_next, other_next) = sides(pair), sides(nxt)
-        offers, keeps = own & other_next, other & own_next
-        rejects = inst.contract_ids - own_next
-        for cid in sorted(prev_offers & rejects):
-            trade, price = split_contract_id(cid)
+    prev_offers = 0
+    for (own, other), (own_next, other_next) in zip(states, states[1:] + states[-1:]):
+        offers, keeps, rejects = own & other_next, other & own_next, num.full ^ own_next
+        for trade, price in at_bits(grid, prev_offers & rejects):
             last_rejected[trade] = price
         offered_now: dict[str, int] = {}
-        for cid in sorted(offers):
-            trade, price = split_contract_id(cid)
+        for trade, price in at_bits(grid, offers):
             if trade in offered_now:
                 raise PreconditionError(
                     f"two prices offered for trade {trade!r}; feasibility violated"
                 )
             offered_now[trade] = price
         prices = {t: offered_now.get(t, last_rejected.get(t, p)) for t, p in opening.items()}
-        rounds.append(PriceRound(offers, keeps, rejects, prices))
+        trace.append(PriceRound(*map(num.names, (offers, keeps, rejects)), prices))
         prev_offers = offers
-    return run.outcome, PriceTrace(perspective, tuple(rounds), last_rejected)
+    own, other = states[-1]
+    return num.names(own & other), PriceTrace(perspective, tuple(trace), last_rejected)
 
 
 def complete_prices(priced: PricedInstance, outcome, trace: PriceTrace) -> Arrangement:

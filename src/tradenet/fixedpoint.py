@@ -10,9 +10,9 @@ order (buyer side grows, seller side shrinks), so iterating from either
 lattice extreme converges; the outcomes read off the fixed points are exactly
 the outcomes no locally blocking trail can upset.
 Enumeration needs no isotonicity: it joins per-agent menu tables instead of
-scanning all 3^|X| side assignments.  Joins and rounds run on the instance's
-one `instances.Numbering` (contract i in sorted-id order is bit i), so a
-pair is one int inside and two contract sets at every public return.
+scanning all 3^|X| side assignments.  Joins, rounds and the terminal lattice
+run on the instance's one `instances.Numbering` (contract i in sorted-id order
+is bit i), so a pair is one int inside and two contract sets at every return.
 """
 
 from __future__ import annotations
@@ -65,20 +65,24 @@ def bottom_pair(inst: Instance) -> OfferPair:
     return OfferPair(frozenset(), inst.contract_ids)
 
 
-def _row(num: Numbering, pair: OfferPair) -> int:
-    return num.mask(pair.buyer_side) | num.mask(pair.seller_side) << num.n
+def _row(inst: Instance, pair: OfferPair) -> int:
+    """The pair's row; a pair naming contracts the instance lacks is refused."""
+    if not pair.buyer_side | pair.seller_side <= inst.contract_ids:
+        raise PreconditionError("offer pair names contracts the instance lacks")
+    num = inst.numbering
+    return num.row(num.mask(pair.buyer_side), num.mask(pair.seller_side))
 
 
 def _pair(num: Numbering, row: int) -> OfferPair:
-    return OfferPair(num.names(row & num.full), num.names(row >> num.n))
+    buyer, seller = num.sides(row)
+    return OfferPair(num.names(buyer), num.names(seller))
 
 
 def respond(inst: Instance, pair: OfferPair) -> OfferPair:
     """One simultaneous response round of all agents.  Each agent is asked
     once, for its seller-side sales and buyer-side purchases together, as a
-    menu mask; what it rejects of either side leaves the other side."""
-    num = inst.numbering
-    return _pair(num, num.respond(_row(num, pair)))
+    menu mask; what it rejects of either side leaves the other; unknown ids are refused."""
+    return _pair(inst.numbering, inst.numbering.respond(_row(inst, pair)))
 
 
 @dataclass(frozen=True)
@@ -100,48 +104,43 @@ class FixedPointResult:
         return out
 
 
-def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
-    """Repeated response rounds from a start comparable with its successor.
-
-    The rounds run on masks; the trace becomes offer pairs once, at the end.
-    It must stay monotone in a fixed direction and settle within 2|X| + 2
+def rounds(num: Numbering, row: int) -> list[int]:
+    """Response rounds from a row comparable with its successor, as rows: the
+    start, then each answer up to the fixed point, which is not repeated.
+    They must stay monotone in a fixed direction and settle within 2|X| + 2
     rounds (the order has no longer strictly monotone path); any breach is
     diagnosed as an axiom violation in the supplied choice functions rather
-    than silently looped over.  A start naming unknown contracts is refused.
-    """
-    if not start.buyer_side | start.seller_side <= inst.contract_ids:
-        raise PreconditionError("start pair names contracts the instance lacks")
-    num = inst.numbering
-    prev = _row(num, start)
-    cur = num.respond(prev)
-    ascending = num.leq(prev, cur)
-    if not ascending and not num.leq(cur, prev):
+    than silently looped over."""
+    cur = num.respond(row)
+    ascending = num.leq(row, cur)
+    if not ascending and not num.leq(cur, row):
         raise PreconditionError(
             "start pair is not comparable with its response; "
             "begin from the top or bottom pair"
         )
-    cap = 2 * num.n + 2
-    trace = [prev, cur]
-    steps = 1
-    while cur != prev:
-        if steps > cap:
+    cap, trace = 2 * num.n + 2, [row]
+    while cur != trace[-1]:
+        if len(trace) > cap:
             raise IterationDiagnosisError(
                 f"no fixed point within {cap} rounds; choice functions are "
                 "not fully substitutable and consistent"
             )
-        nxt = num.respond(cur)
-        ok = num.leq(cur, nxt) if ascending else num.leq(nxt, cur)
-        if not ok:
+        trace.append(cur)
+        cur = num.respond(cur)
+        if not (num.leq(trace[-1], cur) if ascending else num.leq(cur, trace[-1])):
             raise IterationDiagnosisError(
                 "response rounds left the monotone path; choice functions "
                 "are not fully substitutable and consistent"
             )
-        prev, cur = cur, nxt
-        trace.append(cur)
-        steps += 1
-    trace.pop()  # last entry repeats the fixed point
-    pairs = tuple(_pair(num, row) for row in trace)
-    return FixedPointResult(pairs[-1], pairs[-1].outcome, steps - 1, pairs)
+    return trace
+
+
+def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
+    """`rounds` from an offer pair, with the trace decoded into offer pairs
+    once, at the end.  A start naming unknown contracts is refused."""
+    trace = rounds(inst.numbering, _row(inst, start))
+    pairs = tuple(_pair(inst.numbering, row) for row in trace)
+    return FixedPointResult(pairs[-1], pairs[-1].outcome, len(pairs) - 1, pairs)
 
 
 def buyer_optimal(inst: Instance) -> FixedPointResult:
@@ -264,7 +263,7 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
                     reached |= 1 << j
                     nxt.append(j)
         frontier = nxt
-    return _pair(num, num.mask(outcome) | reached | (num.full ^ reached) << num.n)
+    return _pair(num, num.row(num.mask(outcome) | reached, num.full ^ reached))
 
 
 # ---------------------------------------------------------------------------
@@ -281,10 +280,11 @@ class SuperiorityVerdict:
 
 def prefers(inst: Instance, agent: str, preferred, other) -> bool:
     """The agent keeps exactly its `preferred` contracts from the union of
-    both outcomes.  Identical restrictions count as preferring either way."""
+    both outcomes.  Identical restrictions count as preferring either way.
+    Unknown contracts are refused."""
     cf = inst.choice[agent]
-    mine = frozenset(preferred) & cf.domain
-    theirs = frozenset(other) & cf.domain
+    mine = inst.known(preferred) & cf.domain
+    theirs = inst.known(other) & cf.domain
     return cf.choose(mine | theirs) == mine
 
 
@@ -349,56 +349,44 @@ class TerminalLattice:
         }
 
 
-def _project_terminal(pair: OfferPair, terminal_contracts) -> OfferPair:
-    return OfferPair(pair.buyer_side & terminal_contracts, pair.seller_side & terminal_contracts)
-
-
 def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattice:
     """Lattice of terminal projections of the fixed points.
 
     Requires full substitutability plus the aggregate demand/supply laws;
     without them the fixed points need not be closed under join and meet and
-    the construction is refused rather than computed on bad footing.
+    the construction is refused rather than computed on bad footing.  It runs
+    on rows, projected by a row mask of the terminal contracts and combined by
+    `Numbering.join` and `meet`; the elements become offer pairs at return.
     """
     if validate:
-        reports = [
-            r
-            for r in axioms.check_instance(inst, ("full_substitutability", "lad_las"))
-            if not r.holds
-        ]
-        if reports:
+        reports = axioms.check_instance(inst, ("full_substitutability", "lad_las"))
+        failed = [r for r in reports if not r.holds]
+        if failed:
             raise PreconditionError(
-                "terminal lattice needs full substitutability and the "
-                "aggregate demand/supply laws",
-                reports,
+                "terminal lattice needs full substitutability and the aggregate demand/supply laws",
+                failed,
             )
+    num = inst.numbering
     part = inst.network.terminal_partition()
-    terminal_contracts = frozenset(
-        cid
-        for a in part.terminal_agents
-        for cid in inst.choice[a].domain
-    )
-    fps = [r.pair for r in enumerate_fixed_points(inst)]
-    projections = sorted(
-        {
-            _project_terminal(canonical_pair(inst, outcome, check=False), terminal_contracts)
-            for outcome in fixed_point_outcomes(inst)
-        },
-        key=OfferPair.sort_key,
-    )
-
-    def canonical_inverse(proj: OfferPair) -> OfferPair:
-        below = [p for p in fps if pair_leq(_project_terminal(p, terminal_contracts), proj)]
-        return functools.reduce(pair_join, below)
-
-    index = {p: i for i, p in enumerate(projections)}
-    inverses = [canonical_inverse(p) for p in projections]
-    joins: dict[tuple[int, int], int] = {}
-    meets: dict[tuple[int, int], int] = {}
+    # a set: a contract between two terminal agents is in both domains
+    terminal = num.mask({c for a in part.terminal_agents for c in inst.choice[a].domain})
+    project = num.row(terminal, terminal)
+    fps = [_row(inst, r.pair) for r in enumerate_fixed_points(inst)]
+    projections = {
+        _row(inst, canonical_pair(inst, o, check=False)) & project
+        for o in fixed_point_outcomes(inst)
+    }
+    elements = sorted(((_pair(num, p), p) for p in projections), key=lambda e: e[0].sort_key())
+    index = {p: i for i, (_, p) in enumerate(elements)}
+    # the canonical inverse image: the join of the fixed points projecting below
+    inverses = [
+        functools.reduce(num.join, [f for f in fps if num.leq(f & project, p)])
+        for _, p in elements
+    ]
+    joins, meets = {}, {}  # (i, j) -> index of the join, of the meet
     for i, ci in enumerate(inverses):
         for j, cj in enumerate(inverses):
-            joined = _project_terminal(pair_join(ci, cj), terminal_contracts)
-            met = _project_terminal(pair_meet(ci, cj), terminal_contracts)
+            joined, met = num.join(ci, cj) & project, num.meet(ci, cj) & project
             if joined not in index or met not in index:
                 raise IterationDiagnosisError(
                     "terminal projections are not closed under join/meet; "
@@ -406,5 +394,5 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
                 )
             joins[(i, j)] = index[joined]
             meets[(i, j)] = index[met]
-    outcomes = tuple(p.outcome for p in projections)
-    return TerminalLattice(tuple(projections), outcomes, joins, meets)
+    pairs = tuple(pair for pair, _ in elements)
+    return TerminalLattice(pairs, tuple(p.outcome for p in pairs), joins, meets)

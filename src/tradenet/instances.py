@@ -106,6 +106,8 @@ class Numbering:
     """The instance's one contract numbering: contract i, in sorted-id order,
     is position i and bit i of an instance mask; an offer pair is one int,
     its row `buyer | seller << n`, the form of a `fixedpoint.join_states` row.
+    Only this class lays rows out: `row` builds one from side masks, `sides`
+    splits it, and `leq`, `join` and `meet` are the `fixedpoint.pair_*` on rows.
 
     `seller[i]` and `buyer[i]` are contract i's agents, and `local[a][i]` its
     bit in agent a's own numbering (0 where a does not hold it).  An agent's
@@ -146,15 +148,26 @@ class Numbering:
         self.views = {}  # acceptable outcome -> its FreshView
 
     def mask(self, contracts) -> int:
-        """The instance mask of a contract set; ids the instance lacks add nothing."""
-        return sum(1 << self.position[c] for c in contracts if c in self.position)
+        """The instance mask of a set of the instance's contracts."""
+        return sum(1 << self.position[c] for c in contracts)
 
     def names(self, mask: int) -> frozenset[str]:
         return frozenset(at_bits(self.ids, mask))
 
-    def leq(self, p: int, q: int) -> bool:
-        """`fixedpoint.pair_leq` on rows."""
+    def row(self, buyer: int, seller: int) -> int:
+        return buyer | seller << self.n
+
+    def sides(self, row: int) -> tuple[int, int]:  # buyer side, seller side
+        return row & self.full, row >> self.n
+
+    def leq(self, p: int, q: int) -> bool:  # `fixedpoint.pair_leq` on rows
         return not (p & ~q & self.full or (q & ~p) >> self.n)
+
+    def join(self, p: int, q: int) -> int:  # `fixedpoint.pair_join` on rows
+        return (p | q) & self.full | p & q & ~self.full
+
+    def meet(self, p: int, q: int) -> int:  # `fixedpoint.pair_meet` on rows
+        return p & q & self.full | (p | q) & ~self.full
 
     def respond(self, row: int) -> int:
         """`fixedpoint.respond` on a row."""

@@ -11,6 +11,8 @@ from tradenet.choices import ChoiceFunction, PreferenceListChoice, contract_id, 
 from tradenet.equilibrium import (
     Arrangement,
     PricedInstance,
+    PriceRound,
+    PriceTrace,
     Trade,
     _cp3_witness,
     _pm_witness,
@@ -385,6 +387,54 @@ def test_price_rounds_match_firm_by_firm_choices():
                 ), (seed, perspective)
                 rounds += 1
     assert rounds > 1000
+
+
+def literal_price_adjustment(priced, perspective):
+    """The frozenset price rounds: each state of `iterate_from`'s trace, the
+    fixed point paired with itself once more, read through set algebra and
+    `split_contract_id` on sorted ids."""
+    inst = priced.instance
+    start = top_pair(inst) if perspective == "buyer" else bottom_pair(inst)
+    run = iterate_from(inst, start)
+    states = run.trace + (run.pair,)
+
+    def sides(p):  # (proposing side's set, responding side's set)
+        return (p.buyer_side, p.seller_side) if perspective == "buyer" else (
+            p.seller_side, p.buyer_side)
+
+    opening = {t.id: t.price_min if perspective == "buyer" else t.price_max for t in priced.trades}
+    rounds, last_rejected, prev_offers = [], {}, frozenset()
+    for pair, nxt in zip(states, states[1:] + states[-1:]):
+        (own, other), (own_next, other_next) = sides(pair), sides(nxt)
+        offers, keeps = own & other_next, other & own_next
+        rejects = inst.contract_ids - own_next
+        for cid in sorted(prev_offers & rejects):
+            trade, price = split_contract_id(cid)
+            last_rejected[trade] = price
+        offered_now = {}
+        for cid in sorted(offers):
+            trade, price = split_contract_id(cid)
+            assert trade not in offered_now
+            offered_now[trade] = price
+        prices = {t: offered_now.get(t, last_rejected.get(t, p)) for t, p in opening.items()}
+        rounds.append(PriceRound(offers, keeps, rejects, prices))
+        prev_offers = offers
+    return run.outcome, PriceTrace(perspective, tuple(rounds), last_rejected)
+
+
+def test_price_adjustment_matches_the_frozenset_rounds():
+    multi_trade = 0
+    for seed in range(100):
+        priced = generate_priced_instance(seed)
+        multi_trade += len(priced.trades) > 1
+        for perspective in ("buyer", "seller"):
+            outcome, trace = price_adjustment(priced, perspective)
+            fresh = build_priced(priced.to_json())
+            literal_outcome, literal = literal_price_adjustment(fresh, perspective)
+            assert outcome == literal_outcome, (seed, perspective)
+            assert trace == literal, (seed, perspective)
+            assert trace.to_json() == literal.to_json(), (seed, perspective)
+    assert multi_trade > 50
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from tradenet.errors import GuardExceededError, IterationDiagnosisError, Precond
 from tradenet.fixedpoint import (
     FixedPointResult,
     OfferPair,
+    TerminalLattice,
     bottom_pair,
     buyer_optimal,
     canonical_pair,
@@ -493,6 +495,16 @@ def test_superiority_refuses_unknown_contracts(example1):
             compare_terminal_superiority(example1, first, second)
 
 
+def test_round_and_preference_refuse_unknown_contracts(example1):
+    # both once read past the unknown id: the round answered as if it were
+    # absent, and `prefers` said yes
+    with pytest.raises(PreconditionError, match="lacks"):
+        respond(example1, OfferPair(frozenset({"nope", "x"}), frozenset({"y"})))
+    for preferred, other in (({"nope"}, set()), (set(), {"w", "nope"})):
+        with pytest.raises(PreconditionError, match=r"unknown contracts: \['nope'\]"):
+            prefers(example1, "i", preferred, other)
+
+
 def test_superiority_requires_terminal_rationality():
     inst = instance_from_json(
         {
@@ -667,6 +679,57 @@ def test_terminal_lattice_of_crossed_market(crossed_market):
         "joins": {"0,0": 0, "0,1": 0, "1,0": 0, "1,1": 1},
         "meets": {"0,0": 0, "0,1": 1, "1,0": 1, "1,1": 1},
     }
+
+
+def _project_terminal(pair, terminal_contracts):
+    return OfferPair(pair.buyer_side & terminal_contracts, pair.seller_side & terminal_contracts)
+
+
+def literal_terminal_lattice(inst):
+    """The frozenset lattice: projections, canonical inverses and the join
+    and meet table, on offer pairs."""
+    part = inst.network.terminal_partition()
+    terminal_contracts = frozenset(
+        cid for a in part.terminal_agents for cid in inst.choice[a].domain
+    )
+    fps = [r.pair for r in enumerate_fixed_points(inst)]
+    projections = sorted(
+        {
+            _project_terminal(canonical_pair(inst, outcome, check=False), terminal_contracts)
+            for outcome in fixed_point_outcomes(inst)
+        },
+        key=OfferPair.sort_key,
+    )
+
+    def canonical_inverse(proj):
+        below = [p for p in fps if pair_leq(_project_terminal(p, terminal_contracts), proj)]
+        return functools.reduce(pair_join, below)
+
+    index = {p: i for i, p in enumerate(projections)}
+    inverses = [canonical_inverse(p) for p in projections]
+    joins, meets = {}, {}
+    for i, ci in enumerate(inverses):
+        for j, cj in enumerate(inverses):
+            joins[(i, j)] = index[_project_terminal(pair_join(ci, cj), terminal_contracts)]
+            meets[(i, j)] = index[_project_terminal(pair_meet(ci, cj), terminal_contracts)]
+    outcomes = tuple(p.outcome for p in projections)
+    return TerminalLattice(tuple(projections), outcomes, joins, meets)
+
+
+def test_terminal_lattice_matches_the_frozenset_lattice(crossed_market):
+    corpus = (
+        [generate_instance(seed, "ladlas").instance for seed in range(100)]
+        + [crossed_market]
+        + [bundled_instance(name) for name in BUNDLED]
+    )
+    wider = 0
+    for inst in corpus:
+        literal = literal_terminal_lattice(instance_from_json(inst.to_json()))
+        lattice = terminal_lattice(inst, validate=False)
+        assert lattice == literal
+        assert lattice.to_json() == literal.to_json()
+        wider += len(lattice.elements) > 1
+    assert wider >= 3  # some tables have more than one entry
 
 
 def test_terminal_lattice_precondition_reported():

@@ -259,7 +259,6 @@ def test_iteration_refuses_a_start_naming_unknown_contracts(example1):
     start = top_pair(example1)
     with pytest.raises(PreconditionError, match="lacks"):
         iterate_from(example1, OfferPair(start.buyer_side | {"nowhere"}, start.seller_side))
-    # the round itself reads only the instance's contracts, as before
-    assert respond(example1, OfferPair(start.buyer_side | {"nowhere"}, frozenset())) == (
-        respond(example1, start)
-    )
+    # the round refuses such a pair too, where it once read past the unknown id
+    with pytest.raises(PreconditionError, match="lacks"):
+        respond(example1, OfferPair(start.buyer_side | {"nowhere"}, frozenset()))
