@@ -36,9 +36,6 @@ from .fixedpoint import (
     enumerate_fixed_points,
     fixed_point_outcomes,
     iterate_from,
-    pair_join,
-    pair_leq,
-    pair_meet,
     respond,
     seller_optimal,
     terminal_lattice,

@@ -5,11 +5,10 @@ subset.  Contracts that do not involve the agent are silently dropped before
 evaluation.  Inside, a menu is an int mask: contract i of a function's
 sorted-id domain is at `position` i and is bit i, every family's selector
 takes and returns masks (`choose_mask`), and `choose` is the frozenset
-boundary around it.  Evaluation is pure and memoized in one cache keyed by
-menu mask (the cache never changes an observable result, it only speeds up
-the exhaustive searches that hammer the same menus).
-`menu_table` is the one tabulation of every menu, read by each layer that
-quantifies over all of an agent's menus.
+boundary around it.  Evaluation is pure and memoized in one store (the memo
+never changes an observable result, it only speeds up the exhaustive
+searches that hammer the same menus): a dict of the menus asked, until
+`menu_table` tabulates every menu; that table is then the memo.
 
 Side conventions follow the rest of the library: *upstream* contracts are the
 ones the agent buys, *downstream* the ones it sells.
@@ -38,8 +37,7 @@ class ChoiceFunction:
         self.ids = sorted_ids(self.domain)
         self.position = {c: i for i, c in enumerate(self.ids)}
         self.up_mask, self.down_mask = self.mask(self.upstream), self.mask(self.downstream)
-        self._cache: dict[int, int] = {}
-        self._menu_table: list[int] | None = None
+        self._memo: dict[int, int] | list[int] = {}  # the menu table once filled
         self._slices = None  # the table cut into `axioms._Slices`, built once by `_Slices.of`
 
     def mask(self, contracts) -> int:
@@ -61,34 +59,41 @@ class ChoiceFunction:
 
     def choose_mask(self, menu: int) -> int:
         """The chosen mask from a menu mask over the agent's domain."""
-        hit = self._cache.get(menu)
+        memo = self._memo
+        if memo.__class__ is list:
+            return memo[menu]
+        hit = memo.get(menu)
         if hit is None:
             hit = self._select(menu)
             if hit & ~menu:
-                raise ChoiceFunctionError(
-                    f"{self.agent}: evaluator chose contracts outside the menu"
-                )
-            self._cache[menu] = hit
+                self._overreach()
+            memo[menu] = hit
         return hit
 
     def _select(self, menu: int) -> int:
         raise NotImplementedError
+
+    def _overreach(self):
+        raise ChoiceFunctionError(f"{self.agent}: evaluator chose contracts outside the menu")
 
     def menu_table(self) -> list[int]:
         """The chosen mask of every menu, indexed by menu mask.
 
         Filled in full on the first call, since every reader (the axiom
         validators, fixed-point enumeration, the priced checks) visits all
-        2^|domain| menus, and kept on the function.  Searches that may stop
-        early ask `choose_mask`, whose per-menu cache is the lazy layer."""
-        if self._menu_table is None:
-            self._menu_table = [self.choose_mask(m) for m in range(1 << len(self.ids))]
-        return self._menu_table
+        2^|domain| menus, and kept as the function's memo in place of the
+        dict that `choose_mask` fills for searches that may stop early."""
+        if self._memo.__class__ is dict:
+            table = list(map(self._select, range(1 << len(self.ids))))
+            if any(chosen & ~menu for menu, chosen in enumerate(table)):
+                self._overreach()
+            self._memo = table
+        return self._memo
 
     @property
     def query_count(self) -> int:
         """Number of distinct menus evaluated so far (oracle-call counter)."""
-        return len(self._cache)
+        return len(self._memo)
 
     # -- conditioned choice and rejection maps ------------------------------
 

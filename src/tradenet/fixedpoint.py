@@ -44,19 +44,6 @@ class OfferPair:
         return (sorted(self.buyer_side), sorted(self.seller_side))
 
 
-def pair_leq(p: OfferPair, q: OfferPair) -> bool:
-    """Order with buyers up: smaller means fewer buyer options, more seller ones."""
-    return p.buyer_side <= q.buyer_side and p.seller_side >= q.seller_side
-
-
-def pair_join(p: OfferPair, q: OfferPair) -> OfferPair:
-    return OfferPair(p.buyer_side | q.buyer_side, p.seller_side & q.seller_side)
-
-
-def pair_meet(p: OfferPair, q: OfferPair) -> OfferPair:
-    return OfferPair(p.buyer_side & q.buyer_side, p.seller_side | q.seller_side)
-
-
 def top_pair(inst: Instance) -> OfferPair:
     return OfferPair(inst.contract_ids, frozenset())
 
@@ -191,6 +178,28 @@ def _side_states(cf, lift, n):
         yield lift[kept | everything ^ seller_only] | lift[kept | seller_only] << n
 
 
+def _fixed_point_rows(inst: Instance) -> tuple[int, ...]:
+    """The fixed points' rows, in `OfferPair.sort_key` order: joined on the
+    instance's first call, each confirmed by one response round, and kept on
+    its numbering.  Instances over ENUMERATION_GUARD contracts are refused
+    before any numbering is built or menu asked."""
+    if len(inst.contract_ids) > ENUMERATION_GUARD:
+        raise GuardExceededError(
+            f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
+            f"instance has {len(inst.contract_ids)}"
+        )
+    num = inst.numbering
+    if num.fixed_points is None:
+        rows = join_states(inst, _side_states)
+        if any(num.respond(row) != row for row in rows):
+            raise IterationDiagnosisError(
+                "menu tables joined into a pair that is not a fixed point; "
+                "a choice function answers the same menu inconsistently"
+            )
+        num.fixed_points = tuple(sorted(rows, key=num.order))
+    return num.fixed_points
+
+
 def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     """All fixed points, by joining one menu table per agent.
 
@@ -199,38 +208,22 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     agent faces fixes the state of each of its contracts: buyer side, seller
     side or both.  Each agent's rows are read off its menu table,
     `join_states` keeps the assignments on which every seller and buyer
-    agree, and one response round confirms each.  The results are joined on
-    the instance's first call and kept on its numbering; each call returns a
-    new list.  Instances over ENUMERATION_GUARD contracts are refused before
-    any menu is asked.
+    agree, and one response round confirms each.  The rows are kept, and
+    each call decodes them into a new list.  Instances over
+    ENUMERATION_GUARD contracts are refused before any menu is asked.
     """
-    if len(inst.contract_ids) > ENUMERATION_GUARD:
-        raise GuardExceededError(
-            f"fixed-point enumeration guard is {ENUMERATION_GUARD} contracts, "
-            f"instance has {len(inst.contract_ids)}"
-        )
-    num = inst.numbering
-    if num.fixed_points is None:
-        out = []
-        for row in join_states(inst, _side_states):
-            if num.respond(row) != row:
-                raise IterationDiagnosisError(
-                    "menu tables joined into a pair that is not a fixed point; "
-                    "a choice function answers the same menu inconsistently"
-                )
-            pair = _pair(num, row)
-            out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
-        out.sort(key=lambda r: r.pair.sort_key())
-        num.fixed_points = tuple(out)
-    return list(num.fixed_points)
+    pairs = [_pair(inst.numbering, row) for row in _fixed_point_rows(inst)]
+    return [FixedPointResult(p, p.outcome, 0, (p,)) for p in pairs]
 
 
 def fixed_point_outcomes(inst: Instance) -> list[frozenset[str]]:
     """Distinct outcomes of the fixed points, ordered by sorted ids."""
-    return sorted({r.outcome for r in enumerate_fixed_points(inst)}, key=sorted_ids)
+    rows = _fixed_point_rows(inst)
+    num = inst.numbering
+    return sorted(map(num.names, {b & s for b, s in map(num.sides, rows)}), key=sorted_ids)
 
 
-def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
+def canonical_pair(inst: Instance, outcome) -> OfferPair:
     """The fixed point carrying a given locally-unblockable outcome.
 
     A non-outcome contract goes to the buyer side when some trail of
@@ -238,18 +231,22 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
     seller alongside the outcome and every consecutive pair kept by the
     linking agent; everything else goes to the seller side.  Reachability by
     walks equals reachability by trails here (repeats can be cut out without
-    breaking the consecutive conditions), so a closure suffices; it reads the
-    outcome's kept view, or builds one it does not keep, and converts the
-    pair once, at return.
+    breaking the consecutive conditions), so a closure suffices.  An outcome
+    naming unknown contracts, or not fully trail-stable, is refused; the
+    row of `_canonical_row` is decoded once, at return.
     """
-    outcome = inst.known(outcome)  # refused whatever `check` says
-    if check:
-        verdict = is_acceptable(inst, outcome)
-        if not verdict.stable:
-            raise PreconditionError("outcome is not acceptable")
-        verdict = find_locally_blocking_trail(inst, outcome)
-        if not verdict.stable:
-            raise PreconditionError("outcome has a locally blocking trail")
+    outcome = inst.known(outcome)
+    if not is_acceptable(inst, outcome).stable:
+        raise PreconditionError("outcome is not acceptable")
+    if not find_locally_blocking_trail(inst, outcome).stable:
+        raise PreconditionError("outcome has a locally blocking trail")
+    return _pair(inst.numbering, _canonical_row(inst, outcome))
+
+
+def _canonical_row(inst: Instance, outcome: frozenset[str]) -> int:
+    """`canonical_pair`'s closure as a row, unchecked: `outcome` must be a
+    fully trail-stable outcome of the instance.  It reads the outcome's kept
+    view, or builds one it does not keep."""
     num = inst.numbering
     view = num.views.get(outcome) or FreshView(inst, outcome)
     frontier = [i for i in view.fresh if view.first_kept((i,))]
@@ -263,7 +260,7 @@ def canonical_pair(inst: Instance, outcome, *, check: bool = True) -> OfferPair:
                     reached |= 1 << j
                     nxt.append(j)
         frontier = nxt
-    return _pair(num, num.row(num.mask(outcome) | reached, num.full ^ reached))
+    return num.row(num.mask(outcome) | reached, num.full ^ reached)
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +368,14 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
     # a set: a contract between two terminal agents is in both domains
     terminal = num.mask({c for a in part.terminal_agents for c in inst.choice[a].domain})
     project = num.row(terminal, terminal)
-    fps = [_row(inst, r.pair) for r in enumerate_fixed_points(inst)]
-    projections = {
-        _row(inst, canonical_pair(inst, o, check=False)) & project
-        for o in fixed_point_outcomes(inst)
-    }
-    elements = sorted(((_pair(num, p), p) for p in projections), key=lambda e: e[0].sort_key())
-    index = {p: i for i, (_, p) in enumerate(elements)}
+    fps = _fixed_point_rows(inst)
+    projections = {_canonical_row(inst, o) & project for o in fixed_point_outcomes(inst)}
+    elements = sorted(projections, key=num.order)
+    index = {p: i for i, p in enumerate(elements)}
     # the canonical inverse image: the join of the fixed points projecting below
     inverses = [
         functools.reduce(num.join, [f for f in fps if num.leq(f & project, p)])
-        for _, p in elements
+        for p in elements
     ]
     joins, meets = {}, {}  # (i, j) -> index of the join, of the meet
     for i, ci in enumerate(inverses):
@@ -394,5 +388,5 @@ def terminal_lattice(inst: Instance, *, validate: bool = True) -> TerminalLattic
                 )
             joins[(i, j)] = index[joined]
             meets[(i, j)] = index[met]
-    pairs = tuple(pair for pair, _ in elements)
+    pairs = tuple(_pair(num, p) for p in elements)
     return TerminalLattice(pairs, tuple(p.outcome for p in pairs), joins, meets)

@@ -107,7 +107,7 @@ class Numbering:
     is position i and bit i of an instance mask; an offer pair is one int,
     its row `buyer | seller << n`, the form of a `fixedpoint.join_states` row.
     Only this class lays rows out: `row` builds one from side masks, `sides`
-    splits it, and `leq`, `join` and `meet` are the `fixedpoint.pair_*` on rows.
+    splits it, and `leq`, `join`, `meet` and `order` compare and combine rows.
 
     `seller[i]` and `buyer[i]` are contract i's agents, and `local[a][i]` its
     bit in agent a's own numbering (0 where a does not hold it).  An agent's
@@ -116,8 +116,8 @@ class Numbering:
     the `_byte_tables` of its bits in each byte (shared by every agent with
     that pattern).  It also keeps what is derived on it, each filled by its
     one reader after that reader's guard: the `acceptable` outcomes
-    (`oracle.acceptable_outcomes`), the `fixed_points`
-    (`fixedpoint.enumerate_fixed_points`) and the `views` of the acceptable
+    (`oracle.acceptable_outcomes`), the rows of the `fixed_points`
+    (`fixedpoint._fixed_point_rows`) and the `views` of the acceptable
     outcomes checked so far (`stability._fresh`)."""
 
     __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "local", "agents",
@@ -160,13 +160,16 @@ class Numbering:
     def sides(self, row: int) -> tuple[int, int]:  # buyer side, seller side
         return row & self.full, row >> self.n
 
-    def leq(self, p: int, q: int) -> bool:  # `fixedpoint.pair_leq` on rows
+    def order(self, row: int) -> tuple:  # sorts rows as `OfferPair.sort_key` sorts their pairs
+        return mask_bits(row & self.full), mask_bits(row >> self.n)
+
+    def leq(self, p: int, q: int) -> bool:  # p's buyer side within q's, seller side around it
         return not (p & ~q & self.full or (q & ~p) >> self.n)
 
-    def join(self, p: int, q: int) -> int:  # `fixedpoint.pair_join` on rows
+    def join(self, p: int, q: int) -> int:  # the buyer sides united, the seller sides met
         return (p | q) & self.full | p & q & ~self.full
 
-    def meet(self, p: int, q: int) -> int:  # `fixedpoint.pair_meet` on rows
+    def meet(self, p: int, q: int) -> int:  # the buyer sides met, the seller sides united
         return p & q & self.full | (p | q) & ~self.full
 
     def respond(self, row: int) -> int:

@@ -25,8 +25,6 @@ from tradenet.fixedpoint import (
     compare_terminal_superiority,
     enumerate_fixed_points,
     fixed_point_outcomes,
-    pair_join,
-    pair_meet,
     seller_optimal,
 )
 from tradenet.instances import bundled_instance
@@ -47,6 +45,8 @@ from tradenet.stability import (
     find_locally_blocking_trail,
 )
 from tradenet.axioms import check_separability
+
+from literal import pair_join, pair_meet
 
 CORPUS_PLAN = (("fsirc", 80), ("separable", 50), ("simple", 35), ("acyclic", 35))
 

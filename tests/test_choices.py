@@ -500,6 +500,19 @@ def test_mask_selectors_match_literal_selectors(unrestricted_instance):
     assert families == set(LITERAL)
 
 
+def test_a_filled_table_is_the_one_memo(unrestricted_instance):
+    # menus asked before the fill are not kept twice: afterwards the function
+    # holds the table and no dict keyed by menu
+    for cf in _selector_corpus(unrestricted_instance):
+        cf.choose_mask(0)
+        table = cf.menu_table()
+        memos = [v for v in vars(cf).values() if isinstance(v, dict) and 0 in v]
+        assert memos == [], cf.to_json()
+        assert cf.query_count == 2 ** len(cf.domain), cf.to_json()
+        assert all(cf.choose_mask(m) == chosen for m, chosen in enumerate(table)), cf.to_json()
+        assert cf.query_count == 2 ** len(cf.domain), cf.to_json()
+
+
 def test_choose_is_a_conversion_around_choose_mask(unrestricted_instance):
     # one memo: a menu asked again, through either door or with foreign
     # contracts alongside, evaluates nothing new
@@ -538,6 +551,12 @@ def test_choose_rejects_contracts_outside_the_menu():
     with pytest.raises(ChoiceFunctionError, match="outside the menu"):
         beyond.choose({"a", "b"})
     assert beyond.query_count == 0
+    # the fill refuses the same answer and keeps no table
+    for cf in (Overreach("f", {"a"}, {"b"}, extra=0b10), beyond):
+        for _ in range(2):
+            with pytest.raises(ChoiceFunctionError, match="outside the menu"):
+                cf.menu_table()
+            assert cf.query_count == 0
 
 
 def test_masks_number_the_domain_in_id_order():

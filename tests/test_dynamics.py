@@ -16,10 +16,12 @@ from tradenet.dynamics import (
     rural_hospitals_check,
 )
 from tradenet.errors import GuardExceededError, PreconditionError
-from tradenet.fixedpoint import buyer_optimal, pair_leq, seller_optimal
+from tradenet.fixedpoint import buyer_optimal, seller_optimal
 from tradenet.instances import instance_from_json
 from tradenet.network import sorted_ids, subsets
 from tradenet.oracle import generate_entry_scenario, generate_instance
+
+from literal import pair_leq
 
 
 def _example2_entry(example2):

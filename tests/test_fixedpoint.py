@@ -12,6 +12,8 @@ from tradenet.fixedpoint import (
     FixedPointResult,
     OfferPair,
     TerminalLattice,
+    _canonical_row,
+    _pair,
     bottom_pair,
     buyer_optimal,
     canonical_pair,
@@ -19,9 +21,6 @@ from tradenet.fixedpoint import (
     enumerate_fixed_points,
     fixed_point_outcomes,
     iterate_from,
-    pair_join,
-    pair_leq,
-    pair_meet,
     prefers,
     respond,
     seller_optimal,
@@ -31,6 +30,8 @@ from tradenet.fixedpoint import (
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.oracle import PROFILES, brute_force_stable, generate_instance
 from tradenet.stability import FreshView
+
+from literal import menus_asked, pair_join, pair_leq, pair_meet
 
 
 def test_respond_from_top_keeps_buyer_side_full(example1):
@@ -363,18 +364,17 @@ def test_canonical_pair_requires_full_trail_stability(example2):
         canonical_pair(example2, {"x"})
 
 
-def test_canonical_pair_refuses_unknown_contracts_whether_checked_or_not(example1):
+def test_canonical_pair_refuses_unknown_contracts(example1):
     outcome = fixed_point_outcomes(example1)[0] | {"nope"}
-    for check in (True, False):
-        with pytest.raises(PreconditionError, match=r"unknown contracts: \['nope'\]"):
-            canonical_pair(example1, outcome, check=check)
+    with pytest.raises(PreconditionError, match=r"unknown contracts: \['nope'\]"):
+        canonical_pair(example1, outcome)
 
 
 def test_unchecked_canonical_pair_keeps_no_view():
     for name in BUNDLED:
         inst = bundled_instance(name)
         for outcome in fixed_point_outcomes(inst):
-            canonical_pair(inst, outcome, check=False)
+            _canonical_row(inst, outcome)
         assert inst.numbering.views == {}
 
 
@@ -415,7 +415,7 @@ def test_canonical_pair_round_trip_on_generated_instances():
     for seed in range(12):
         inst = generate_instance(seed, "fsirc").instance
         for res in enumerate_fixed_points(inst):
-            again = canonical_pair(inst, res.outcome, check=False)
+            again = canonical_pair(inst, res.outcome)
             assert respond(inst, again) == again
             assert again.outcome == res.outcome
 
@@ -459,11 +459,10 @@ def test_canonical_pair_matches_the_id_closure(unrestricted_instance):
     for inst in corpus:
         for outcome in brute_force_stable(inst, "full_trail"):
             fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
-            assert canonical_pair(fresh, outcome, check=False) == reference_canonical_pair(
-                literal, outcome
-            )
+            row = _canonical_row(fresh, outcome)
+            assert _pair(fresh.numbering, row) == reference_canonical_pair(literal, outcome)
             for agent in inst.network.agents:
-                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+                assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
             assert canonical_pair(inst, outcome) == reference_canonical_pair(inst, outcome)
             checked += 1
     assert checked > 500
@@ -695,7 +694,7 @@ def literal_terminal_lattice(inst):
     fps = [r.pair for r in enumerate_fixed_points(inst)]
     projections = sorted(
         {
-            _project_terminal(canonical_pair(inst, outcome, check=False), terminal_contracts)
+            _project_terminal(canonical_pair(inst, outcome), terminal_contracts)
             for outcome in fixed_point_outcomes(inst)
         },
         key=OfferPair.sort_key,
@@ -730,6 +729,25 @@ def test_terminal_lattice_matches_the_frozenset_lattice(crossed_market):
         assert lattice.to_json() == literal.to_json()
         wider += len(lattice.elements) > 1
     assert wider >= 3  # some tables have more than one entry
+
+
+def test_lattice_outcomes_and_canonical_pairs_encode_no_pair(monkeypatch, crossed_market):
+    # the numbering keeps the fixed points as rows and the closure returns a
+    # row, so no offer pair is encoded back into one on the way
+    def refuse(*_):
+        raise AssertionError("an offer pair was encoded into a row")
+
+    corpus = [generate_instance(seed, "ladlas").instance for seed in range(20)]
+    for inst in corpus + [crossed_market]:
+        literal = instance_from_json(inst.to_json())
+        lattice = literal_terminal_lattice(literal)
+        outcomes = brute_force_stable(literal, "full_trail")
+        pairs = [reference_canonical_pair(literal, outcome) for outcome in outcomes]
+        with monkeypatch.context() as patch:
+            patch.setattr("tradenet.fixedpoint._row", refuse)
+            assert terminal_lattice(inst) == lattice
+            assert fixed_point_outcomes(inst) == outcomes
+            assert [canonical_pair(inst, outcome) for outcome in outcomes] == pairs
 
 
 def test_terminal_lattice_precondition_reported():

@@ -31,6 +31,8 @@ from tradenet.stability import (
     is_acceptable,
 )
 
+from literal import menus_asked
+
 
 def split_evenly_reference(weights) -> bool:
     """Independent oracle: try every subset directly."""
@@ -462,7 +464,7 @@ def test_instance_memos_change_no_answer(brute_corpus):
             fresh = instance_from_json(raw)
             want = classify_or_contradiction(fresh, outcome)
             for agent, cf in fresh.choice.items():
-                menus[agent] |= cf._cache.keys()
+                menus[agent] |= menus_asked(cf)
             assert classify_or_contradiction(shared, outcome) == want
             assert classify_or_contradiction(shared, outcome) == want  # from the kept view
         assert {a: cf.query_count for a, cf in shared.choice.items()} == {

@@ -22,6 +22,8 @@ from tradenet.stability import (
     is_acceptable,
 )
 
+from literal import menus_asked
+
 
 def trail_blocks(inst, outcome, trail, reading) -> bool:
     """Literal definition of a trail of fresh contracts blocking `outcome`.
@@ -408,7 +410,7 @@ def test_strong_trail_asks_the_menus_of_the_literal_check(unrestricted_instance)
             else:
                 assert verdict.stable
             for agent in net.agents:
-                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+                assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
             checked += 1
     assert checked > 200
 
@@ -546,7 +548,7 @@ def test_trail_searches_ask_the_menus_and_spend_the_budget_of_the_id_scan(
                     assert verdict.witness.contracts == expected
                 assert [b.spent for b in budgets] == [reference_budget.spent]
                 for agent in inst.network.agents:
-                    assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+                    assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
                 checked += 1
     assert checked > 4000
 
@@ -583,6 +585,6 @@ def test_set_search_asks_the_menus_of_the_id_scan(unrestricted_instance):
             else:
                 assert verdict.witness.contracts == expected
             for agent in inst.network.agents:
-                assert set(fresh.choice[agent]._cache) == set(literal.choice[agent]._cache)
+                assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
             checked += 1
     assert checked > 1000
