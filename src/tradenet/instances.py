@@ -109,18 +109,20 @@ class Numbering:
     Only this class lays rows out: `row` builds one from side masks, `sides`
     splits it, and `leq`, `join`, `meet` and `order` compare and combine rows.
 
-    `seller[i]` and `buyer[i]` are contract i's agents, and `local[a][i]` its
-    bit in agent a's own numbering (0 where a does not hold it).  An agent's
-    contracts in one byte of the instance mask are a run of its local bits,
-    so the round gathers its menu, and scatters back what it rejects, through
-    the `_byte_tables` of its bits in each byte (shared by every agent with
-    that pattern).  It also keeps what is derived on it, each filled by its
-    one reader after that reader's guard: the `acceptable` outcomes
-    (`oracle.acceptable_outcomes`), the rows of the `fixed_points`
-    (`fixedpoint._fixed_point_rows`) and the `views` of the acceptable
-    outcomes checked so far (`stability._fresh`)."""
+    `seller[i]` and `buyer[i]` are contract i's agents, and `packed[i]` holds
+    its local bit (its bit in an agent's own numbering) in its seller's and
+    its buyer's `lane` (shift, mask; as wide as the agent's domain, in
+    `inst.choice` order), so one sum over distinct positions holds every
+    agent's local mask of them (SWAR).  An agent's contracts in one byte of
+    the instance mask are a run of its local bits, so the round gathers its
+    menu, and scatters back what it rejects, through the `_byte_tables` of its
+    bits in each byte (shared by every agent with that pattern).  It also
+    keeps what is derived on it, each filled by its one reader after that
+    reader's guard: the `acceptable` outcomes (`oracle.acceptable_outcomes`),
+    the rows of the `fixed_points` (`fixedpoint._fixed_point_rows`) and the
+    `views` of the acceptable outcomes checked so far (`stability._fresh`)."""
 
-    __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "local", "agents",
+    __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "packed", "lane", "agents",
                  "acceptable", "fixed_points", "views")
 
     def __init__(self, inst: Instance):
@@ -129,10 +131,13 @@ class Numbering:
         self.full = (1 << self.n) - 1
         self.position = {c: i for i, c in enumerate(self.ids)}
         self.seller, self.buyer = [None] * self.n, [None] * self.n
-        self.local = {}  # agent -> its local bit per position
+        self.packed, self.lane, shift = [0] * self.n, {}, 0
         self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
         for cf in inst.choice.values():
-            self.local[cf.agent] = cf.bits(self.ids)
+            self.lane[cf.agent] = shift, (1 << len(cf.ids)) - 1
+            for c, j in cf.position.items():
+                self.packed[self.position[c]] |= 1 << shift + j
+            shift += len(cf.ids)
             for side, agents in ((cf.downstream, self.seller), (cf.upstream, self.buyer)):
                 for c in side:
                     agents[self.position[c]] = cf.agent

@@ -10,7 +10,7 @@ replayed through the definitions to validate the verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 
 from .choices import is_individually_rational
 from .choices import is_rational  # noqa: F401  (unused; perfbench's self-test patches it here)
@@ -65,10 +65,11 @@ class FreshView:
     are the numbering's, and `sells[a]` and `buys[a]` agent a's fresh
     positions in id order.  Each agent holding a fresh contract has one entry
     in `agents`, in id order: its `choose_mask`, its outcome mask and its
-    local bit per position.  Every condition of every notion is `keeps`.
+    `lane` of a sum of `share`s.  Every condition of every notion is `keeps`.
     """
 
-    __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents", "kept_alone")
+    __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents", "share",
+                 "kept_alone")
 
     def __init__(self, inst: Instance, outcome: frozenset[str]):
         num = inst.numbering
@@ -79,26 +80,28 @@ class FreshView:
         for i in self.fresh:
             self.sells.setdefault(self.seller[i], []).append(i)
             self.buys.setdefault(self.buyer[i], []).append(i)
-        self.agents = {}
+        self.share, self.agents = num.packed.__getitem__, {}
+        base = sum(map(self.share, kept))  # each agent's lane of it is its outcome mask
         for agent in sorted(self.sells.keys() | self.buys.keys()):
-            local = num.local[agent].__getitem__
-            self.agents[agent] = (inst.choice[agent].choose_mask, sum(map(local, kept)), local)
+            shift, mask = num.lane[agent]
+            self.agents[agent] = (inst.choice[agent].choose_mask, base >> shift & mask, shift, mask)
         self.kept_alone = ({}, {})  # position -> its seller, its buyer keeps it alone
 
     def names(self, positions) -> tuple[str, ...]:
         return tuple(self.ids[i] for i in positions)
 
     def keeps(self, agent, positions) -> bool:
-        """The agent keeps its share of `positions` (the sum of its local
-        bits) alongside the outcome; an agent with no share is not asked."""
-        choose_mask, base, local = self.agents[agent]
-        own = sum(map(local, positions))
+        """The agent keeps its share of `positions` (its lane of their summed
+        shares) alongside the outcome; an agent with no share is not asked."""
+        choose_mask, base, shift, mask = self.agents[agent]
+        own = sum(map(self.share, positions)) >> shift & mask
         return not own or not own & ~choose_mask(own | base)
 
     def kept_by_all(self, positions) -> bool:
-        """`keeps` for every agent in id order, inlined for the set search."""
-        for choose_mask, base, local in self.agents.values():
-            own = sum(map(local, positions))
+        """`keeps` for every agent in id order, on one sum of shares."""
+        total = sum(map(self.share, positions))
+        for choose_mask, base, shift, mask in self.agents.values():
+            own = total >> shift & mask
             if own and own & ~choose_mask(own | base):
                 return False
         return True
@@ -264,14 +267,21 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
 
     Blocks are combinations of the fresh positions, which is
     `network.subsets` order, and each is asked of the view's agents in id
-    order until one turns its share down."""
+    order until one turns its share down: on one sum of shares per block,
+    inlined (a `kept_by_all` call costs 7%), decoding only a blocking block."""
     view, short = _fresh(inst, outcome, "set")
     if short:
         return short
     check_set_guard(len(view.fresh))
-    for size in range(1, len(view.fresh) + 1):
-        for block in combinations(view.fresh, size):
-            if view.kept_by_all(block):
+    shares, agents = list(map(view.share, view.fresh)), tuple(view.agents.values())
+    for size in range(1, len(shares) + 1):
+        for k, total in enumerate(map(sum, combinations(shares, size))):
+            for choose_mask, base, shift, mask in agents:
+                own = total >> shift & mask
+                if own and own & ~choose_mask(own | base):
+                    break
+            else:
+                block = next(islice(combinations(view.fresh, size), k, None))
                 return StabilityVerdict("set", False, Witness("set", view.names(block)))
     return StabilityVerdict("set", True)
 

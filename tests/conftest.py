@@ -70,7 +70,3 @@ def _unrestricted_instance(seed, agents=("a", "b", "c"), max_contracts=7):
 def unrestricted_instance():
     """Seeded random preference-list instances: `unrestricted_instance(seed)`."""
     return _unrestricted_instance
-
-
-def outcomes_as_sets(outcomes):
-    return [sorted(o) for o in outcomes]

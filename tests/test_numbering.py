@@ -178,6 +178,33 @@ def test_the_numbering_spans_several_bytes():
     assert [len(parts) for *_, parts in numbered.numbering.agents] == [3, 3, 3]
 
 
+def test_a_packed_sum_holds_each_agents_mask_in_its_lane(unrestricted_instance):
+    # for any set of positions, each agent's lane of their summed `packed`
+    # ints is that agent's own mask of the set: on small instances and on a
+    # 40-contract hub whose lanes end past 64 bits
+    contracts = []
+    for i in range(40):
+        seller, buyer = ("h", "ab"[i % 2]) if i % 3 else ("ab"[i % 2], "h")
+        contracts.append({"id": f"h{i:02d}", "seller": seller, "buyer": buyer})
+    hub = instance_from_json({
+        "agents": ["a", "b", "h"],
+        "contracts": contracts,
+        "choice_functions": [{"agent": a, "type": "preference_list", "ranking": []} for a in "abh"],
+    })
+    corpus = [hub] + [bundled_instance(name) for name in BUNDLED]
+    corpus += [unrestricted_instance(seed) for seed in range(20)]
+    rng = random.Random(7)
+    for inst in corpus:
+        num = inst.numbering
+        for size in [0, 1, num.n] + [rng.randint(0, num.n) for _ in range(40)]:
+            positions = rng.sample(range(num.n), size)
+            total = sum(num.packed[i] for i in positions)
+            names = [num.ids[i] for i in positions]
+            for agent, (shift, mask) in num.lane.items():
+                assert total >> shift & mask == inst.choice[agent].mask(names)
+    assert max(shift + mask.bit_length() for shift, mask in hub.numbering.lane.values()) == 80
+
+
 # ---------------------------------------------------------------------------
 # what the instance keeps
 # ---------------------------------------------------------------------------
@@ -211,7 +238,8 @@ def test_numbering_is_built_on_the_first_join_or_round(first):
     assert num.buyer == [net.contract(c).buyer for c in num.ids]
     local = {a: [1 << cf.position[c] if c in cf.position else 0 for c in num.ids]
              for a, cf in inst.choice.items()}
-    assert num.local == local
+    assert {a: [p >> shift & mask for p in num.packed]
+            for a, (shift, mask) in num.lane.items()} == local
 
 
 def test_fixed_points_are_joined_once_per_instance(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -588,3 +590,88 @@ def test_set_search_asks_the_menus_of_the_id_scan(unrestricted_instance):
                 assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
             checked += 1
     assert checked > 1000
+
+
+def _wide_lane_instance(seed):
+    """A hub `h` trading 34 contracts with four spokes, which trade six among
+    themselves, and two with an agent `e`; and an acceptable outcome leaving
+    6 to 10 contracts fresh, none of them e's.  Each agent ranks its outcome
+    share, and above or below it sets of that share (now and then less one
+    contract) plus fresh contracts.  The hub's lane is laid out last, so its
+    36 bits end past bit 64 of the numbering's ints; e's lies among the
+    spokes'."""
+    rng = random.Random(seed)
+    spokes = ["a", "b", "c", "d"]
+    contracts = []
+    for i in range(34):
+        pair = ["h", rng.choice(spokes)]
+        rng.shuffle(pair)
+        contracts.append({"id": f"h{i:02d}", "seller": pair[0], "buyer": pair[1]})
+    for i in range(6):
+        seller, buyer = rng.sample(spokes, 2)
+        contracts.append({"id": f"s{i}", "seller": seller, "buyer": buyer})
+    contracts += [{"id": "e0", "seller": "e", "buyer": "h"},
+                  {"id": "e1", "seller": "h", "buyer": "e"}]
+    ids = [c["id"] for c in contracts]
+    outcome = frozenset(ids) - set(rng.sample(ids[:-2], rng.randint(6, 10)))
+    choice_functions = []
+    for agent in ["a", "b", "e", "c", "d", "h"]:
+        own = sorted(c["id"] for c in contracts if agent in (c["seller"], c["buyer"]))
+        kept = sorted(outcome.intersection(own))
+        new = sorted(set(own) - outcome)
+        ranked = set()
+        for _ in range(8 if new else 0):
+            base = set(kept)
+            if base and rng.random() < 0.3:
+                base.remove(rng.choice(kept))
+            ranked.add(frozenset(base.union(rng.sample(new, rng.randint(1, min(3, len(new)))))))
+        ranking = [sorted(m) for m in sorted(ranked, key=sorted)]
+        rng.shuffle(ranking)
+        ranking.insert(rng.randint(0, len(ranking)), kept)
+        choice_functions.append({"agent": agent, "type": "preference_list", "ranking": ranking})
+    raw = {"agents": ["a", "b", "c", "d", "e", "h"], "contracts": contracts,
+           "choice_functions": choice_functions}
+    return instance_from_json(raw), outcome
+
+
+def test_wide_lanes_ask_the_menus_and_spend_the_budget_of_the_id_scan(monkeypatch):
+    # lanes past 64 bits, so a sum of shares leaves the C-long fast path; a
+    # 36-contract hub, whose lane spans several int digits; and an agent
+    # holding no fresh contract.  On fresh copies, the set search and the
+    # strong-trail search must find the id-scan reference's witness, leave
+    # the same menus in every choice function's cache and spend the same
+    # budget units
+    budgets = []
+    monkeypatch.setattr(
+        stability_module, "_Budget", lambda: budgets.append(CountingBudget()) or budgets[-1]
+    )
+    checkers = {"set": find_blocking_set, "strong_trail": find_blocking_strong_trail}
+    seen = Counter()
+    for seed in range(40):
+        inst, outcome = _wide_lane_instance(seed)
+        for notion, checker in checkers.items():
+            fresh, literal = (instance_from_json(inst.to_json()) for _ in range(2))
+            budgets.clear()
+            verdict = checker(fresh, outcome)
+            assert is_acceptable(literal, outcome).stable
+            reference_budget = CountingBudget()
+            if notion == "set":
+                expected = reference_blocking_set(literal, outcome)
+            else:
+                expected = reference_witness(literal, outcome, notion, reference_budget)
+            assert verdict.stable == (expected is None)
+            if expected is not None:
+                assert verdict.witness.contracts == expected
+            assert [b.spent for b in budgets] == [reference_budget.spent] * (notion != "set")
+            for agent in inst.network.agents:
+                assert menus_asked(fresh.choice[agent]) == menus_asked(literal.choice[agent])
+            seen[notion, verdict.stable] += 1
+        num, view = fresh.numbering, fresh.numbering.views[outcome]
+        shift, mask = num.lane["h"]
+        hub = fresh.choice["h"]
+        seen["hub past 64 bits"] += shift + mask.bit_length() > 64 and mask.bit_length() == 36
+        seen["high hub bit fresh"] += any(hub.position.get(num.ids[i], 0) >= 30 for i in view.fresh)
+        seen["4+ agents, e not fresh"] += len(view.agents) >= 4 and "e" not in view.agents
+    assert min(seen[notion, stable] for notion in checkers for stable in (True, False)) >= 3
+    assert seen["hub past 64 bits"] == 40
+    assert seen["high hub bit fresh"] >= 10 and seen["4+ agents, e not fresh"] >= 10
