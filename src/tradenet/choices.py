@@ -16,8 +16,10 @@ ones the agent buys, *downstream* the ones it sells.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ChoiceFunctionError, InstanceFormatError
-from .network import ContractNetwork, at_bits, mask_bits, sorted_ids
+from .network import ContractNetwork, at_bits, sorted_ids
 
 
 class ChoiceFunction:
@@ -36,7 +38,8 @@ class ChoiceFunction:
         self.domain = self.upstream | self.downstream
         self.ids = sorted_ids(self.domain)
         self.position = {c: i for i, c in enumerate(self.ids)}
-        self.up_mask, self.down_mask = self.mask(self.upstream), self.mask(self.downstream)
+        self.up_mask = _mask_at([self.position[c] for c in self.upstream])
+        self.down_mask = (1 << len(self.ids)) - 1 ^ self.up_mask
         self._memo: dict[int, int] | list[int] = {}  # the menu table once filled
         self._slices = None  # the table cut into `axioms._Slices`, built once by `_Slices.of`
 
@@ -151,13 +154,22 @@ def is_rational_pair(cf: ChoiceFunction, up_contract: str, down_contract: str, g
     return is_rational(cf, {up_contract, down_contract}, given)
 
 
-def _first_offered(bits, menu: int, take: int) -> int:
-    """The first `take` of `bits` (one-bit masks, in order) that `menu`
+def _mask_at(positions: list[int]) -> int:
+    """The mask of `positions`, written as binary digits, not added bit by bit."""
+    low = min(positions, default=0)
+    digits = bytearray(b"0") * (max(positions, default=low - 1) + 1 - low)
+    for i in positions:
+        digits[low - i - 1] = 49  # a "1"; the last digit is bit `low`
+    return int(digits or b"0", 2) << low
+
+
+def _first_offered(positions, menu: int, take: int) -> int:
+    """The mask of the first `take` of `positions` (in order) that `menu`
     offers, or all it offers if fewer; the walk ends at the `take`-th."""
     kept = 0
-    for b in bits:
-        if menu & b:
-            kept |= b
+    for i in positions:
+        if menu >> i & 1:
+            kept |= 1 << i
             take -= 1
             if not take:
                 break
@@ -225,28 +237,28 @@ class SeparableIntensityChoice(ChoiceFunction):
 
     A menu costs two popcounts and one walk: the side offered less is taken
     whole, and the other side's order is walked up to its min(k, l)-th
-    offered contract; a one-sided menu walks nothing.
+    offered contract; a one-sided menu, or one as large on each side, walks nothing.
     """
 
     family = "separable_intensity"
 
     def __init__(self, agent, upstream_order, downstream_order):
         super().__init__(agent, upstream_order, downstream_order)
-        if len(set(upstream_order)) != len(tuple(upstream_order)):
-            raise ChoiceFunctionError(f"{agent}: upstream order repeats a contract")
-        if len(set(downstream_order)) != len(tuple(downstream_order)):
-            raise ChoiceFunctionError(f"{agent}: downstream order repeats a contract")
-        self.upstream_order = tuple(upstream_order)
-        self.downstream_order = tuple(downstream_order)
-        self._up_bits = self.bits(self.upstream_order)
-        self._down_bits = self.bits(self.downstream_order)
+        for side, order in (("upstream", upstream_order), ("downstream", downstream_order)):
+            if len(set(order)) != len(tuple(order)):
+                raise ChoiceFunctionError(f"{agent}: {side} order repeats a contract")
+        self.upstream_order, self.downstream_order = tuple(upstream_order), tuple(downstream_order)
+        self._up_order = tuple(map(self.position.__getitem__, self.upstream_order))
+        self._down_order = tuple(map(self.position.__getitem__, self.downstream_order))
 
     def _select(self, menu):
         ups, downs = menu & self.up_mask, menu & self.down_mask
         k, l = ups.bit_count(), downs.bit_count()
-        if k <= l:  # all offered upstream, and as many of the downstream
-            return k and ups | _first_offered(self._down_bits, downs, k)
-        return l and downs | _first_offered(self._up_bits, ups, l)
+        if k == l:  # both sides whole
+            return ups | downs
+        if k < l:  # all offered upstream, and as many of the downstream
+            return k and ups | _first_offered(self._down_order, downs, k)
+        return l and downs | _first_offered(self._up_order, ups, l)
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -278,29 +290,27 @@ class SimpleIntensityChoice(ChoiceFunction):
         super().__init__(agent, upstream, downstream)
         missing = self.domain - set(intensity)
         if missing:
-            raise ChoiceFunctionError(
-                f"{agent}: intensity missing for contracts {sorted(missing)}"
-            )
-        if not all(type(intensity[c]) in (int, float) for c in self.domain):  # bool is no number
-            raise ChoiceFunctionError(f"{agent}: intensities must be numbers")
+            raise ChoiceFunctionError(f"{agent}: intensity missing for contracts {sorted(missing)}")
+        # a bool is no number; NaN, the infinities and ints past every float are refused
+        if not all(type(v) in (int, float) and abs(v) <= sys.float_info.max
+                   for v in map(intensity.__getitem__, self.domain)):
+            raise ChoiceFunctionError(f"{agent}: intensities must be finite numbers")
         own = {c: float(intensity[c]) for c in self.domain}
         if len(set(own.values())) != len(own):
             raise ChoiceFunctionError(f"{agent}: intensities must be pairwise distinct")
         self.intensity = own
-        # (bit, intensity): upstream most intense first, downstream least first
-        self._up_rank = self._ranked_bits(self.upstream, reverse=True)
-        self._down_rank = self._ranked_bits(self.downstream, reverse=False)
-
-    def _ranked_bits(self, side, reverse):
-        ranked = sorted(side, key=lambda c: (self.intensity[c], c), reverse=reverse)
-        return tuple(zip(self.bits(ranked), map(self.intensity.__getitem__, ranked)))
+        # positions: upstream most intense first, downstream least first
+        ranked = sorted(self.domain, key=lambda c: (own[c], c))
+        self._up_order = tuple(self.position[c] for c in reversed(ranked) if c in self.upstream)
+        self._down_order = tuple(self.position[c] for c in ranked if c in self.downstream)
 
     def _select(self, menu):
-        up = next((pick for pick in self._up_rank if menu & pick[0]), None)
-        down = next((pick for pick in self._down_rank if menu & pick[0]), None)
-        if up and down and up[1] > down[1]:
-            return up[0] | down[0]
-        return 0
+        up = next((i for i in self._up_order if menu >> i & 1), None)
+        down = next((i for i in self._down_order if menu >> i & 1), None)
+        if up is None or down is None:
+            return 0
+        intensity, ids = self.intensity, self.ids
+        return 1 << up | 1 << down if intensity[ids[up]] > intensity[ids[down]] else 0
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -339,10 +349,10 @@ class QuotaChoice(ChoiceFunction):
             raise ChoiceFunctionError(f"{agent}: order lists foreign contracts")
         self.order = tuple(order)
         self.quota = read_int(quota, f"{agent}: quota", 1)
-        self._order_bits = self.bits(self.order)
+        self._order = tuple(map(self.position.__getitem__, self.order))
 
     def _select(self, menu):
-        return _first_offered(self._order_bits, menu, self.quota)
+        return _first_offered(self._order, menu, self.quota)
 
     def restrict(self, keep):
         keep = frozenset(keep)
@@ -368,35 +378,34 @@ def _gadget_weights(weights) -> tuple[int, ...]:
     return weights
 
 
-def _parallel_bits(cf, many: int, lone: int, k: int) -> tuple[int, ...]:
-    """The bits of a gadget agent's k parallel contracts, in id order (the
-    i-th of them is the gadget's i-th), once its other side is one lone
-    contract."""
-    if lone.bit_count() != 1:
+def _parallel_positions(cf, buys: bool, k: int) -> list[int]:
+    """The positions, in id order, of a gadget agent's k parallel contracts
+    (the i-th is the gadget's i-th), bought or sold against one lone contract."""
+    many, lone = (cf.upstream, cf.downstream) if buys else (cf.downstream, cf.upstream)
+    if len(lone) != 1:
         raise ChoiceFunctionError(f"{cf.agent}: gadget agent needs exactly one lone-side contract")
-    bits = tuple(mask_bits(many))
-    if len(bits) != k:
+    positions = [i for i, c in enumerate(cf.ids) if c in many]
+    if len(positions) != k:
         raise ChoiceFunctionError(
-            f"{cf.agent}: gadget agent needs exactly {k} parallel contracts, got {len(bits)}"
+            f"{cf.agent}: gadget agent needs exactly {k} parallel contracts, got {len(positions)}"
         )
-    return bits
+    return positions
 
 
 class _SubsetSumGadget(ChoiceFunction):
     """One firm of the subset-sum gadget: k parallel contracts on one side,
     the i-th in id order carrying the i-th weight, and one lone contract on
-    the other."""
+    the other.  A menu walks only its offered parallel bits, lowest first."""
 
     buys_parallel: bool
 
     def __init__(self, agent, upstream, downstream, weights):
         super().__init__(agent, upstream, downstream)
-        sides = (self.up_mask, self.down_mask)
-        many, lone = sides if self.buys_parallel else sides[::-1]
-        parallel = _parallel_bits(self, many, lone, len(weights))
+        parallel = _parallel_positions(self, self.buys_parallel, len(weights))
         self.weights = _gadget_weights(weights)
         self.double_threshold = sum(self.weights)  # compare 2*sum(offered) against this
-        self._weighted = tuple(zip(parallel, self.weights))
+        weight = dict(zip(parallel, self.weights))
+        self._weight = [weight.get(i, 0) for i in range(len(self.ids))]  # by position
 
     def params_json(self):
         return {"weights": list(self.weights)}
@@ -413,14 +422,15 @@ class PartitionChoiceF(_SubsetSumGadget):
     buys_parallel = True
 
     def _select(self, menu):
-        ups = menu & self.up_mask
+        ups = rest = menu & self.up_mask
+        if not menu & self.down_mask:
+            return ups
         offered_weight = 0
-        for b, w in self._weighted:
-            if ups & b:
-                offered_weight += w
-        if menu & self.down_mask and 2 * offered_weight >= self.double_threshold:
-            return ups | self.down_mask
-        return ups
+        while rest:
+            low = rest & -rest
+            offered_weight += self._weight[low.bit_length() - 1]
+            rest ^= low
+        return ups | self.down_mask if 2 * offered_weight >= self.double_threshold else ups
 
 
 class PartitionChoiceG(_SubsetSumGadget):
@@ -437,14 +447,14 @@ class PartitionChoiceG(_SubsetSumGadget):
     def _select(self, menu):
         if not menu & self.up_mask:
             return 0
-        kept = self.up_mask
-        running = 0
-        for b, w in self._weighted:
-            if menu & b:
-                running += w
-                if 2 * running > self.double_threshold:
-                    break
-                kept |= b
+        kept, running, rest = self.up_mask, 0, menu & self.down_mask
+        while rest:
+            low = rest & -rest
+            running += self._weight[low.bit_length() - 1]
+            if 2 * running > self.double_threshold:
+                break
+            kept |= low
+            rest ^= low
         return kept
 
 
@@ -462,10 +472,10 @@ class NeedleChoiceF(ChoiceFunction):
 
     def __init__(self, agent, upstream, downstream, n: int, hidden=None):
         super().__init__(agent, upstream, downstream)
-        parallel = _parallel_bits(self, self.up_mask, self.down_mask, 2 * read_int(n, "n", 1))
+        parallel = _parallel_positions(self, True, 2 * read_int(n, "n", 1))
         self.hidden = self.checked_hidden(n, hidden)
         self.n = n
-        self._hidden = None if hidden is None else sum(parallel[i - 1] for i in self.hidden)
+        self._hidden = None if hidden is None else sum(1 << parallel[i - 1] for i in self.hidden)
 
     @staticmethod
     def checked_hidden(n: int, hidden) -> frozenset[int] | None:
@@ -514,14 +524,12 @@ def _margin_order(priced, book, sign: int) -> tuple[tuple[int, int], ...]:
     """(position, the mask of all but its trade's) of each (position, trade,
     price) row of one side whose margin, sign * (price - book[trade]), is 0 or
     more, by (-margin, trade): a trade's first offered contract here is its best."""
-    scored = sorted(
-        (-sign * (price - book[trade]), trade, i)
-        for i, trade, price in priced
-        if sign * (price - book[trade]) >= 0
-    )
-    others: dict[str, int] = {}  # all bits set but those of the trade's listed contracts
+    scored = sorted((sign * (book[trade] - price), trade, i) for i, trade, price in priced)
+    scored = [row for row in scored if row[0] <= 0]  # less those of negative margin
+    listed: dict[str, list[int]] = {}  # the positions of each trade's listed contracts
     for _, trade, i in scored:
-        others[trade] = others.get(trade, -1) ^ 1 << i
+        listed.setdefault(trade, []).append(i)
+    others = {t: ~_mask_at(at) for t, at in listed.items()}  # all bits but the trade's
     return tuple((i, others[trade]) for _, trade, i in scored)
 
 
@@ -647,13 +655,11 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
         return PreferenceListChoice(agent, up, down, ranking)
     if kind == "separable_intensity":
         need("upstream_order", "downstream_order")
-        id_list(params["upstream_order"], "upstream_order")
-        id_list(params["downstream_order"], "downstream_order")
-        _check_cover(agent, params["upstream_order"], up, "upstream")
-        _check_cover(agent, params["downstream_order"], down, "downstream")
-        return SeparableIntensityChoice(
-            agent, params["upstream_order"], params["downstream_order"]
-        )
+        orders = [id_list(params[f"{s}_order"], f"{s}_order") for s in ("upstream", "downstream")]
+        for side, order, own in zip(("upstream", "downstream"), orders, (up, down)):
+            if set(order) != set(own):
+                raise ChoiceFunctionError(f"{agent}: {side} order must cover exactly {sorted(own)}")
+        return SeparableIntensityChoice(agent, *orders)
     if kind == "simple_intensity":
         need("intensity")
         return SimpleIntensityChoice(agent, up, down, params["intensity"])
@@ -677,9 +683,3 @@ def _build_family(net: ContractNetwork, desc: dict) -> ChoiceFunction:
             agent, up, down, *books, params.get("capacity_buy"), params.get("capacity_sell")
         )
     raise ChoiceFunctionError(f"unknown choice family {kind!r}")
-
-
-def _check_cover(agent, order, side, name):
-    if set(order) != set(side):
-        raise ChoiceFunctionError(f"{agent}: {name} order must cover exactly {sorted(side)}")
-

@@ -142,11 +142,11 @@ def check_feasibility(priced: PricedInstance) -> list[axioms.AxiomReport]:
         grids = [[j for j, u in enumerate(trades) if u == t] for t in set(trades)]
         witness = None
         if any(map(axioms._Slices.of(cf).chooses_two, grids)):
-            table, trade_of = cf.menu_table(), dict(zip(cf.bits(cf.ids), trades))
+            table = cf.menu_table()
             for menu in submasks(cf.up_mask | cf.down_mask):
                 seen: dict[str, int] = {}
                 for b in mask_bits(table[menu]):
-                    trade = trade_of[b]
+                    trade = trades[b.bit_length() - 1]
                     if trade in seen:
                         witness = {
                             "menu": axioms._names(cf, menu),

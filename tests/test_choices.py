@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 from tradenet.choices import (
     ChoiceFunction,
+    NeedleChoiceF,
     PartitionChoiceF,
     PartitionChoiceG,
     PreferenceListChoice,
@@ -97,6 +99,13 @@ def test_simple_intensity_picks_extremes():
 def test_simple_intensity_requires_distinct_values():
     with pytest.raises(ChoiceFunctionError, match="distinct"):
         SimpleIntensityChoice("f", {"a"}, {"b"}, {"a": 1.0, "b": 1.0})
+
+
+def test_simple_intensity_requires_finite_values():
+    # NaN compares false with everything, so such an agent would never trade
+    for bad in (float("nan"), float("inf"), -float("inf"), 10**400):
+        with pytest.raises(ChoiceFunctionError, match="finite"):
+            SimpleIntensityChoice("f", {"a"}, {"b"}, {"a": bad, "b": 1.0})
 
 
 def test_quota_choice():
@@ -567,3 +576,93 @@ def test_masks_number_the_domain_in_id_order():
     assert cf.choose_mask(0b111) == 0b011
     assert cf.choose({"a", "u2"}) == {"a"}
     assert cf.query_count == 2
+
+
+def _wide_corpus(rng):
+    """One function of each family with more than 64 positions, ids named so
+    that id order differs from the order they are listed in."""
+    ids = [f"c{i}" for i in range(100)]
+    yield QuotaChoice("b", ids, [], rng.sample(ids, 90), quota=7)
+    ups, downs = [f"u{i}" for i in range(40)], [f"d{i}" for i in range(40)]
+    yield SeparableIntensityChoice("h", rng.sample(ups, 40), rng.sample(downs, 40))
+    intensity = dict(zip(ups[:35] + downs[:35], rng.sample(range(1000), 70)))
+    yield SimpleIntensityChoice("h", ups[:35], downs[:35], intensity)
+    ranking = [rng.sample(ups + downs, rng.randint(1, 4)) for _ in range(60)]
+    yield PreferenceListChoice("h", ups, downs, list({frozenset(r): r for r in ranking}.values()))
+    weights = sorted(rng.randint(1, 50) for _ in range(70))
+    yield from partition_to_gs(weights).instance.choice.values()
+    hidden = rng.sample(range(1, 71), 35)
+    yield from needle_family(35, hidden).choice.values()
+    yield NeedleChoiceF("f", [f"x{i}" for i in range(1, 71)], ["y"], 35)
+    buys = [contract_id(t, p) for t in ("ta", "tb", "tc") for p in range(25)]
+    sells = [contract_id(t, p) for t in ("td", "te") for p in range(20)]
+    yield ReservationChoice("r", buys, sells, {"ta": 10, "tb": 12, "tc": 30},
+                            {"td": 8, "te": 15}, 2, None)
+
+
+def _wide_menus(rng, cf):
+    """Seeded random menus of `cf`, sparse to dense, plus the planted needle."""
+    pool = sorted(cf.domain)
+    for density in (0.02, 0.1, 0.3, 0.5, 0.7, 0.9):
+        for _ in range(40):
+            yield frozenset(c for c in pool if rng.random() < density)
+    if cf.family == "needle_f" and cf.hidden is not None:
+        parallel = sorted(cf.upstream)
+        planted = frozenset(parallel[i - 1] for i in cf.hidden)
+        yield planted | cf.downstream
+        yield planted
+
+
+def test_wide_agents_match_literal_selectors():
+    # every family past 64 positions, where a bit no longer fits a machine word
+    rng = random.Random(2024)
+    families = set()
+    for cf in _wide_corpus(rng):
+        assert len(cf.ids) > 64, cf.family
+        families.add(cf.family)
+        literal = LITERAL[cf.family]
+        for menu in _wide_menus(rng, cf):
+            expected = literal(cf, menu)
+            assert cf.names(cf.choose_mask(cf.mask(menu))) == expected, (cf.family, sorted(menu))
+            assert cf.choose(menu) == expected
+    assert families == set(LITERAL)
+
+
+def _family_at_size(family, n):
+    """One `family` function on n contracts (n even), built from plain lists."""
+    ids = [f"c{i}" for i in range(n)]
+    half = n // 2
+    if family == "quota":
+        return QuotaChoice("b", ids, [], ids[::-1], quota=3)
+    if family == "separable_intensity":
+        return SeparableIntensityChoice("h", ids[:half], ids[half:])
+    if family == "simple_intensity":
+        return SimpleIntensityChoice("h", ids[:half], ids[half:], dict(zip(ids, range(n))))
+    if family == "preference_list":
+        return PreferenceListChoice("h", ids[:half], ids[half:], [ids[:3], ids[-2:]])
+    if family == "partition_f":
+        return PartitionChoiceF("f", ids[1:], ids[:1], [1] * (n - 1))
+    if family == "partition_g":
+        return PartitionChoiceG("g", ids[:1], ids[1:], [1] * (n - 1))
+    if family == "needle_f":
+        return NeedleChoiceF("f", ids[2:], ids[:1], half - 1)
+    grid = [contract_id("t", p) for p in range(n)]
+    return ReservationChoice("r", grid[:half], grid[half:], {"t": n}, {"t": 0})
+
+
+def test_a_function_loads_in_linear_memory():
+    # four times the contracts: a linear load peaks about 4x higher, and a
+    # per-contract int as wide as the agent about 16x (9-12x at these sizes).
+    # A 2x step is too short to tell: dicts and sets grow their tables in
+    # powers of two, so a linear quota load read 2.8x from 10,000 to 20,000
+    for family in LITERAL:
+        peaks = []
+        for n in (5_000, 20_000):
+            tracemalloc.start()
+            try:
+                cf = _family_at_size(family, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert cf.family == family and len(cf.ids) >= n - 1
+        assert peaks[1] <= 6 * peaks[0], (family, peaks)

@@ -472,6 +472,12 @@ def _malformed_files(tmp_path):
             {"agent": "b", "type": "unit_demand", "order": ["d"]},
         ],
     }
+    # Python's json reads NaN and Infinity; an agent with a NaN intensity would
+    # never trade, since every comparison with NaN is false
+    intensity_nan = json.loads(json.dumps(intensity_bool))
+    intensity_nan["choice_functions"][1]["intensity"] = {"u": float("nan"), "d": 1.0}
+    intensity_inf = json.loads(json.dumps(intensity_bool))
+    intensity_inf["choice_functions"][1]["intensity"] = {"u": 1.0, "d": float("inf")}
     paths = {}
     for name, raw in (
         *retyped.items(),
@@ -498,6 +504,8 @@ def _malformed_files(tmp_path):
         ("value_bool", value_bool),
         ("capacity_zero", capacity_zero),
         ("intensity_bool", intensity_bool),
+        ("intensity_nan", intensity_nan),
+        ("intensity_inf", intensity_inf),
         ("grid_alias", grid_alias),
     ):
         path = tmp_path / f"{name}.json"
@@ -552,6 +560,8 @@ def _malformed_files(tmp_path):
         ["validate", "{grid_text}"],
         ["oracle", "needle", "--n", "2", "--hidden", ""],
         ["dynamics", "{example2}", "--entry", "{entry_side}"],
+        ["validate", "{intensity_nan}"],
+        ["validate", "{intensity_inf}"],
     ],
 )
 def test_malformed_input_is_a_one_line_input_error(capsys, tmp_path, argv):
@@ -577,6 +587,8 @@ NAMED_FIELD = {
     "{grid_bare}": "choice function: a: contract ids must read trade@price",
     "{grid_text}": "choice function: a: contract ids must read trade@price",
     "{entry_side}": "entry file 'side' must be terminal_seller or terminal_buyer",
+    "{intensity_nan}": "choice function: f: intensities must be finite numbers",
+    "{intensity_inf}": "choice function: f: intensities must be finite numbers",
 }
 
 
