@@ -520,17 +520,18 @@ def split_contract_id(cid: str) -> tuple[str, int]:
     raise ChoiceFunctionError(f"contract id {cid!r} must read trade@price")
 
 
-def _margin_order(priced, book, sign: int) -> tuple[tuple[int, int], ...]:
-    """(position, the mask of all but its trade's) of each (position, trade,
-    price) row of one side whose margin, sign * (price - book[trade]), is 0 or
-    more, by (-margin, trade): a trade's first offered contract here is its best."""
+def _margin_order(priced, book, sign: int) -> tuple[tuple[int, int, int], ...]:
+    """(position, low, span) of each (position, trade, price) row of one side
+    whose margin, sign * (price - book[trade]), is 0 or more, by (-margin, trade),
+    where `span << low` masks the trade's rows: a trade's first offered one is its best."""
     scored = sorted((sign * (book[trade] - price), trade, i) for i, trade, price in priced)
     scored = [row for row in scored if row[0] <= 0]  # less those of negative margin
     listed: dict[str, list[int]] = {}  # the positions of each trade's listed contracts
     for _, trade, i in scored:
         listed.setdefault(trade, []).append(i)
-    others = {t: ~_mask_at(at) for t, at in listed.items()}  # all bits but the trade's
-    return tuple((i, others[trade]) for _, trade, i in scored)
+    lows = {t: min(at) for t, at in listed.items()}
+    spans = {t: _mask_at([i - lows[t] for i in at]) for t, at in listed.items()}
+    return tuple((i, lows[trade], spans[trade]) for _, trade, i in scored)
 
 
 class ReservationChoice(ChoiceFunction):
@@ -578,10 +579,10 @@ class ReservationChoice(ChoiceFunction):
     def _select(self, menu):
         kept = 0
         for order, cap in self._sides:
-            for i, others in order:
+            for i, low, span in order:
                 if menu >> i & 1:
                     kept |= 1 << i
-                    menu &= others  # one price per trade
+                    menu &= ~(span << low)  # one price per trade
                     cap -= 1
                     if not cap:
                         break

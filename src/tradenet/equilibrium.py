@@ -22,7 +22,7 @@ from .errors import (
     InstanceFormatError,
     PreconditionError,
 )
-from .fixedpoint import rounds
+from .fixedpoint import buyer_optimal, seller_optimal
 from .guards import SIZE_GUARD
 from .instances import Instance, build_choices
 from .network import at_bits, fields_json, mask_bits, sorted_ids, spread, submasks, validate_network
@@ -310,8 +310,8 @@ def price_adjustment(
     price at which it was last offered and turned down.  The run ends at a
     fixed point whose outcome is the contract reading of the final offers.
     An economy failing `check_priced_axioms` is refused before the run.  The
-    rounds run on `fixedpoint.rounds` rows, with each grid id parsed once;
-    only each `PriceRound` holds frozensets.
+    rounds read the rows of `buyer_optimal` or `seller_optimal`, with each
+    grid id parsed once; only each `PriceRound` holds frozensets.
     """
     if perspective not in ("buyer", "seller"):
         raise PreconditionError(f"unknown perspective {perspective!r}")
@@ -324,9 +324,9 @@ def price_adjustment(
         )
     num = priced.instance.numbering
     buyer = perspective == "buyer"
-    start = num.row(num.full, 0) if buyer else num.row(0, num.full)
+    run = (buyer_optimal if buyer else seller_optimal)(priced.instance)
     # each state as (proposing side's mask, responding side's mask)
-    states = [num.sides(row)[:: 1 if buyer else -1] for row in rounds(num, start)]
+    states = [num.sides(row)[:: 1 if buyer else -1] for row in run.rows]
     states.append(states[-1])  # as the fixed point's own round, once more
     grid = [split_contract_id(c) for c in num.ids]
 
@@ -354,8 +354,7 @@ def price_adjustment(
         prices = {t: offered_now.get(t, last_rejected.get(t, p)) for t, p in opening.items()}
         trace.append(PriceRound(*map(num.names, (offers, keeps, rejects)), prices))
         prev_offers = offers
-    own, other = states[-1]
-    return num.names(own & other), PriceTrace(perspective, tuple(trace), last_rejected)
+    return run.outcome, PriceTrace(perspective, tuple(trace), last_rejected)
 
 
 def complete_prices(priced: PricedInstance, outcome, trace: PriceTrace) -> Arrangement:

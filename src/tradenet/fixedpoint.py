@@ -12,13 +12,13 @@ the outcomes no locally blocking trail can upset.
 Enumeration needs no isotonicity: it joins per-agent menu tables instead of
 scanning all 3^|X| side assignments.  Joins, rounds and the terminal lattice
 run on the instance's one `instances.Numbering` (contract i in sorted-id order
-is bit i), so a pair is one int inside and two contract sets at every return.
+is bit i), so a pair is one int inside and two contract sets when read.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import axioms
 from .choices import is_individually_rational
@@ -74,24 +74,32 @@ def respond(inst: Instance, pair: OfferPair) -> OfferPair:
 
 @dataclass(frozen=True)
 class FixedPointResult:
-    pair: OfferPair
-    outcome: frozenset[str]
-    iterations: int
-    trace: tuple[OfferPair, ...]
+    """A run as rows of the instance's numbering: the start, each answer and
+    the fixed point last, decoded when read (the pair once).  Results are
+    equal when their rows and contract ids are: the same pairs, same rounds."""
+
+    numbering: Numbering = field(compare=False, repr=False)
+    rows: tuple[int, ...]
+    ids: tuple[str, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "ids", tuple(self.numbering.ids))
+
+    pair = functools.cached_property(lambda self: _pair(self.numbering, self.rows[-1]))
+    outcome = property(lambda self: self.pair.outcome)
+    iterations = property(lambda self: len(self.rows) - 1)
+    trace = property(lambda self: tuple(_pair(self.numbering, row) for row in self.rows))
 
     # the pair is flattened into the result, and the trace comes only on request
     def to_json(self, include_trace: bool = False) -> dict:
-        out = {
-            **self.pair.to_json(),
-            "outcome": sorted_ids(self.outcome),
-            "iterations": self.iterations,
-        }
+        out = {**self.pair.to_json(), "outcome": sorted_ids(self.outcome),
+               "iterations": self.iterations}
         if include_trace:
             out["trace"] = [p.to_json() for p in self.trace]
         return out
 
 
-def rounds(num: Numbering, row: int) -> list[int]:
+def rounds(num: Numbering, row: int) -> tuple[int, ...]:
     """Response rounds from a row comparable with its successor, as rows: the
     start, then each answer up to the fixed point, which is not repeated.
     They must stay monotone in a fixed direction and settle within 2|X| + 2
@@ -119,15 +127,12 @@ def rounds(num: Numbering, row: int) -> list[int]:
                 "response rounds left the monotone path; choice functions "
                 "are not fully substitutable and consistent"
             )
-    return trace
+    return tuple(trace)
 
 
 def iterate_from(inst: Instance, start: OfferPair) -> FixedPointResult:
-    """`rounds` from an offer pair, with the trace decoded into offer pairs
-    once, at the end.  A start naming unknown contracts is refused."""
-    trace = rounds(inst.numbering, _row(inst, start))
-    pairs = tuple(_pair(inst.numbering, row) for row in trace)
-    return FixedPointResult(pairs[-1], pairs[-1].outcome, len(pairs) - 1, pairs)
+    """`rounds` from an offer pair, kept as rows; a start naming unknown contracts is refused."""
+    return FixedPointResult(inst.numbering, rounds(inst.numbering, _row(inst, start)))
 
 
 def buyer_optimal(inst: Instance) -> FixedPointResult:
@@ -209,11 +214,10 @@ def enumerate_fixed_points(inst: Instance) -> list[FixedPointResult]:
     side or both.  Each agent's rows are read off its menu table,
     `join_states` keeps the assignments on which every seller and buyer
     agree, and one response round confirms each.  The rows are kept, and
-    each call decodes them into a new list.  Instances over
+    each call wraps them in new results, decoded when read.  Instances over
     ENUMERATION_GUARD contracts are refused before any menu is asked.
     """
-    pairs = [_pair(inst.numbering, row) for row in _fixed_point_rows(inst)]
-    return [FixedPointResult(p, p.outcome, 0, (p,)) for p in pairs]
+    return [FixedPointResult(inst.numbering, (row,)) for row in _fixed_point_rows(inst)]
 
 
 def fixed_point_outcomes(inst: Instance) -> list[frozenset[str]]:

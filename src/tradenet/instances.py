@@ -120,7 +120,7 @@ class Numbering:
     keeps what is derived on it, each filled by its one reader after that
     reader's guard: the `acceptable` outcomes (`oracle.acceptable_outcomes`),
     the rows of the `fixed_points` (`fixedpoint._fixed_point_rows`) and the
-    `views` of the acceptable outcomes checked so far (`stability._fresh`)."""
+    `views` of the acceptable outcomes checked so far (`stability._notion`)."""
 
     __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "packed", "lane", "agents",
                  "acceptable", "fixed_points", "views")

@@ -48,11 +48,8 @@ def is_acceptable(inst: Instance, outcome) -> StabilityVerdict:
     for agent in sorted(inst.network.agents):
         cf = inst.choice[agent]
         if not is_individually_rational(cf, outcome):
-            return StabilityVerdict(
-                "acceptable",
-                False,
-                Witness("not_acceptable", tuple(sorted_ids(outcome & cf.domain)), agent=agent),
-            )
+            witness = Witness("not_acceptable", tuple(sorted_ids(outcome & cf.domain)), agent=agent)
+            return StabilityVerdict("acceptable", False, witness)
     return StabilityVerdict("acceptable", True)
 
 
@@ -127,24 +124,31 @@ class FreshView:
         return self.keeps(link, trail[-2:])
 
 
-def _fresh(inst, outcome, notion):
-    """The outcome's fresh-contract view or, when the outcome is not even
-    acceptable, the verdict every notion returns.
+def _notion(notion: str):
+    """The checker of `notion` around a search that takes the outcome's
+    `FreshView` and returns its witness or None; every search's verdict is
+    built here.  An acceptable outcome's view is built once and kept in the
+    numbering's `views` for every later check of it (another notion,
+    `classify`, brute force, `canonical_pair`); an unacceptable one gets
+    `is_acceptable`'s witness on every call and no view is kept."""
 
-    The view of an acceptable outcome is built once and kept in the
-    instance's `numbering.views`, so a later call for the same outcome
-    (another notion, `classify`, brute force, `canonical_pair`) skips the
-    acceptability check and reads it.  An unacceptable outcome is checked
-    on every call and never kept, so an instance keeps at most one view per
-    acceptable outcome."""
-    outcome, views = frozenset(outcome), inst.numbering.views
-    view = views.get(outcome)
-    if view is None:
-        base = is_acceptable(inst, outcome)
-        if not base.stable:
-            return None, StabilityVerdict(notion, False, base.witness)
-        view = views[outcome] = FreshView(inst, outcome)
-    return view, None
+    def checker(search):
+        def check(inst: Instance, outcome) -> StabilityVerdict:
+            outcome, views = frozenset(outcome), inst.numbering.views
+            view = views.get(outcome)
+            if view is None:
+                base = is_acceptable(inst, outcome)
+                if not base.stable:
+                    return StabilityVerdict(notion, False, base.witness)
+                view = views[outcome] = FreshView(inst, outcome)
+            witness = search(view)
+            return StabilityVerdict(notion, witness is None, witness)
+
+        check.__name__, check.__qualname__ = search.__name__, search.__qualname__
+        check.__doc__ = search.__doc__
+        return check
+
+    return checker
 
 
 def check_set_guard(candidates: int) -> None:
@@ -204,7 +208,8 @@ def _shortest_trail(view, budget, done, seed=None, step=None, forward=True):
     return None
 
 
-def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
+@_notion("trail")
+def find_blocking_trail(view: FreshView) -> Witness | None:
     """Trail stability: no trail of fresh contracts may start with a contract
     its seller keeps, end with one its buyer keeps, and have every
     intermediate agent keep either all its prefix contracts (one global
@@ -214,9 +219,6 @@ def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
     link agent to keep all of the grown prefix (or suffix), and the overall
     witness is the shortest-lex one.
     """
-    view, short = _fresh(inst, outcome, "trail")
-    if short:
-        return short
     budget = _Budget()
     found = []
     for option, seed, done, forward in (
@@ -226,42 +228,35 @@ def find_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
         trail = _shortest_trail(view, budget, done, seed, view.keeps, forward)
         if trail:
             found.append((len(trail), trail, option))
-    if not found:
-        return StabilityVerdict("trail", True)
-    _, trail, option = min(found)
-    return StabilityVerdict("trail", False, Witness("trail", view.names(trail), option=option))
+    if found:
+        _, trail, option = min(found)
+        return Witness("trail", view.names(trail), option=option)
+    return None
 
 
-def find_locally_blocking_trail(inst: Instance, outcome) -> StabilityVerdict:
+@_notion("full_trail")
+def find_locally_blocking_trail(view: FreshView) -> Witness | None:
     """Full trail stability: like trail blocking, but each intermediate agent
     only needs to keep the consecutive pair it links.  Search is incremental;
     partial trails failing a pair condition are never extended."""
-    view, short = _fresh(inst, outcome, "full_trail")
-    if short:
-        return short
     found = _shortest_trail(view, _Budget(), view.last_kept, view.first_kept, view.keeps_pair)
-    if found:
-        return StabilityVerdict("full_trail", False, Witness("trail", view.names(found)))
-    return StabilityVerdict("full_trail", True)
+    return Witness("trail", view.names(found)) if found else None
 
 
-def find_blocking_chain(inst: Instance, outcome) -> StabilityVerdict:
+@_notion("chain")
+def find_blocking_chain(view: FreshView) -> Witness | None:
     """Chain stability: locally blocking trails whose agents are all distinct."""
-    view, short = _fresh(inst, outcome, "chain")
-    if short:
-        return short
 
     def chain_step(link, trail):
         walk = [view.seller[trail[0]], *map(view.buyer.__getitem__, trail)]
         return len(set(walk)) == len(walk) and view.keeps_pair(link, trail)
 
     found = _shortest_trail(view, _Budget(), view.last_kept, view.first_kept, chain_step)
-    if found:
-        return StabilityVerdict("chain", False, Witness("chain", view.names(found)))
-    return StabilityVerdict("chain", True)
+    return Witness("chain", view.names(found)) if found else None
 
 
-def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
+@_notion("set")
+def find_blocking_set(view: FreshView) -> Witness | None:
     """Set stability: no nonempty fresh contract set that every involved
     agent keeps in full alongside the outcome.
 
@@ -269,9 +264,6 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
     `network.subsets` order, and each is asked of the view's agents in id
     order until one turns its share down: on one sum of shares per block,
     inlined (a `kept_by_all` call costs 7%), decoding only a blocking block."""
-    view, short = _fresh(inst, outcome, "set")
-    if short:
-        return short
     check_set_guard(len(view.fresh))
     shares, agents = list(map(view.share, view.fresh)), tuple(view.agents.values())
     for size in range(1, len(shares) + 1):
@@ -282,22 +274,18 @@ def find_blocking_set(inst: Instance, outcome) -> StabilityVerdict:
                     break
             else:
                 block = next(islice(combinations(view.fresh, size), k, None))
-                return StabilityVerdict("set", False, Witness("set", view.names(block)))
-    return StabilityVerdict("set", True)
+                return Witness("set", view.names(block))
+    return None
 
 
-def find_blocking_strong_trail(inst: Instance, outcome) -> StabilityVerdict:
+@_notion("strong_trail")
+def find_blocking_strong_trail(view: FreshView) -> Witness | None:
     """Strong trail stability: no trail of fresh contracts kept in full by
     every involved agent.  Whole-trail conditions admit no prefix pruning,
     so this enumerates trails within the guard, each asked of the view's
     agents as in the set search."""
-    view, short = _fresh(inst, outcome, "strong_trail")
-    if short:
-        return short
     found = _shortest_trail(view, _Budget(), view.kept_by_all)
-    if found:
-        return StabilityVerdict("strong_trail", False, Witness("trail", view.names(found)))
-    return StabilityVerdict("strong_trail", True)
+    return Witness("trail", view.names(found)) if found else None
 
 
 _CHECKERS = {

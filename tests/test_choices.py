@@ -666,3 +666,20 @@ def test_a_function_loads_in_linear_memory():
                 tracemalloc.stop()
             assert cf.family == family and len(cf.ids) >= n - 1
         assert peaks[1] <= 6 * peaks[0], (family, peaks)
+
+
+def test_reservation_over_one_price_trades_loads_in_linear_memory():
+    # each trade keeps its lowest position and a span from there; a mask of
+    # all bits but the trade's, as wide as its position, read 3.1x here
+    peaks = []
+    for n in (10_000, 20_000):
+        ids = [contract_id(f"t{k}", 1) for k in range(n)]
+        values = {f"t{k}": 2 for k in range(n)}
+        tracemalloc.start()
+        try:
+            cf = ReservationChoice("b", ids, [], values, {})
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert cf.choose(ids[:3]) == set(ids[:3])
+    assert peaks[1] <= 2.5 * peaks[0], peaks

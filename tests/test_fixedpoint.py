@@ -1,12 +1,17 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
+import json
 import random
+import tracemalloc
 
 import pytest
 
 from tradenet.choices import ChoiceFunction, is_rational
+from tradenet.cli import main
+from tradenet.equilibrium import build_priced
 from tradenet.errors import GuardExceededError, IterationDiagnosisError, PreconditionError
 from tradenet.fixedpoint import (
     FixedPointResult,
@@ -77,6 +82,54 @@ def test_empty_network_fixed_immediately():
     run = buyer_optimal(inst)
     assert run.outcome == frozenset()
     assert run.iterations == 0
+
+
+def test_results_compare_by_pairs_and_rounds(example1):
+    run = buyer_optimal(example1)
+    assert isinstance(run, FixedPointResult)
+    assert run == buyer_optimal(example1) and hash(run) == hash(buyer_optimal(example1))
+    # w renamed w9 keeps every position, so the run's rows are the same,
+    # but its pairs name other contracts
+    raw = json.loads(json.dumps(example1.to_json()).replace('"w"', '"w9"'))
+    renamed = buyer_optimal(instance_from_json(raw))
+    assert renamed.rows == run.rows and renamed.outcome == {"w9"}
+    assert renamed != run
+
+
+def price_grid(prices):
+    """One trade t on prices 0..prices-1: buyer b values it at the top price,
+    seller s costs it one below, so buyer-optimal rounds climb one price a round."""
+    cfs = [{"agent": "b", "type": "reservation", "values": {"t": prices - 1}},
+           {"agent": "s", "type": "reservation", "costs": {"t": prices - 2}}]
+    trade = {"id": "t", "seller": "s", "buyer": "b", "price_min": 0, "price_max": prices - 1}
+    return build_priced({"trades": [trade], "choice_functions": cfs}).instance
+
+
+def test_an_optimum_keeps_its_rounds_as_rows():
+    # about 500 rounds over 500 contracts: rows take rounds x |X| bits, where
+    # an offer pair of frozensets per round peaked at 32.8 MB
+    inst = price_grid(500)
+    tracemalloc.start()
+    try:
+        run = buyer_optimal(inst)
+        outcome = run.outcome
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome == {"t@498"} and run.iterations >= 499
+    assert peak < 4_000_000, peak
+
+
+def test_solve_trace_bytes_are_pinned(capsys, tmp_path):
+    # the digest pins the decoded trace's bytes, taken when every round was
+    # kept as an offer pair
+    path = tmp_path / "grid50.json"
+    path.write_text(json.dumps(price_grid(50).to_json()))
+    assert main(["solve", str(path), "--trace"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["outcome"] == ["t@48"] and json.loads(out)["iterations"] >= 49
+    digest = "d9e49d37e62cfea104ef1fbea3227228eb74c2aeddbdef750b48487ca33396b2"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_incomparable_start_rejected(example1):
@@ -155,8 +208,8 @@ def _scanned_fixed_points(inst):
         seller = frozenset(c for c, s in zip(ids, sides) if s != 0)
         pair = OfferPair(buyer, seller)
         if respond(inst, pair) == pair:
-            out.append(FixedPointResult(pair, pair.outcome, 0, (pair,)))
-    return sorted(out, key=lambda r: r.pair.sort_key())
+            out.append(pair)
+    return sorted(out, key=OfferPair.sort_key)
 
 
 def test_enumeration_matches_literal_scan(unrestricted_instance):
@@ -172,7 +225,8 @@ def test_enumeration_matches_literal_scan(unrestricted_instance):
     for inst in corpus:
         assert len(inst.contract_ids) <= 8
         found = enumerate_fixed_points(inst)
-        assert found == _scanned_fixed_points(inst)
+        assert [r.pair for r in found] == _scanned_fixed_points(inst)
+        assert all(r.iterations == 0 and r.trace == (r.pair,) for r in found)
         counts.append(len(found))
     assert 0 in counts and max(counts) >= 20  # both empty and crowded answers occur
 
