@@ -7,8 +7,9 @@ sorted-id domain is at `position` i and is bit i, every family's selector
 takes and returns masks (`choose_mask`), and `choose` is the frozenset
 boundary around it.  Evaluation is pure and memoized in one store (the memo
 never changes an observable result, it only speeds up the exhaustive
-searches that hammer the same menus): a dict of the menus asked, until
-`menu_table` tabulates every menu; that table is then the memo.
+searches that hammer the same menus): a list of 2^|domain| answers, None
+until asked, which `menu_table` fills in place; a function wider than
+SIZE_GUARD keeps a dict of the menus asked instead.
 
 Side conventions follow the rest of the library: *upstream* contracts are the
 ones the agent buys, *downstream* the ones it sells.
@@ -18,8 +19,16 @@ from __future__ import annotations
 
 import sys
 
-from .errors import ChoiceFunctionError, InstanceFormatError
+from .errors import ChoiceFunctionError, GuardExceededError, InstanceFormatError
+from .guards import SIZE_GUARD
 from .network import ContractNetwork, at_bits, sorted_ids
+
+
+class _Asked(dict):
+    """The memo past SIZE_GUARD: the menus asked, by mask; one not asked reads None."""
+
+    def __missing__(self, menu):
+        return None
 
 
 class ChoiceFunction:
@@ -40,8 +49,16 @@ class ChoiceFunction:
         self.position = {c: i for i, c in enumerate(self.ids)}
         self.up_mask = _mask_at([self.position[c] for c in self.upstream])
         self.down_mask = (1 << len(self.ids)) - 1 ^ self.up_mask
-        self._memo: dict[int, int] | list[int] = {}  # the menu table once filled
+        self._memo: list | _Asked | None = None  # answers by menu mask; the table once `_filled`
+        self._filled = False
         self._slices = None  # the table cut into `axioms._Slices`, built once by `_Slices.of`
+
+    def _store(self):
+        """The memo, made at the first ask, so a function never asked holds none."""
+        if self._memo is None:
+            width = len(self.ids)
+            self._memo = [None] * (1 << width) if width <= SIZE_GUARD else _Asked()
+        return self._memo
 
     def mask(self, contracts) -> int:
         """The mask of the agent's own contracts among `contracts`."""
@@ -63,9 +80,9 @@ class ChoiceFunction:
     def choose_mask(self, menu: int) -> int:
         """The chosen mask from a menu mask over the agent's domain."""
         memo = self._memo
-        if memo.__class__ is list:
-            return memo[menu]
-        hit = memo.get(menu)
+        if memo is None:
+            memo = self._store()
+        hit = memo[menu]
         if hit is None:
             hit = self._select(menu)
             if hit & ~menu:
@@ -84,19 +101,26 @@ class ChoiceFunction:
 
         Filled in full on the first call, since every reader (the axiom
         validators, fixed-point enumeration, the priced checks) visits all
-        2^|domain| menus, and kept as the function's memo in place of the
-        dict that `choose_mask` fills for searches that may stop early."""
-        if self._memo.__class__ is dict:
-            table = list(map(self._select, range(1 << len(self.ids))))
+        2^|domain| menus.  It is written into the memo list in place, so a
+        `stability.FreshView` holding that list reads the table; a function
+        past SIZE_GUARD has none."""
+        memo = self._store()
+        if not self._filled:
+            if memo.__class__ is _Asked:
+                raise GuardExceededError(f"menu table: agent {self.agent} has {len(self.ids)} "
+                                         f"contracts, guard is {SIZE_GUARD}")
+            table = list(map(self._select, range(len(memo))))
             if any(chosen & ~menu for menu, chosen in enumerate(table)):
                 self._overreach()
-            self._memo = table
-        return self._memo
+            memo[:] = table
+            self._filled = True
+        return memo
 
     @property
     def query_count(self) -> int:
-        """Number of distinct menus evaluated so far (oracle-call counter)."""
-        return len(self._memo)
+        """Distinct menus evaluated so far (oracle-call counter): memo entries not None."""
+        memo = self._memo or ()
+        return len(memo) - (memo.count(None) if memo.__class__ is list and not self._filled else 0)
 
     # -- conditioned choice and rejection maps ------------------------------
 

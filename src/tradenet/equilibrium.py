@@ -412,30 +412,3 @@ def verify_competitive_equilibrium(priced: PricedInstance, arr: Arrangement) -> 
         if cf.choose(menu & cf.domain) != realized_contracts & cf.domain:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# trace audits
-# ---------------------------------------------------------------------------
-
-
-def trace_prices_monotone(trace: PriceTrace) -> bool:
-    """Offered prices move against the proposing side, never back."""
-    sign = 1 if trace.perspective == "buyer" else -1
-    return all(
-        sign * (p - prev.prices[t]) >= 0
-        for prev, cur in zip(trace.rounds, trace.rounds[1:])
-        for t, p in cur.prices.items()
-    )
-
-
-def trace_offers_remain_open(trace: PriceTrace) -> bool:
-    """An offer the responder kept is renewed by the proposer next round."""
-    pairs = zip(trace.rounds, trace.rounds[1:])
-    return all(prev.offers & cur.responder_keeps <= cur.offers for prev, cur in pairs)
-
-
-def trace_rejections_remain_final(trace: PriceTrace) -> bool:
-    """Responder rejections only accumulate."""
-    pairs = zip(trace.rounds, trace.rounds[1:])
-    return all(prev.responder_rejects <= cur.responder_rejects for prev, cur in pairs)

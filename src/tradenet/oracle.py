@@ -21,9 +21,9 @@ from .choices import (
 )
 from .errors import ChoiceFunctionError, GuardExceededError, PreconditionError
 from .fixedpoint import join_states
-from .guards import BRUTE_GUARD, PARTITION_GUARD, SIZE_GUARD
+from .guards import BRUTE_GUARD, PARTITION_GUARD, SET_GUARD, SIZE_GUARD
 from .instances import Instance
-from .network import Contract, sorted_ids, subsets, validate_network
+from .network import Contract, ContractNetwork, sorted_ids, subsets, validate_network
 
 PROFILES = ("fsirc", "separable", "simple", "acyclic", "ladlas")
 CERTIFY_ATTEMPTS = 200  # candidates `generate_instance` draws before giving up
@@ -114,18 +114,27 @@ class GadgetInstance:
     half_integral: bool  # odd totals make the threshold sit between integers
 
 
-def _two_firm_network(k: int):
+_NETWORKS: dict[int, ContractNetwork] = {}  # k -> its network, for k + 1 <= SET_GUARD
+
+
+def _two_firm_network(k: int) -> ContractNetwork:
     """Firm g sells k parallel contracts x1..xk (ids zero-padded to one
     width, so that id order is index order) to firm f, which sells the
-    return contract y back."""
+    return contract y back.  Networks are immutable: one per k the set search
+    takes is kept (each instance numbers its own), a wider one is not."""
+    if k in _NETWORKS:
+        return _NETWORKS[k]
     pad = len(str(k))
-    return validate_network(
+    net = validate_network(
         {
             "agents": ["f", "g"],
             "contracts": [{"id": "y", "seller": "f", "buyer": "g"}]
             + [{"id": f"x{i:0{pad}d}", "seller": "g", "buyer": "f"} for i in range(1, k + 1)],
         }
     )
+    if k + 1 <= SET_GUARD:
+        _NETWORKS[k] = net
+    return net
 
 
 def partition_to_gs(weights) -> GadgetInstance:

@@ -61,8 +61,8 @@ class FreshView:
     tuples whose lexicographic order is the id order.  `seller` and `buyer`
     are the numbering's, and `sells[a]` and `buys[a]` agent a's fresh
     positions in id order.  Each agent holding a fresh contract has one entry
-    in `agents`, in id order: its `choose_mask`, its outcome mask and its
-    `lane` of a sum of `share`s.  Every condition of every notion is `keeps`.
+    in `agents`, in id order: its `choose_mask`, outcome mask, `lane` of a
+    sum of `share`s and memo list.  Every condition of every notion is `keeps`.
     """
 
     __slots__ = ("ids", "fresh", "seller", "buyer", "sells", "buys", "agents", "share",
@@ -81,7 +81,8 @@ class FreshView:
         base = sum(map(self.share, kept))  # each agent's lane of it is its outcome mask
         for agent in sorted(self.sells.keys() | self.buys.keys()):
             shift, mask = num.lane[agent]
-            self.agents[agent] = (inst.choice[agent].choose_mask, base >> shift & mask, shift, mask)
+            cf = inst.choice[agent]
+            self.agents[agent] = (cf.choose_mask, base >> shift & mask, shift, mask, cf._store())
         self.kept_alone = ({}, {})  # position -> its seller, its buyer keeps it alone
 
     def names(self, positions) -> tuple[str, ...]:
@@ -90,14 +91,14 @@ class FreshView:
     def keeps(self, agent, positions) -> bool:
         """The agent keeps its share of `positions` (its lane of their summed
         shares) alongside the outcome; an agent with no share is not asked."""
-        choose_mask, base, shift, mask = self.agents[agent]
+        choose_mask, base, shift, mask, _ = self.agents[agent]
         own = sum(map(self.share, positions)) >> shift & mask
         return not own or not own & ~choose_mask(own | base)
 
     def kept_by_all(self, positions) -> bool:
         """`keeps` for every agent in id order, on one sum of shares."""
         total = sum(map(self.share, positions))
-        for choose_mask, base, shift, mask in self.agents.values():
+        for choose_mask, base, shift, mask, _ in self.agents.values():
             own = total >> shift & mask
             if own and own & ~choose_mask(own | base):
                 return False
@@ -263,15 +264,25 @@ def find_blocking_set(view: FreshView) -> Witness | None:
     Blocks are combinations of the fresh positions, which is
     `network.subsets` order, and each is asked of the view's agents in id
     order until one turns its share down: on one sum of shares per block,
-    inlined (a `kept_by_all` call costs 7%), decoding only a blocking block."""
+    inlined (a `kept_by_all` call costs 7%), decoding only a blocking block.
+    Menus are read from each agent's memo in place, a miss filled as `choose_mask` would."""
     check_set_guard(len(view.fresh))
     shares, agents = list(map(view.share, view.fresh)), tuple(view.agents.values())
     for size in range(1, len(shares) + 1):
         for k, total in enumerate(map(sum, combinations(shares, size))):
-            for choose_mask, base, shift, mask in agents:
+            for choose_mask, base, shift, mask, memo in agents:
                 own = total >> shift & mask
-                if own and own & ~choose_mask(own | base):
-                    break
+                if own:
+                    menu = own | base
+                    chosen = memo[menu]
+                    if chosen is None:
+                        cf = choose_mask.__self__
+                        chosen = cf._select(menu)
+                        if chosen & ~menu:
+                            cf._overreach()
+                        memo[menu] = chosen
+                    if own & ~chosen:
+                        break
             else:
                 block = next(islice(combinations(view.fresh, size), k, None))
                 return Witness("set", view.names(block))

@@ -46,7 +46,13 @@ from tradenet.stability import (
 )
 from tradenet.axioms import check_separability
 
-from literal import pair_join, pair_meet
+from literal import (
+    pair_join,
+    pair_meet,
+    trace_offers_remain_open,
+    trace_prices_monotone,
+    trace_rejections_remain_final,
+)
 
 CORPUS_PLAN = (("fsirc", 80), ("separable", 50), ("simple", 35), ("acyclic", 35))
 
@@ -226,9 +232,9 @@ def test_criterion_09_equilibrium_suite():
             assert eq.verify_competitive_equilibrium(priced, arrangement), seed
             assert find_blocking_trail(priced.instance, outcome).stable, seed
             assert find_locally_blocking_trail(priced.instance, outcome).stable, seed
-            assert eq.trace_prices_monotone(trace), seed
-            assert eq.trace_offers_remain_open(trace), seed
-            assert eq.trace_rejections_remain_final(trace), seed
+            assert trace_prices_monotone(trace), seed
+            assert trace_offers_remain_open(trace), seed
+            assert trace_rejections_remain_final(trace), seed
             # the abstract: the competitive equilibrium outcome is fully trail-stable
             for perspective in ("buyer", "seller"):
                 outcome, _ = eq.price_adjustment(priced, perspective)

@@ -23,7 +23,8 @@ from tradenet.choices import (
     is_rational_pair,
     split_contract_id,
 )
-from tradenet.errors import ChoiceFunctionError
+from tradenet.errors import ChoiceFunctionError, GuardExceededError
+from tradenet.guards import SIZE_GUARD
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
 from tradenet.network import subsets
 from tradenet.oracle import (
@@ -520,6 +521,27 @@ def test_a_filled_table_is_the_one_memo(unrestricted_instance):
         assert cf.query_count == 2 ** len(cf.domain), cf.to_json()
         assert all(cf.choose_mask(m) == chosen for m, chosen in enumerate(table)), cf.to_json()
         assert cf.query_count == 2 ** len(cf.domain), cf.to_json()
+
+
+def test_the_memo_list_is_made_at_the_first_ask():
+    # a function never asked holds no list, so loading many agents of up to
+    # 16 contracts allocates no 2^|domain| entries each
+    ids = [f"c{i:02d}" for i in range(SIZE_GUARD)]
+    cf = QuotaChoice("b", ids, [], ids, quota=2)
+    assert cf.query_count == 0 and cf._memo is None
+    assert cf.choose_mask(0b111) == 0b11 and cf.query_count == 1
+    assert type(cf._memo) is list and len(cf._memo) == 2**SIZE_GUARD
+
+
+def test_a_function_past_the_size_guard_keeps_the_menus_asked_and_no_table():
+    ids = [f"c{i:02d}" for i in range(SIZE_GUARD + 1)]
+    cf = QuotaChoice("b", ids, [], ids, quota=2)
+    assert cf.choose(ids[3:]) == {"c03", "c04"}
+    assert cf.choose_mask(0b1010) == 0b1010 and cf.choose_mask(0b1010) == 0b1010
+    assert cf.query_count == 2 and sorted(cf._memo) == [0b1010, 0b11111111111111000]
+    with pytest.raises(GuardExceededError, match=f"b has 17 contracts, guard is {SIZE_GUARD}"):
+        cf.menu_table()
+    assert cf.query_count == 2
 
 
 def test_choose_is_a_conversion_around_choose_mask(unrestricted_instance):

@@ -23,9 +23,6 @@ from tradenet.equilibrium import (
     check_priced_axioms,
     complete_prices,
     price_adjustment,
-    trace_offers_remain_open,
-    trace_prices_monotone,
-    trace_rejections_remain_final,
     verify_competitive_equilibrium,
 )
 from tradenet.errors import GuardExceededError, InstanceFormatError, PreconditionError
@@ -33,6 +30,8 @@ from tradenet.fixedpoint import bottom_pair, iterate_from, top_pair
 from tradenet.instances import Instance
 from tradenet.network import sorted_ids, submasks, subsets, validate_network
 from tradenet.oracle import generate_priced_instance
+
+from literal import trace_offers_remain_open, trace_prices_monotone, trace_rejections_remain_final
 
 
 def one_trade(value=5, cost=3, lo=0, hi=10):

@@ -4,15 +4,16 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 
 from tradenet import oracle, stability
 from tradenet.axioms import SIZE_GUARD, check_full_substitutability, check_instance, check_irc
 from tradenet.errors import GuardExceededError, StabilityContradictionError
-from tradenet.guards import PARTITION_GUARD
+from tradenet.guards import PARTITION_GUARD, SET_GUARD
 from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
-from tradenet.network import sorted_ids
+from tradenet.network import sorted_ids, validate_network
 from tradenet.oracle import (
     PROFILES,
     acceptable_outcomes,
@@ -219,6 +220,87 @@ def test_partition_query_counts_are_pinned(weights, witness, queries):
     assert (verdict.witness.contracts if verdict.witness else None) == witness
     choice = gadget.instance.choice
     assert (choice["f"].query_count, choice["g"].query_count) == queries
+
+
+def test_the_set_search_and_choose_mask_read_one_memo():
+    # the set search reads and fills each agent's memo in place: every menu
+    # it asked is then a hit through `choose_mask`, with `_select`'s answer
+    for inst in (partition_to_gs((1, 1, 2, 3, 5)).instance, needle_family(3, hidden=[2, 4, 5])):
+        assert not find_blocking_set(inst, frozenset()).stable
+        for cf in inst.choice.values():
+            asked, count = menus_asked(cf), cf.query_count
+            assert 0 < len(asked) == count < 2 ** len(cf.domain)
+            assert all(cf.choose_mask(menu) == cf._select(menu) for menu in asked)
+            assert cf.query_count == count
+
+
+def test_a_view_built_before_the_fill_reads_the_filled_table():
+    # the fill writes into the memo list the kept view's searches read, so
+    # nothing is evaluated or counted twice and no stale memo is left behind
+    inst = needle_family(3)
+    assert find_blocking_set(inst, frozenset()).stable
+    view = inst.numbering.views[frozenset()]
+    memos = {agent: cf._memo for agent, cf in inst.choice.items()}
+    for agent, cf in inst.choice.items():
+        assert cf.menu_table() is memos[agent] is cf._memo
+        assert cf.query_count == 2 ** len(cf.domain)
+
+        def refuse(menu, agent=agent):
+            raise AssertionError(f"{agent} evaluated menu {menu} again")
+
+        cf._select = refuse
+    assert find_blocking_set(inst, frozenset()).stable
+    assert inst.numbering.views[frozenset()] is view
+    assert all(cf.query_count == 2 ** len(cf.domain) for cf in inst.choice.values())
+
+
+def test_a_set_search_at_the_size_guard_keeps_its_memos_in_lists():
+    # 15 unit weights, an odd total: the search scans all 2^16 - 1 blocks of
+    # two 16-contract firms.  One list entry per menu holds 3.7 MB; a dict of
+    # the menus asked held 11.5 MB.  A firm of more contracts still keeps a
+    # dict of the menus asked, which at the set guard holds far more
+    tracemalloc.start()
+    try:
+        gadget = partition_to_gs((1,) * 15)
+        assert find_blocking_set(gadget.instance, gadget.outcome).stable
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    choice = gadget.instance.choice
+    assert [len(choice[agent].domain) for agent in "fg"] == [16, 16]
+    assert all(type(choice[agent]._memo) is list for agent in "fg")
+    assert held <= 5 * 2**20, held
+    wider = partition_to_gs((1,) * 16).instance.choice["f"]
+    assert wider.choose_mask(1) == 1 and isinstance(wider._memo, dict) and wider.query_count == 1
+
+
+def test_gadgets_of_one_size_share_one_network():
+    # networks are immutable, so gadgets of one k share one; each instance
+    # keeps its own numbering and each choice function its own memo
+    first, second = partition_to_gs((1, 2, 3, 4)), partition_to_gs((2, 2, 2, 2))
+    needle = needle_family(2)
+    net = first.instance.network
+    assert second.instance.network is net and needle.network is net
+    assert first.instance.numbering is not second.instance.numbering
+    assert find_blocking_set(first.instance, first.outcome).witness.contracts == ("x1", "x4", "y")
+    assert first.instance.choice["f"].query_count > 0
+    assert second.instance.choice["f"].query_count == needle.choice["f"].query_count == 0
+    # a kept network reads and compares as one built afresh
+    assert net.to_json() == {
+        "agents": ["f", "g"],
+        "contracts": [{"id": "y", "seller": "f", "buyer": "g"}]
+        + [{"id": f"x{i}", "seller": "g", "buyer": "f"} for i in range(1, 5)],
+    }
+    assert net == validate_network(net.to_json())
+    assert instance_from_json(first.instance.to_json()).to_json() == first.instance.to_json()
+
+
+def test_a_gadget_wider_than_the_set_guard_keeps_no_network():
+    k = SET_GUARD  # k + 1 contracts, one more than the set search takes
+    a, b = (partition_to_gs((1,) * k).instance.network for _ in range(2))
+    assert a == b and a is not b
+    assert k not in oracle._NETWORKS
+    assert partition_to_gs((1,) * (k - 1)).instance.network is oracle._NETWORKS[k - 1]
 
 
 def test_generation_is_deterministic():
