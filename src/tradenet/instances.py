@@ -17,7 +17,7 @@ from types import MappingProxyType
 
 from .choices import ChoiceFunction, build_family
 from .errors import ChoiceFunctionError, InstanceFormatError, PreconditionError
-from .network import ContractNetwork, at_bits, mask_bits, sorted_ids, spread, validate_network
+from .network import ContractNetwork, at_bits, mask_bits, sorted_ids, validate_network
 
 INSTANCE_FIELDS = {"agents", "contracts", "choice_functions"}
 
@@ -91,17 +91,6 @@ class Instance:
         return out
 
 
-@functools.cache  # at most 255 patterns
-def _byte_tables(pattern: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Gather and scatter for the bits of one byte pattern (Knuth, TAOCP 4A
-    §7.1.3): `scatter[v]` puts the low bits of v on the pattern's bits, in
-    order, and the 256-entry `gather` undoes it on the pattern's submasks."""
-    scatter, gather = spread(mask_bits(pattern)), [0] * 256
-    for v, m in enumerate(scatter):
-        gather[m] = v
-    return tuple(gather), tuple(scatter)
-
-
 class Numbering:
     """The instance's one contract numbering: contract i, in sorted-id order,
     is position i and bit i of an instance mask; an offer pair is one int,
@@ -113,14 +102,14 @@ class Numbering:
     its local bit (its bit in an agent's own numbering) in its seller's and
     its buyer's `lane` (shift, mask; as wide as the agent's domain, in
     `inst.choice` order), so one sum over distinct positions holds every
-    agent's local mask of them (SWAR).  An agent's contracts in one byte of
-    the instance mask are a run of its local bits, so the round gathers its
-    menu, and scatters back what it rejects, through the `_byte_tables` of its
-    bits in each byte (shared by every agent with that pattern).  It also
-    keeps what is derived on it, each filled by its one reader after that
-    reader's guard: the `acceptable` outcomes (`oracle.acceptable_outcomes`),
-    the rows of the `fixed_points` (`fixedpoint._fixed_point_rows`) and the
-    `views` of the acceptable outcomes checked so far (`stability._notion`)."""
+    agent's local mask of them (SWAR).  An agent's local bits rise with its
+    positions, so each run of its consecutive positions is a run of its local
+    bits: the round gathers its menu, and scatters back what it rejects, one
+    shift and mask per run.  It also keeps what is derived on it, each filled
+    by its one reader after that reader's guard: the `acceptable` outcomes
+    (`oracle.acceptable_outcomes`), the rows of the `fixed_points`
+    (`fixedpoint._fixed_point_rows`) and the `views` of the acceptable
+    outcomes checked so far (`stability._notion`)."""
 
     __slots__ = ("ids", "n", "full", "position", "seller", "buyer", "packed", "lane", "agents",
                  "acceptable", "fixed_points", "views")
@@ -132,7 +121,7 @@ class Numbering:
         self.position = {c: i for i, c in enumerate(self.ids)}
         self.seller, self.buyer = [None] * self.n, [None] * self.n
         self.packed, self.lane, shift = [0] * self.n, {}, 0
-        self.agents = []  # (choice function, upstream mask, downstream mask, byte parts)
+        self.agents = []  # (choice function, upstream mask, downstream mask, runs)
         for cf in inst.choice.values():
             self.lane[cf.agent] = shift, (1 << len(cf.ids)) - 1
             for c, j in cf.position.items():
@@ -141,14 +130,15 @@ class Numbering:
             for side, agents in ((cf.downstream, self.seller), (cf.upstream, self.buyer)):
                 for c in side:
                     agents[self.position[c]] = cf.agent
-            up, down, parts, low = self.mask(cf.upstream), self.mask(cf.downstream), [], 0
-            for at in range(0, self.n, 8):
-                pattern = (up | down) >> at & 255
-                if pattern:  # `low` is the agent's local bit of the byte's first contract
-                    gather, scatter = _byte_tables(pattern)
-                    parts.append((at, low, len(scatter) - 1, gather, scatter))
-                    low += pattern.bit_count()
-            self.agents.append((cf, up, down, parts))
+            up, down, runs, low = self.mask(cf.upstream), self.mask(cf.downstream), [], 0
+            rest = up | down
+            while rest:  # the lowest run of `rest` starts at position `at` and local bit `low`
+                first = rest & -rest
+                run, at = rest & ~(rest + first), first.bit_length() - 1
+                runs.append((at, low, run >> at))
+                low += run.bit_count()
+                rest ^= run
+            self.agents.append((cf, up, down, runs))
         self.acceptable = self.fixed_points = None  # tuples once joined
         self.views = {}  # acceptable outcome -> its FreshView
 
@@ -181,16 +171,16 @@ class Numbering:
         """`fixedpoint.respond` on a row."""
         buyer, seller = row & self.full, row >> self.n
         seller_rejects = buyer_rejects = 0
-        for cf, up, down, parts in self.agents:
+        for cf, up, down, runs in self.agents:
             offered = seller & down | buyer & up
             menu = 0
-            for at, low, _, gather, _ in parts:
-                menu |= gather[offered >> at & 255] << low
+            for at, low, width in runs:
+                menu |= (offered >> at & width) << low
             rejected = menu & ~cf.choose_mask(menu)
             if rejected:
                 lost = 0
-                for at, low, width, _, scatter in parts:
-                    lost |= scatter[rejected >> low & width] << at
+                for at, low, width in runs:
+                    lost |= (rejected >> low & width) << at
                 seller_rejects |= lost & down
                 buyer_rejects |= lost & up
         return self.full ^ seller_rejects | (self.full ^ buyer_rejects) << self.n

@@ -120,6 +120,13 @@ def test_an_optimum_keeps_its_rounds_as_rows():
     assert peak < 4_000_000, peak
 
 
+def test_a_wide_window_is_one_run_per_firm():
+    # each firm owns every position, so a round gathers and scatters its menu
+    # with one shift and mask, however wide the window
+    num = price_grid(4000).numbering
+    assert [runs for *_, runs in num.agents] == [[(0, 0, num.full)]] * 2
+
+
 def test_solve_trace_bytes_are_pinned(capsys, tmp_path):
     # the digest pins the decoded trace's bytes, taken when every round was
     # kept as an offer pair

@@ -5,6 +5,7 @@ literal references."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -153,6 +154,17 @@ def test_numbered_join_and_round_match_the_literal_ones(unrestricted_instance):
     assert {6, 9, 12} <= sizes
 
 
+def _runs(inst, cf):
+    """(position, local bit, width mask) of each run of consecutive positions
+    among the agent's contracts, taken in local-bit order."""
+    positions = [inst.numbering.position[c] for c in sorted(cf.position, key=cf.position.get)]
+    runs = []
+    for _, run in itertools.groupby(enumerate(positions), lambda jp: jp[1] - jp[0]):
+        (j, at), *rest = run
+        runs.append((at, j, (1 << 1 + len(rest)) - 1))
+    return runs
+
+
 def test_the_numbering_spans_several_bytes():
     # 20 contracts among three agents, each agent's spread over all three
     # bytes of the instance mask, so that gathers and scatters shift
@@ -175,7 +187,45 @@ def test_the_numbering_spans_several_bytes():
     for pair in pairs:
         assert respond(numbered, pair) == literal_respond(literal, pair)
     assert _query_counts(numbered) == _query_counts(literal)
-    assert [len(parts) for *_, parts in numbered.numbering.agents] == [3, 3, 3]
+    runs = [runs for *_, runs in numbered.numbering.agents]
+    assert runs == [_runs(numbered, cf) for cf in numbered.choice.values()]
+    assert all(len(r) > 1 for r in runs)
+
+
+def test_runs_cross_byte_and_word_boundaries():
+    # 140 contracts: a and b trade positions 5-70, one run each across eight
+    # bytes and bit 64; the rest alternate between c-d and d-e contracts, so
+    # c and e own every other position (one run per contract) and d owns two runs
+    ids = [f"p{i:03d}" for i in range(140)]
+    contracts = []
+    for i, c in enumerate(ids):
+        if 5 <= i <= 70:
+            seller, buyer = ("a", "b") if i % 3 else ("b", "a")
+        else:
+            seller, buyer = ("c", "d") if i % 2 else ("d", "e")
+        contracts.append({"id": c, "seller": seller, "buyer": buyer})
+    rng = random.Random(11)
+    choice_functions = []
+    for agent in "abcde":
+        own = [c["id"] for c in contracts if agent in (c["seller"], c["buyer"])]
+        if agent in "ce":  # one-sided
+            choice_functions.append({"agent": agent, "type": "quota",
+                                     "order": rng.sample(own, len(own)), "quota": len(own) // 3})
+        else:
+            ranking = [sorted(rng.sample(own, rng.randint(1, 8))) for _ in range(12)]
+            choice_functions.append({"agent": agent, "type": "preference_list", "ranking": ranking})
+    raw = {"agents": list("abcde"), "contracts": contracts, "choice_functions": choice_functions}
+    numbered, literal = instance_from_json(raw), instance_from_json(raw)
+    runs = {cf.agent: runs for cf, *_, runs in numbered.numbering.agents}
+    assert runs == {a: _runs(numbered, cf) for a, cf in numbered.choice.items()}
+    assert runs["a"] == runs["b"] == [(5, 0, (1 << 66) - 1)]
+    assert [len(runs[a]) for a in "cde"] == [37, 2, 37]
+    pairs = [top_pair(numbered), bottom_pair(numbered)] + [
+        OfferPair(frozenset(rng.sample(ids, 90)), frozenset(rng.sample(ids, 90))) for _ in range(40)
+    ]
+    for pair in pairs:
+        assert respond(numbered, pair) == literal_respond(literal, pair)
+    assert _query_counts(numbered) == _query_counts(literal)
 
 
 def test_a_packed_sum_holds_each_agents_mask_in_its_lane(unrestricted_instance):
@@ -222,16 +272,13 @@ def test_a_packed_sum_holds_each_agents_mask_in_its_lane(unrestricted_instance):
     ids=["respond", "buyer_optimal", "enumerate_fixed_points", "acceptable_outcomes", "stability"],
 )
 def test_numbering_is_built_on_the_first_join_or_round(first):
-    instances._byte_tables.cache_clear()
     inst = instance_from_json(bundled_json("example2"))
     assert "numbering" not in vars(inst)
-    assert instances._byte_tables.cache_info().currsize == 0  # no gather table either
     first(inst)
     num = vars(inst)["numbering"]
     assert isinstance(num, instances.Numbering)
     assert num.ids == sorted(inst.contract_ids)
     assert [cf for cf, *_ in num.agents] == list(inst.choice.values())
-    assert instances._byte_tables.cache_info().currsize > 0
     # each position's agents and each agent's local bits, looked up by id
     net = inst.network
     assert num.seller == [net.contract(c).seller for c in num.ids]
