@@ -21,7 +21,7 @@ import sys
 
 from .errors import ChoiceFunctionError, GuardExceededError, InstanceFormatError
 from .guards import SIZE_GUARD
-from .network import ContractNetwork, at_bits, sorted_ids
+from .network import ContractNetwork, at_bits, sorted_ids, spread
 
 
 class _Asked(dict):
@@ -419,7 +419,9 @@ def _parallel_positions(cf, buys: bool, k: int) -> list[int]:
 class _SubsetSumGadget(ChoiceFunction):
     """One firm of the subset-sum gadget: k parallel contracts on one side,
     the i-th in id order carrying the i-th weight, and one lone contract on
-    the other.  A menu walks only its offered parallel bits, lowest first."""
+    the other.  `_weight` is the weight by position, 0 at the lone one: the
+    seller walks a menu's offered parallel bits through it, lowest first, and
+    the buyer reads offered weights from `_sums`, built from it."""
 
     buys_parallel: bool
 
@@ -435,26 +437,47 @@ class _SubsetSumGadget(ChoiceFunction):
         return {"weights": list(self.weights)}
 
 
+class _OfferedWeight:
+    """A wide gadget buyer's `_sums`: a menu's offered weight, its set bits
+    walked lowest first at each read, with no table of 2^|domain| sums."""
+
+    __slots__ = ("weight",)
+
+    def __init__(self, weight):
+        self.weight = weight
+
+    def __getitem__(self, menu):
+        total = 0
+        while menu:
+            low = menu & -menu
+            total += self.weight[low.bit_length() - 1]
+            menu ^= low
+        return total
+
+
 class PartitionChoiceF(_SubsetSumGadget):
     """Buyer of the weighted contracts in the subset-sum gadget.
 
     Keeps every weighted contract offered; keeps the lone downstream
-    contract exactly when the offered weights reach half the total.
+    contract exactly when the offered weights reach half the total.  A
+    menu's offered weight is `_sums[menu]`: within SIZE_GUARD, where the memo
+    is a list too, a table of every menu's (`network.spread` of `_weight`),
+    built with the function; past it, a walk of the menu's bits.
     """
 
     family = "partition_f"
     buys_parallel = True
 
+    def __init__(self, agent, upstream, downstream, weights):
+        super().__init__(agent, upstream, downstream, weights)
+        wide = len(self.ids) > SIZE_GUARD
+        self._sums = _OfferedWeight(self._weight) if wide else spread(self._weight)
+
     def _select(self, menu):
-        ups = rest = menu & self.up_mask
-        if not menu & self.down_mask:
-            return ups
-        offered_weight = 0
-        while rest:
-            low = rest & -rest
-            offered_weight += self._weight[low.bit_length() - 1]
-            rest ^= low
-        return ups | self.down_mask if 2 * offered_weight >= self.double_threshold else ups
+        ups = menu & self.up_mask
+        if menu & self.down_mask and 2 * self._sums[menu] >= self.double_threshold:
+            return ups | self.down_mask
+        return ups
 
 
 class PartitionChoiceG(_SubsetSumGadget):

@@ -254,10 +254,11 @@ def at_bits(items, mask: int):
     return itertools.compress(items, map("1".__eq__, bin(mask)[:1:-1]))
 
 
-def spread(bits) -> list[int]:
-    """The OR of each subset of `bits`, indexed by subset mask (bit i of the
-    index stands for the i-th of `bits`), by doubling."""
-    masks = [0]
-    for b in bits:
-        masks += [m | b for m in masks]
-    return masks
+def spread(items) -> list[int]:
+    """The sum of each subset of `items`, indexed by subset mask (bit i of
+    the index stands for the i-th of `items`), by doubling.  On distinct
+    one-bit masks (or 0) each sum is the subset's OR: the mask it lifts to."""
+    sums = [0]
+    for item in items:
+        sums += [s + item for s in sums]
+    return sums

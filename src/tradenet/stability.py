@@ -265,21 +265,24 @@ def find_blocking_set(view: FreshView) -> Witness | None:
     `network.subsets` order, and each is asked of the view's agents in id
     order until one turns its share down: on one sum of shares per block,
     inlined (a `kept_by_all` call costs 7%), decoding only a blocking block.
-    Menus are read from each agent's memo in place, a miss filled as `choose_mask` would."""
+    Menus are read from each agent's memo in place, and a miss asks the
+    agent's selector, paired with its memo once per search, and is refused
+    or stored as `choose_mask` would."""
     check_set_guard(len(view.fresh))
-    shares, agents = list(map(view.share, view.fresh)), tuple(view.agents.values())
+    shares = list(map(view.share, view.fresh))
+    agents = [(choose_mask.__self__._select, base, shift, mask, memo)
+              for choose_mask, base, shift, mask, memo in view.agents.values()]
     for size in range(1, len(shares) + 1):
         for k, total in enumerate(map(sum, combinations(shares, size))):
-            for choose_mask, base, shift, mask, memo in agents:
+            for select, base, shift, mask, memo in agents:
                 own = total >> shift & mask
                 if own:
                     menu = own | base
                     chosen = memo[menu]
                     if chosen is None:
-                        cf = choose_mask.__self__
-                        chosen = cf._select(menu)
+                        chosen = select(menu)
                         if chosen & ~menu:
-                            cf._overreach()
+                            select.__self__._overreach()
                         memo[menu] = chosen
                     if own & ~chosen:
                         break

@@ -25,8 +25,8 @@ from tradenet.choices import (
 )
 from tradenet.errors import ChoiceFunctionError, GuardExceededError
 from tradenet.guards import SIZE_GUARD
-from tradenet.instances import BUNDLED, bundled_instance, instance_from_json
-from tradenet.network import subsets
+from tradenet.instances import BUNDLED, Instance, bundled_instance, instance_from_json
+from tradenet.network import subsets, validate_network
 from tradenet.oracle import (
     PROFILES,
     generate_instance,
@@ -34,6 +34,7 @@ from tradenet.oracle import (
     needle_family,
     partition_to_gs,
 )
+from tradenet.stability import find_blocking_set, is_acceptable
 
 
 def test_preference_list_best_contained_set(example1):
@@ -452,6 +453,19 @@ def _selector_corpus(unrestricted_instance):
                 instances.append(needle_family(n, hidden))
     for inst in instances:
         yield from (inst.choice[a] for a in sorted(inst.network.agents))
+    # gadget firms built directly, the lone contract sorting first, between
+    # the parallel ids and last, with weights up to 1,000; the 15-weight pair
+    # has 16 contracts, the largest table of offered weights
+    parallel = [f"x{i}" for i in range(1, 10)]
+    wide = [f"x{i:02d}" for i in range(1, 16)]
+    for lone, ids, gadget_weights in (
+        ("a", parallel[:4], (250, 500, 750, 1000)),
+        ("x5z", parallel, sorted(rng.randint(1, 1000) for _ in parallel)),
+        ("y", parallel[:8], sorted(rng.randint(1, 1000) for _ in parallel[:8])),
+        ("x07z", wide, sorted(rng.randint(1, 3) for _ in wide)),
+    ):
+        yield PartitionChoiceF("f", ids, [lone], gadget_weights)
+        yield PartitionChoiceG("g", [lone], ids, gadget_weights)
     ids = [f"c{i}" for i in range(6)]
     for _ in range(40):
         up = set(rng.sample(ids, rng.randint(1, 5)))
@@ -546,15 +560,25 @@ def test_a_function_past_the_size_guard_keeps_the_menus_asked_and_no_table():
 
 def test_choose_is_a_conversion_around_choose_mask(unrestricted_instance):
     # one memo: a menu asked again, through either door or with foreign
-    # contracts alongside, evaluates nothing new
+    # contracts alongside, evaluates nothing new.  Evaluations are counted at
+    # the selector, as `query_count` scans the whole memo list on each read
     for cf in _selector_corpus(unrestricted_instance):
+        evaluated, before = [], cf.query_count
+
+        def counted(menu, select=cf._select, evaluated=evaluated):
+            evaluated.append(menu)
+            return select(menu)
+
+        cf._select = counted
         for menu in subsets(cf.domain):
             chosen = cf.choose(menu)
             assert chosen == cf.names(cf.choose_mask(cf.mask(menu))), (cf.to_json(), menu)
-            asked = cf.query_count
+            asked = len(evaluated)
             assert cf.choose(menu) == chosen
             assert cf.choose(set(menu) | {"foreign"}) == chosen
-            assert cf.query_count == asked
+            assert len(evaluated) == asked
+        assert len(set(evaluated)) == len(evaluated), cf.to_json()
+        assert cf.query_count == before + len(evaluated) == 2 ** len(cf.domain), cf.to_json()
 
 
 class Overreach(ChoiceFunction):
@@ -588,6 +612,23 @@ def test_choose_rejects_contracts_outside_the_menu():
             with pytest.raises(ChoiceFunctionError, match="outside the menu"):
                 cf.menu_table()
             assert cf.query_count == 0
+
+
+def test_the_set_search_refuses_an_overreach_on_a_miss():
+    # f answers the empty menu, the one the acceptability check asks, within
+    # it, then keeps b whether offered or not: the search's first miss, block
+    # {a}, is refused before it is stored
+    net = validate_network({"agents": ["f", "g"], "contracts": [
+        {"id": "a", "seller": "g", "buyer": "f"}, {"id": "b", "seller": "f", "buyer": "g"}]})
+    f = Overreach("f", {"a"}, {"b"}, extra=0)
+    inst = Instance(net, {"f": f, "g": Overreach("g", {"b"}, {"a"}, extra=0)})
+    assert is_acceptable(inst, frozenset()).stable
+    f.extra = 0b10
+    asked = {agent: cf.query_count for agent, cf in inst.choice.items()}
+    for _ in range(2):
+        with pytest.raises(ChoiceFunctionError, match="f: evaluator chose contracts outside the menu"):
+            find_blocking_set(inst, frozenset())
+        assert {agent: cf.query_count for agent, cf in inst.choice.items()} == asked
 
 
 def test_masks_number_the_domain_in_id_order():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 
 from tradenet.errors import NetworkValidationError
-from tradenet.network import at_bits, mask_bits, submasks, subsets, validate_network
+from tradenet.network import at_bits, mask_bits, spread, submasks, subsets, validate_network
 
 
 def test_ring4_validates(ring4):
@@ -88,6 +88,20 @@ def test_submasks_match_the_subsets_order():
         assert list(at_bits(range(11), mask)) == [i for i in range(11) if mask >> i & 1]
         assert list(submasks(mask)) == reference_submasks(mask), mask
     assert list(at_bits("abc" * 100, 1 << 299 | 1 << 150 | 1)) == ["a", "a", "c"]
+
+
+def test_spread_sums_each_subset_and_ors_one_bit_masks():
+    assert spread([3, 5]) == [0, 3, 5, 8]
+    assert spread([]) == [0]
+    # distinct one-bit masks (0 for an item outside the domain): each sum is
+    # the OR of its subset, the mask that subset lifts to
+    bits = [1 << 4, 0, 1 << 0, 1 << 70, 1 << 2]
+    for index, lifted in enumerate(spread(bits)):
+        chosen = [b for i, b in enumerate(bits) if index >> i & 1]
+        ored = 0
+        for b in chosen:
+            ored |= b
+        assert lifted == ored, index
 
 
 def test_terminal_partition(ring4):

@@ -212,6 +212,12 @@ def test_needle_query_counts_are_pinned(capsys, n, hidden):
         ((1, 1, 1, 2, 2, 3), ("x4", "x6", "y"), (63, 43)),
         ((2, 2, 3, 5, 7, 9, 10, 10), ("x4", "x6", "x7", "y"), (249, 163)),
         ((1, 1, 4), None, (16, 12)),
+        # both sides of SIZE_GUARD: f of 16 contracts reads its table of
+        # offered weights, f of 17 walks its menus and keeps a dict memo
+        ((1,) * 15, None, (65536, 49152)),
+        ((1,) + (2,) * 13 + (3,), ("x02", "x03", "x04", "x05", "x06", "x07", "x15", "y"),
+         (32804, 19845)),
+        ((1,) * 16, tuple(f"x{i:02d}" for i in range(1, 9)) + ("y",), (65545, 39212)),
     ],
 )
 def test_partition_query_counts_are_pinned(weights, witness, queries):
@@ -220,6 +226,7 @@ def test_partition_query_counts_are_pinned(weights, witness, queries):
     assert (verdict.witness.contracts if verdict.witness else None) == witness
     choice = gadget.instance.choice
     assert (choice["f"].query_count, choice["g"].query_count) == queries
+    assert (type(choice["f"]._sums) is list) == (len(choice["f"].ids) <= SIZE_GUARD)
 
 
 def test_the_set_search_and_choose_mask_read_one_memo():
@@ -256,7 +263,8 @@ def test_a_view_built_before_the_fill_reads_the_filled_table():
 
 def test_a_set_search_at_the_size_guard_keeps_its_memos_in_lists():
     # 15 unit weights, an odd total: the search scans all 2^16 - 1 blocks of
-    # two 16-contract firms.  One list entry per menu holds 3.7 MB; a dict of
+    # two 16-contract firms.  One list entry per menu, with f's table of
+    # offered weights, holds 4.0 MB (3.5 MB without the table); a dict of
     # the menus asked held 11.5 MB.  A firm of more contracts still keeps a
     # dict of the menus asked, which at the set guard holds far more
     tracemalloc.start()
